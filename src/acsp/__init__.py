@@ -7,7 +7,7 @@ keep one representative component per cluster, cut the rest structurally,
 and fine-tune before moving to the next layer.
 """
 
-from .cluster import ClusterResult, MssCurve, kmedoids, mss, sweep
+from .cluster import ClusterResult, MssCurve, kmedoids, mss, sweep_detailed
 from .data import make_blobs, make_rings
 from .errors import AcspError
 from .knee import KneeResult, find_knee, polyfit, select_k
@@ -15,7 +15,6 @@ from .planner import (
     LayerReport,
     PruneConfig,
     build_plan,
-    component_norm,
     compose,
     prune_layer,
     prune_model,
@@ -27,11 +26,9 @@ from .tensio import (
     LabeledDataset,
     PlanEntry,
     PruningPlan,
-    read_activations,
     read_dataset,
     read_model,
     read_plan,
-    write_activations,
     write_dataset,
     write_model,
     write_plan,

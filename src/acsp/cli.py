@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: gen-data, train, prune, eval. One --seed per command fans out
-into named sub-streams (data, init, train, finetune, clustering), so two
-invocations with identical flags write byte-identical files. Failures exit
-with status 1 and a single machine-parseable line on stderr:
+into named sub-streams (data, init, train, finetune), so two invocations
+with identical flags write byte-identical files. Failures exit with status
+1 and a single machine-parseable line on stderr:
 
     error code=<ExceptionName> message="..."
 """

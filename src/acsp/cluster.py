@@ -2,7 +2,7 @@
 
 The partitioner is PAM: a greedy BUILD phase followed by steepest-descent
 SWAP passes. All tie-breaks go to the lowest index, so results are fully
-deterministic; the `seed` arguments exist for interface stability only.
+deterministic and need no seed.
 
 MSS scores a clustering in [-inf, 1]:
 
@@ -16,8 +16,6 @@ With k = n_points every point is its own medoid and MSS is exactly 1.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +57,9 @@ def _rows(space) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def pairwise_distances(rows: np.ndarray) -> np.ndarray:
-    diff = rows[:, None, :] - rows[None, :, :]
+def pairwise_distances(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row to each target; pass `rows, rows` for the full matrix."""
+    diff = rows[:, None, :] - targets[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
 
 
@@ -129,18 +128,16 @@ def _pam(dist: np.ndarray, k: int):
     return meds, meds[pos], float(d1.sum()), history
 
 
-def kmedoids(space, k: int, seed: int = 0) -> ClusterResult:
+def kmedoids(space, k: int) -> ClusterResult:
     """Partition the rows of `space` into k clusters around medoid rows.
 
-    Accepts a SeparabilityMatrix or a plain [n, d] array. PAM here is
-    deterministic; `seed` is accepted so callers can treat the partitioner
-    as a black box.
+    Accepts a SeparabilityMatrix or a plain [n, d] array.
     """
     rows = _rows(space)
     n = rows.shape[0]
     if not 2 <= k <= n:
         raise BadK(f"k must lie in [2, {n}], got {k}")
-    dist = pairwise_distances(rows)
+    dist = pairwise_distances(rows, rows)
     meds, assignment, cost, history = _pam(dist, k)
     return ClusterResult(k, meds, assignment, cost, history)
 
@@ -154,7 +151,7 @@ def mss(space, result: ClusterResult) -> float:
         raise BadK(f"mss needs k >= 2, got {k}")
     if len(result.assignment) != n:
         raise ValueError("clustering does not match the space")
-    dist_to_meds = pairwise_distances_to(rows, rows[result.medoid_indices])
+    dist_to_meds = pairwise_distances(rows, rows[result.medoid_indices])
     med_pos = {int(m): i for i, m in enumerate(result.medoid_indices)}
     pos = np.array([med_pos[int(m)] for m in result.assignment])
     a = dist_to_meds[np.arange(n), pos]
@@ -162,34 +159,10 @@ def mss(space, result: ClusterResult) -> float:
     return float(np.mean(1.0 - a / np.maximum(b, B_FLOOR)))
 
 
-def pairwise_distances_to(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    diff = rows[:, None, :] - targets[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
-def _curve_workers(requested: int | None, n_tasks: int) -> int:
-    if requested is None:
-        env = os.environ.get("ACSP_THREADS", "")
-        try:
-            requested = int(env) if env else 1
-        except ValueError:
-            requested = 1
-    return max(1, min(requested, n_tasks))
-
-
-def sweep(space, k_min: int = 2, k_max: int | None = None, stride: int = 1,
-          seed: int = 0, workers: int | None = None) -> MssCurve:
-    curve, _ = sweep_detailed(space, k_min, k_max, stride, seed, workers)
-    return curve
-
-
-def sweep_detailed(space, k_min: int = 2, k_max: int | None = None, stride: int = 1,
-                   seed: int = 0, workers: int | None = None):
+def sweep_detailed(space, k_min: int = 2, k_max: int | None = None, stride: int = 1):
     """MSS over k in {k_min, k_min+stride, ...} up to k_max (default n_rows).
 
-    The pairwise distance matrix is computed once and shared. Each k is an
-    independent task, so the sweep may run on ACSP_THREADS workers; results
-    merge keyed by k and the outcome does not depend on the worker count.
+    The pairwise distance matrix is computed once and shared by every k.
     Returns (curve, {k: ClusterResult}).
     """
     rows = _rows(space)
@@ -199,21 +172,11 @@ def sweep_detailed(space, k_min: int = 2, k_max: int | None = None, stride: int 
     if not (2 <= k_min <= k_max <= n) or stride < 1:
         raise BadRange(f"need 2 <= k_min <= k_max <= {n} and stride >= 1, "
                        f"got [{k_min}, {k_max}] stride {stride}")
-    ks = list(range(k_min, k_max + 1, stride))
-    dist = pairwise_distances(rows)
-    layer_id = getattr(space, "layer_id", -1)
-
-    def solve(k: int):
+    dist = pairwise_distances(rows, rows)
+    results = {}
+    entries = {}
+    for k in range(k_min, k_max + 1, stride):
         meds, assignment, cost, history = _pam(dist, k)
-        result = ClusterResult(k, meds, assignment, cost, history)
-        return k, result, mss(space, result)
-
-    n_workers = _curve_workers(workers, len(ks))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            solved = list(pool.map(solve, ks))
-    else:
-        solved = [solve(k) for k in ks]
-    results = {k: result for k, result, _ in solved}
-    curve = MssCurve(layer_id, {k: score for k, _, score in solved})
-    return curve, results
+        results[k] = ClusterResult(k, meds, assignment, cost, history)
+        entries[k] = mss(space, results[k])
+    return MssCurve(getattr(space, "layer_id", -1), entries), results

@@ -95,16 +95,17 @@ def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
     return KneeResult(k_prime, degree, coeffs, diff, _curvature(coeffs, ks[best]))
 
 
-def select_k(curve: MssCurve, degree: int = 2) -> int:
-    """Knee if one exists, otherwise the largest swept k (keep everything).
+def select_k(curve: MssCurve, degree: int = 2) -> tuple[int, KneeResult | None]:
+    """The subset size to keep, and the knee result it came from.
 
-    Curves too short to fit fall back to the largest swept k as well; this
-    function never raises on a valid curve.
+    The knee if one clears the threshold, otherwise the largest swept k
+    (keep everything). A curve too short to fit also keeps everything and
+    comes back with no knee result.
     """
     try:
         result = find_knee(curve, degree)
-    except (TooFewPoints, Underdetermined):
-        return int(curve.ks()[-1])
+    except TooFewPoints:
+        return int(curve.ks()[-1]), None
     if result.k_prime is None:
-        return int(curve.ks()[-1])
-    return result.k_prime
+        return int(curve.ks()[-1]), result
+    return result.k_prime, result

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cluster, knee, sepspace, toynet
-from .errors import AcspError, BadParams, NotPrunableLayer, TooFewPoints
+from .errors import AcspError, BadParams, NotPrunableLayer
 from .rng import derive_seed
 from .tensio import SELECTION_MODES, PlanEntry, PruningPlan
 
@@ -34,11 +34,22 @@ class PruneConfig:
     pre_activation: bool = False
     freeze_upstream: bool = False
     batch_size: int = 64
-    workers: int | None = None
 
     def __post_init__(self):
         if self.selection not in SELECTION_MODES:
             raise BadParams(f"selection must be one of {SELECTION_MODES}")
+        if self.knee_degree < 1:
+            raise BadParams(f"knee degree must be >= 1, got {self.knee_degree}")
+        if self.stride < 1:
+            raise BadParams(f"stride must be >= 1, got {self.stride}")
+        if not 0.0 < self.ft_fraction <= 1.0:
+            raise BadParams(f"fine-tune fraction must lie in (0, 1], got {self.ft_fraction}")
+        if self.ft_epochs < 0:
+            raise BadParams(f"fine-tune epochs must be >= 0, got {self.ft_epochs}")
+        if self.batch_size < 1:
+            raise BadParams(f"batch size must be >= 1, got {self.batch_size}")
+        if self.ft_lr is not None and not self.ft_lr > 0.0:
+            raise BadParams(f"fine-tune lr must be > 0, got {self.ft_lr}")
 
 
 @dataclass
@@ -63,10 +74,6 @@ def component_norms(model: toynet.ToyModel, layer_id: int) -> np.ndarray:
         raise NotPrunableLayer(f"layer {layer_id} ({layer.kind}) has no weights")
     w = layer.w
     return np.sqrt((w.reshape(w.shape[0], -1) ** 2).sum(axis=1))
-
-
-def component_norm(model: toynet.ToyModel, layer_id: int, j: int) -> float:
-    return float(component_norms(model, layer_id)[j])
 
 
 def compose(result: cluster.ClusterResult, mode: str, norms: np.ndarray) -> list[int]:
@@ -121,16 +128,8 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
         acts = toynet.capture_activations(model, ds, layer_id,
                                           pre_activation=config.pre_activation)
         space = sepspace.build_space(acts)
-        curve, results = cluster.sweep_detailed(space, stride=config.stride,
-                                                seed=derive_seed(config.seed, f"cluster{layer_id}"),
-                                                workers=config.workers)
-        try:
-            knee_result = knee.find_knee(curve, config.knee_degree)
-            k_selected = (knee_result.k_prime if knee_result.k_prime is not None
-                          else int(curve.ks()[-1]))
-        except TooFewPoints:
-            knee_result = None
-            k_selected = int(curve.ks()[-1])  # keep-all fallback
+        curve, results = cluster.sweep_detailed(space, stride=config.stride)
+        k_selected, knee_result = knee.select_k(curve, config.knee_degree)
         if k_selected < n_comp:
             kept = compose(results[k_selected], config.selection,
                            component_norms(model, layer_id))

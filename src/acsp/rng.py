@@ -1,6 +1,6 @@
 """Deterministic fan-out of one user seed into named sub-streams.
 
-Data generation, weight init, fine-tuning and clustering must not share
+Data generation, weight init, training and fine-tuning must not share
 generator state, otherwise changing one stage silently reseeds the rest.
 """
 
@@ -16,6 +16,3 @@ def derive_seed(seed: int, name: str) -> int:
     entropy = [seed % (1 << 63), zlib.crc32(name.encode("utf-8"))]
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
-
-def substream(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(seed, name))

@@ -4,7 +4,7 @@ Binary container layout (all integers little-endian, fixed width):
 
     magic    4 bytes   b"ACSP"
     version  u32       currently 1
-    kind     u32       1=dataset  2=activations  3=separability  4=model
+    kind     u32       1=dataset  4=model (2 and 3 are retired)
     payload  ...       kind specific, documented on each write_* function
 
 Tensor values are stored as little-endian float32 in row-major order and
@@ -38,12 +38,9 @@ MAGIC = b"ACSP"
 VERSION = 1
 
 KIND_DATASET = 1
-KIND_ACTIVATIONS = 2
-KIND_SEPMATRIX = 3
 KIND_MODEL = 4
 
-_ACT_KIND_CODE = {"linear": 1, "conv": 2}
-_ACT_KIND_NAME = {v: k for k, v in _ACT_KIND_CODE.items()}
+_ACTIVATION_KINDS = ("linear", "conv")
 
 PLAN_FORMAT = "acsp-plan/1"
 
@@ -104,7 +101,7 @@ class ActivationTensor:
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.kind not in _ACT_KIND_CODE:
+        if self.kind not in _ACTIVATION_KINDS:
             raise WrongKind(f"unknown activation kind {self.kind!r}")
         if self.values.ndim != 4:
             raise InvalidDataset("activation values must be [n, components, p, p]")
@@ -278,68 +275,6 @@ def read_dataset(path: str) -> LabeledDataset:
     values = r.array("<f4", int(np.prod(dims))).reshape(dims)
     r.done()
     return LabeledDataset(values, labels)
-
-
-# ---------------------------------------------------------- activations
-
-def write_activations(act: ActivationTensor, path: str) -> None:
-    """Payload: layer_id u32, layer kind u32, dims (always 4), n_labels u64,
-    labels u32[n], values f32 row-major [sample][component][row][col]."""
-    blob = bytearray(_header(KIND_ACTIVATIONS))
-    blob += struct.pack("<II", act.layer_id, _ACT_KIND_CODE[act.kind])
-    blob += _pack_dims(act.values.shape)
-    blob += struct.pack("<Q", act.n_samples)
-    blob += _u32_bytes(act.labels)
-    blob += _f32_bytes(act.values)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-
-
-def read_activations(path: str) -> ActivationTensor:
-    r = _open(path, KIND_ACTIVATIONS)
-    layer_id = r.u32()
-    code = r.u32()
-    if code not in _ACT_KIND_NAME:
-        raise WrongKind(f"{path}: unknown layer kind code {code}")
-    dims = _read_dims(r)
-    if len(dims) != 4:
-        raise TruncatedFile(f"{path}: activation dims must be rank 4, got {dims}")
-    n = r.u64()
-    if n != dims[0]:
-        raise TruncatedFile(f"{path}: label count {n} disagrees with dims {dims}")
-    labels = r.array("<u4", n).astype(np.int64)
-    values = r.array("<f4", int(np.prod(dims))).reshape(dims)
-    r.done()
-    return ActivationTensor(layer_id, _ACT_KIND_NAME[code], values, labels)
-
-
-# ------------------------------------------------- separability matrices
-
-def write_matrix(mat, path: str) -> None:
-    """Inspection dump of a separability matrix (values quantized to f32).
-
-    Payload: layer_id u32, num_classes u32, patch u32, dims (rank 2),
-    values f32 row-major.
-    """
-    blob = bytearray(_header(KIND_SEPMATRIX))
-    blob += struct.pack("<III", mat.layer_id, mat.num_classes, mat.patch)
-    blob += _pack_dims(mat.values.shape)
-    blob += _f32_bytes(mat.values)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-
-
-def read_matrix(path: str):
-    from .sepspace import SeparabilityMatrix  # deferred: sepspace imports tensio
-
-    r = _open(path, KIND_SEPMATRIX)
-    layer_id, num_classes, patch = r.u32(), r.u32(), r.u32()
-    dims = _read_dims(r)
-    if len(dims) != 2:
-        raise TruncatedFile(f"{path}: matrix dims must be rank 2, got {dims}")
-    values = r.array("<f4", int(np.prod(dims))).astype(np.float64).reshape(dims)
-    r.done()
-    return SeparabilityMatrix(layer_id, num_classes, patch, values)
 
 
 # ----------------------------------------------------------------- models

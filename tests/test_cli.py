@@ -216,6 +216,24 @@ def test_prune_regular_selection_flag(tmp_path, capsys, trained):
     assert "selection=regular" in out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--stride", "0"),
+    ("--degree", "0"),
+    ("--ft-fraction", "0"),
+    ("--ft-fraction", "1.5"),
+    ("--ft-lr", "0"),
+])
+def test_prune_rejects_bad_config_before_any_layer(tmp_path, capsys, trained, flag, value):
+    data_path, model_path = trained
+    out_dir = str(tmp_path / "out")
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", out_dir, flag, value)
+    assert code == 1
+    assert re.fullmatch(r'error code=BadParams message="[^"]*"\n', err)
+    assert out == ""
+    assert not os.path.exists(os.path.join(out_dir, "plan.json"))
+
+
 # ------------------------------------------------------------------ eval
 
 def test_eval_output_format(tmp_path, capsys, trained):

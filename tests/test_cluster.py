@@ -1,6 +1,5 @@
 """PAM partitioning and MSS scoring against hand values and exhaustive search."""
 
-import os
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acsp import cluster
-from acsp.cluster import ClusterResult, kmedoids, mss, pairwise_distances, sweep, sweep_detailed
+from acsp.cluster import ClusterResult, kmedoids, mss, pairwise_distances, sweep_detailed
 from acsp.errors import BadK, BadRange
 
 
@@ -88,7 +87,7 @@ def test_matches_exhaustive_minimum_on_small_instances():
         k = min(k, n)
         rows = gen.normal(size=(n, d))
         res = kmedoids(rows, k)
-        target = _exhaustive_cost(pairwise_distances(rows), k)
+        target = _exhaustive_cost(pairwise_distances(rows, rows), k)
         assert res.total_cost >= target - 1e-12
         if res.total_cost > target + 1e-12:
             assert res.total_cost <= 1.05 * target, f"trial {trial}: {res.total_cost} vs {target}"
@@ -205,27 +204,27 @@ def test_mss_at_full_k_property(seed):
 
 def test_sweep_full_range_keys():
     rows = np.random.default_rng(6).normal(size=(5, 2))
-    curve = sweep(rows)
+    curve, _ = sweep_detailed(rows)
     assert list(curve.ks()) == [2, 3, 4, 5]
     assert curve.entries[5] == 1.0
 
 
 def test_sweep_stride():
     rows = np.random.default_rng(6).normal(size=(10, 2))
-    curve = sweep(rows, k_min=2, k_max=10, stride=2)
+    curve, _ = sweep_detailed(rows, k_min=2, k_max=10, stride=2)
     assert list(curve.ks()) == [2, 4, 6, 8, 10]
 
 
 def test_sweep_bad_range():
     rows = np.random.default_rng(6).normal(size=(5, 2))
     with pytest.raises(BadRange):
-        sweep(rows, k_min=1)
+        sweep_detailed(rows, k_min=1)
     with pytest.raises(BadRange):
-        sweep(rows, k_min=3, k_max=2)
+        sweep_detailed(rows, k_min=3, k_max=2)
     with pytest.raises(BadRange):
-        sweep(rows, k_max=6)
+        sweep_detailed(rows, k_max=6)
     with pytest.raises(BadRange):
-        sweep(rows, stride=0)
+        sweep_detailed(rows, stride=0)
 
 
 def test_sweep_detailed_results_match_direct_calls():
@@ -239,24 +238,14 @@ def test_sweep_detailed_results_match_direct_calls():
 
 def test_sweep_is_deterministic():
     rows = np.random.default_rng(10).normal(size=(9, 2))
-    a = sweep(rows)
-    b = sweep(rows)
+    a, _ = sweep_detailed(rows)
+    b, _ = sweep_detailed(rows)
     assert a.entries == b.entries
-
-
-def test_parallel_sweep_matches_serial(monkeypatch):
-    rows = np.random.default_rng(12).normal(size=(12, 3))
-    serial = sweep(rows, workers=1)
-    threaded = sweep(rows, workers=4)
-    assert serial.entries == threaded.entries
-    monkeypatch.setenv("ACSP_THREADS", "3")
-    via_env = sweep(rows)
-    assert via_env.entries == serial.entries
 
 
 def test_curve_csv_round_trip(tmp_path):
     rows = np.random.default_rng(13).normal(size=(6, 2))
-    curve = sweep(rows)
+    curve, _ = sweep_detailed(rows)
     path = str(tmp_path / "curve.csv")
     curve.to_csv(path)
     with open(path) as fh:

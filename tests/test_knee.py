@@ -118,7 +118,7 @@ def test_higher_degree_tracks_sharp_jump_tighter():
     gen = np.random.default_rng(3)
     centers = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
     rows = np.vstack([centers[i % 3] + 1e-3 * gen.normal(size=3) for i in range(12)])
-    curve = cluster.sweep(rows)
+    curve, _ = cluster.sweep_detailed(rows)
     found = {d: find_knee(curve, degree=d).k_prime for d in (2, 3, 4, 5)}
     assert found == {2: 6, 3: 5, 4: 4, 5: 4}
 
@@ -169,10 +169,17 @@ def test_knee_always_inside_swept_range(seed):
 def test_select_k_picks_knee_when_present():
     ks = np.arange(2, 20)
     ys = _saturating(ks, rate=1.0, lo=0.2)
-    assert select_k(_curve(ks, ys), degree=2) == find_knee(_curve(ks, ys), degree=2).k_prime
+    k, result = select_k(_curve(ks, ys), degree=2)
+    assert result.k_prime is not None
+    assert k == result.k_prime == find_knee(_curve(ks, ys), degree=2).k_prime
 
 
 def test_select_k_falls_back_to_k_max():
     ks = np.arange(2, 12)
-    assert select_k(_curve(ks, np.full(len(ks), 0.5)), degree=2) == 11  # flat
-    assert select_k(_curve([2, 3, 4], [0.2, 0.5, 0.6]), degree=2) == 4  # too short
+    k, result = select_k(_curve(ks, np.full(len(ks), 0.5)), degree=2)  # flat
+    assert k == 11
+    assert result is not None and result.k_prime is None
+
+
+def test_select_k_short_curve_has_no_knee_result():
+    assert select_k(_curve([2, 3, 4], [0.2, 0.5, 0.6]), degree=2) == (4, None)

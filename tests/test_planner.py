@@ -8,7 +8,6 @@ from acsp.errors import BadParams, NotPrunableLayer
 from acsp.planner import (
     PruneConfig,
     build_plan,
-    component_norm,
     component_norms,
     compose,
     prune_layer,
@@ -36,8 +35,7 @@ def _trained_blob_setup(seed=0, arch="mlp:2-12-8-3", n=300, classes=3, epochs=25
 def test_component_norm_hand_value():
     model = from_arch("mlp:2-2-2", seed=0)
     model.layers[0].w = np.array([[3.0, 4.0], [1.0, 0.0]])
-    assert component_norm(model, 0, 0) == pytest.approx(5.0, abs=1e-12)
-    assert component_norm(model, 0, 1) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(component_norms(model, 0), [5.0, 1.0], rtol=0, atol=1e-12)
 
 
 def test_component_norms_zero_row():
@@ -102,6 +100,13 @@ def test_weighted_kept_indices_live_in_their_cluster():
 def test_config_rejects_unknown_selection():
     with pytest.raises(BadParams):
         PruneConfig(selection="all")
+
+
+@pytest.mark.parametrize("field, value", [("ft_epochs", -1), ("batch_size", 0)])
+def test_config_rejects_fields_the_cli_cannot_set_badly(field, value):
+    # argparse already refuses negative --ft-epochs, and prune has no batch flag
+    with pytest.raises(BadParams):
+        PruneConfig(**{field: value})
 
 
 def test_ft_lr_defaults_to_tenth_of_training_lr():

@@ -80,32 +80,6 @@ def test_dataset_round_trip(tmp_path):
     np.testing.assert_array_equal(back.labels, ds.labels)
 
 
-def test_activation_round_trip(tmp_path):
-    gen = np.random.default_rng(1)
-    act = ActivationTensor(
-        4, "conv", gen.normal(size=(6, 5, 3, 3)).astype(np.float32), balanced_labels(6, 3)
-    )
-    path = str(tmp_path / "a.acsp")
-    tensio.write_activations(act, path)
-    back = tensio.read_activations(path)
-    assert back.layer_id == 4 and back.kind == "conv"
-    np.testing.assert_array_equal(back.values, act.values)
-    np.testing.assert_array_equal(back.labels, act.labels)
-
-
-def test_matrix_round_trip(tmp_path):
-    from acsp.sepspace import SeparabilityMatrix
-
-    gen = np.random.default_rng(2)
-    values = gen.uniform(0.0, 2.0, size=(5, 12)).astype(np.float32).astype(np.float64)
-    mat = SeparabilityMatrix(2, 4, 1, values)
-    path = str(tmp_path / "m.acsp")
-    tensio.write_matrix(mat, path)
-    back = tensio.read_matrix(path)
-    assert back.layer_id == 2 and back.num_classes == 4 and back.patch == 1
-    np.testing.assert_array_equal(back.values, values)
-
-
 def test_model_round_trip_mlp(tmp_path):
     model = toynet.from_arch("mlp:3-8-5-2", seed=5)
     path = str(tmp_path / "w.acsp")
