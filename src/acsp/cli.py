@@ -41,6 +41,7 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_train(args) -> None:
+    toynet.check_train_settings(args.epochs, args.lr, args.batch_size)
     ds = tensio.read_dataset(args.data)
     model = toynet.from_arch(args.arch, derive_seed(args.seed, "init"))
     print("epoch,loss,accuracy")
@@ -197,8 +198,15 @@ def _nonneg_int(text: str) -> int:
     return val
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as BadParams, so it ends in the one error line."""
+
+    def error(self, message):
+        raise BadParams(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acsp",
         description="Automatic complementary separation pruning on a toy network engine.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -251,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except (AcspError, OSError) as exc:
         msg = str(exc).replace('"', "'")

@@ -4,6 +4,29 @@ The partitioner is PAM: a greedy BUILD phase followed by steepest-descent
 SWAP passes. All tie-breaks go to the lowest index, so results are fully
 deterministic and need no seed.
 
+Greedy BUILD is nested: BUILD(k+1) is BUILD(k) plus one medoid. A sweep
+therefore runs BUILD once up to its largest k and takes the first k picks
+for each k, with the BUILD cost recorded after each pick.
+
+Each SWAP pass finds PAM's best (medoid, candidate) exchange without
+scoring all k x n exchanges exactly. Following FastPAM1 (Schubert and
+Rousseeuw, "Faster k-Medoids Clustering", SISAP 2019), the cost after
+swapping medoid m for candidate h is
+
+    shared[h] + percl[m, h]
+    shared[h]   = sum_j min(d1_j, d_jh)
+    percl[m, h] = sum_{j in cluster m} min(d2_j, d_jh) - min(d1_j, d_jh)
+
+with d1/d2 each point's distance to its nearest/second-nearest medoid:
+O(n^2) per pass instead of O(k n^2). These estimates round differently
+from PAM's exact per-medoid sums, but by at most a derived bound `tol`.
+A pass stops when no estimate comes within `tol` of improving the cost;
+otherwise it recomputes the exact sums of every medoid whose best estimate
+lies within 2 tol of the overall best, in ascending medoid order, and
+applies PAM's strict-improvement, lowest-index rule to them. Every medoid
+that could hold the exact minimum is among those, so the chosen swap is
+the one full PAM chooses, to the bit.
+
 MSS scores a clustering in [-inf, 1]:
 
     a(i)   = distance from point i to its assigned medoid
@@ -33,6 +56,8 @@ class ClusterResult:
     assignment: np.ndarray      # per point, the row index of its medoid
     total_cost: float
     cost_history: list[float] = field(default_factory=list)  # BUILD cost, then one entry per accepted swap
+    swap_passes: int = 0        # SWAP passes run, the last one included
+    converged: bool = True      # False when SWAP stopped at MAX_SWAP_PASSES
 
 
 @dataclass
@@ -71,47 +96,95 @@ def _assign(dist: np.ndarray, medoids: np.ndarray):
     return pos, d1, dm
 
 
-def _pam(dist: np.ndarray, k: int):
-    n = dist.shape[0]
-    # BUILD: start from the most central point, then greedily add the
-    # candidate with the largest cost reduction.
-    totals = dist.sum(axis=1)
-    medoids = [int(np.argmin(totals))]
-    dmin = dist[medoids[0]].copy()
-    while len(medoids) < k:
-        gains = np.maximum(dmin[:, None] - dist, 0.0).sum(axis=0)
-        gains[medoids] = -1.0
-        best = int(np.argmax(gains))
-        medoids.append(best)
-        dmin = np.minimum(dmin, dist[best])
-    medoids = sorted(medoids)
-    history = [float(dmin.sum())]
+def _build(dist: np.ndarray, k_max: int):
+    """Greedy BUILD up to k_max medoids: start from the most central point,
+    then add the candidate with the largest cost reduction.
 
-    # SWAP: apply the single best strictly-improving (medoid, candidate)
-    # exchange per pass; stop when none improves.
-    for _ in range(MAX_SWAP_PASSES):
-        if k == n:
-            break
+    Returns the pick order and the BUILD cost after each pick; BUILD(k) is
+    `sorted(order[:k])` with cost `costs[k - 1]`.
+    """
+    totals = dist.sum(axis=1)
+    order = [int(np.argmin(totals))]
+    dmin = dist[order[0]].copy()
+    costs = [float(dmin.sum())]
+    while len(order) < k_max:
+        gains = np.maximum(dmin[:, None] - dist, 0.0).sum(axis=0)
+        gains[order] = -1.0
+        best = int(np.argmax(gains))
+        order.append(best)
+        dmin = np.minimum(dmin, dist[best])
+        costs.append(float(dmin.sum()))
+    return order, costs
+
+
+def _swap_tolerance(dist: np.ndarray) -> float:
+    """Largest gap between a FastPAM1 estimate and PAM's exact swap cost.
+
+    Every summand lies in [0, D], D = dist.max(), so a float64 sum of at most
+    n of them is off by at most g = gamma_n * n * D, gamma_n = n u / (1 - n u)
+    with u = 2^-53, in any summation order. The exact cost and the two parts
+    of the estimate are such sums (3 g); the per-point subtractions, the
+    final addition and the threshold comparisons each add a few u * n * D,
+    together below another 2 g for n >= 3. Hence 6 g.
+    """
+    n = dist.shape[0]
+    nu = n * np.finfo(np.float64).eps / 2
+    return 6.0 * nu / (1.0 - nu) * n * float(dist.max())
+
+
+def _best_swap(dist, meds, pos, d1, d2, cost, tol):
+    """PAM's best strictly improving (medoid position, candidate), or None."""
+    k = len(meds)
+    order = np.argsort(pos, kind="stable")
+    rows = dist[order]
+    near = np.minimum(d1[order, None], rows)
+    loss = np.minimum(d2[order, None], rows)
+    loss -= near
+    sizes = np.bincount(pos, minlength=k)
+    owners = np.flatnonzero(sizes)  # a medoid may own no point when rows repeat
+    starts = np.concatenate(([0], np.cumsum(sizes[owners])[:-1]))
+    est = np.tile(near.sum(axis=0), (k, 1))
+    est[owners] += np.add.reduceat(loss, starts, axis=0)
+    est[:, meds] = np.inf
+    low = est.min()
+    if not low < cost + tol:
+        return None
+    best_cost = cost
+    best_swap = None
+    for mi in np.flatnonzero(est.min(axis=1) <= low + 2.0 * tol):
+        # PAM's exact row: a 2-D axis-0 sum, which adds points in index order
+        base = np.where(pos == mi, d2, d1)
+        new_costs = np.minimum(base[:, None], dist).sum(axis=0)
+        new_costs[meds] = np.inf
+        h = int(np.argmin(new_costs))
+        if new_costs[h] < best_cost:
+            best_cost = new_costs[h]
+            best_swap = (int(mi), h)
+    return best_swap
+
+
+def _swap(dist: np.ndarray, medoids: list[int], build_cost: float, tol: float) -> ClusterResult:
+    """SWAP passes from a BUILD medoid set: apply the single best strictly
+    improving exchange per pass; stop when none improves."""
+    n = dist.shape[0]
+    k = len(medoids)
+    medoids = sorted(medoids)
+    history = [build_cost]
+    passes = 0
+    converged = k == n
+    while not converged and passes < MAX_SWAP_PASSES:
+        passes += 1
         meds = np.array(medoids)
         pos, d1, dm = _assign(dist, meds)
-        dm2 = dm.copy()
-        dm2[np.arange(n), pos] = np.inf
-        d2 = dm2.min(axis=1)
+        dm[np.arange(n), pos] = np.inf
+        d2 = dm.min(axis=1)
         cost = d1.sum()
-        best_cost = cost
-        best_swap = None
-        for mi in range(k):  # ascending medoid index, then ascending candidate
-            base = np.where(pos == mi, d2, d1)
-            new_costs = np.minimum(base[:, None], dist).sum(axis=0)
-            new_costs[meds] = np.inf
-            h = int(np.argmin(new_costs))
-            if new_costs[h] < best_cost:
-                best_cost = new_costs[h]
-                best_swap = (mi, h)
-        if best_swap is None:
+        best = _best_swap(dist, meds, pos, d1, d2, cost, tol)
+        if best is None:
+            converged = True
             break
         candidate = medoids.copy()
-        candidate[best_swap[0]] = best_swap[1]
+        candidate[best[0]] = best[1]
         candidate.sort()
         # re-evaluate through _assign so this pass's acceptance test and the
         # next pass's starting cost sum in the same order; otherwise the
@@ -119,13 +192,14 @@ def _pam(dist: np.ndarray, k: int):
         _, d1_new, _ = _assign(dist, np.array(candidate))
         exact = float(d1_new.sum())
         if not exact < cost:
+            converged = True
             break
         medoids = candidate
         history.append(exact)
 
     meds = np.array(medoids)
     pos, d1, _ = _assign(dist, meds)
-    return meds, meds[pos], float(d1.sum()), history
+    return ClusterResult(k, meds, meds[pos], float(d1.sum()), history, passes, converged)
 
 
 def kmedoids(space, k: int) -> ClusterResult:
@@ -138,12 +212,16 @@ def kmedoids(space, k: int) -> ClusterResult:
     if not 2 <= k <= n:
         raise BadK(f"k must lie in [2, {n}], got {k}")
     dist = pairwise_distances(rows, rows)
-    meds, assignment, cost, history = _pam(dist, k)
-    return ClusterResult(k, meds, assignment, cost, history)
+    order, costs = _build(dist, k)
+    return _swap(dist, order, costs[-1], _swap_tolerance(dist))
 
 
-def mss(space, result: ClusterResult) -> float:
-    """Mean simplified silhouette of a clustering over `space`."""
+def mss(space, result: ClusterResult, dist: np.ndarray | None = None) -> float:
+    """Mean simplified silhouette of a clustering over `space`.
+
+    `dist`, the pairwise distance matrix of `space` if the caller holds it,
+    spares recomputing the point-to-medoid distances; the score is the same.
+    """
     rows = _rows(space)
     n = rows.shape[0]
     k = result.k
@@ -151,7 +229,11 @@ def mss(space, result: ClusterResult) -> float:
         raise BadK(f"mss needs k >= 2, got {k}")
     if len(result.assignment) != n:
         raise ValueError("clustering does not match the space")
-    dist_to_meds = pairwise_distances(rows, rows[result.medoid_indices])
+    if dist is None:
+        dist_to_meds = pairwise_distances(rows, rows[result.medoid_indices])
+    else:
+        # contiguous, so each row sums in the same order as a fresh matrix
+        dist_to_meds = np.ascontiguousarray(dist[:, result.medoid_indices])
     med_pos = {int(m): i for i, m in enumerate(result.medoid_indices)}
     pos = np.array([med_pos[int(m)] for m in result.assignment])
     a = dist_to_meds[np.arange(n), pos]
@@ -162,7 +244,7 @@ def mss(space, result: ClusterResult) -> float:
 def sweep_detailed(space, k_min: int = 2, k_max: int | None = None, stride: int = 1):
     """MSS over k in {k_min, k_min+stride, ...} up to k_max (default n_rows).
 
-    The pairwise distance matrix is computed once and shared by every k.
+    The pairwise distance matrix and one BUILD run are shared by every k.
     Returns (curve, {k: ClusterResult}).
     """
     rows = _rows(space)
@@ -173,10 +255,12 @@ def sweep_detailed(space, k_min: int = 2, k_max: int | None = None, stride: int 
         raise BadRange(f"need 2 <= k_min <= k_max <= {n} and stride >= 1, "
                        f"got [{k_min}, {k_max}] stride {stride}")
     dist = pairwise_distances(rows, rows)
+    ks = range(k_min, k_max + 1, stride)
+    order, costs = _build(dist, ks[-1])
+    tol = _swap_tolerance(dist)
     results = {}
     entries = {}
-    for k in range(k_min, k_max + 1, stride):
-        meds, assignment, cost, history = _pam(dist, k)
-        results[k] = ClusterResult(k, meds, assignment, cost, history)
-        entries[k] = mss(space, results[k])
+    for k in ks:
+        results[k] = _swap(dist, order[:k], costs[k - 1], tol)
+        entries[k] = mss(space, results[k], dist)
     return MssCurve(getattr(space, "layer_id", -1), entries), results

@@ -353,6 +353,12 @@ def _batched_logits(model: ToyModel, samples: np.ndarray) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
+def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
+    """Raise BadParams unless epochs >= 0, lr > 0 and batch_size >= 1."""
+    if epochs < 0 or not lr > 0 or batch_size < 1:  # `not >` also rejects nan
+        raise BadParams("need epochs >= 0, lr > 0, batch_size >= 1")
+
+
 def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int,
           batch_size: int = 64, trainable: set[int] | None = None,
           on_epoch=None) -> ToyModel:
@@ -361,8 +367,7 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
     `trainable` restricts updates to the given layer ids (None = all).
     Raises Divergence when the epoch loss or any weight goes non-finite.
     """
-    if epochs < 0 or lr <= 0 or batch_size < 1:
-        raise BadParams("need epochs >= 0, lr > 0, batch_size >= 1")
+    check_train_settings(epochs, lr, batch_size)
     out = model.copy()
     if epochs == 0:
         return out

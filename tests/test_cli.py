@@ -115,6 +115,23 @@ def test_train_bad_arch_offset_in_message(tmp_path, capsys):
     assert "code=ParseError" in err and "offset 6" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--batch-size", "0"),
+    ("--lr", "0"),
+    ("--lr", "nan"),
+])
+def test_train_rejects_bad_settings_before_any_output(tmp_path, capsys, flag, value):
+    data_path = str(tmp_path / "d.acsp")
+    _gen(capsys, data_path)
+    model_path = str(tmp_path / "m.acsp")
+    code, out, err = _run(capsys, "train", "--arch", "mlp:2-4-3", "--data", data_path,
+                          "--out", model_path, flag, value)
+    assert code == 1
+    assert re.fullmatch(r'error code=BadParams message="[^"]*"\n', err)
+    assert out == ""
+    assert not os.path.exists(model_path)
+
+
 # ----------------------------------------------------------------- prune
 
 @pytest.fixture
@@ -232,6 +249,29 @@ def test_prune_rejects_bad_config_before_any_layer(tmp_path, capsys, trained, fl
     assert re.fullmatch(r'error code=BadParams message="[^"]*"\n', err)
     assert out == ""
     assert not os.path.exists(os.path.join(out_dir, "plan.json"))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ft-epochs", "-1"),
+    ("--stride", "x"),
+    ("--selection", "best"),
+])
+def test_prune_rejects_bad_argument_with_one_error_line(tmp_path, capsys, trained, flag, value):
+    data_path, model_path = trained
+    out_dir = str(tmp_path / "out")
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", out_dir, flag, value)
+    assert code == 1
+    assert re.fullmatch(rf'error code=BadParams message="argument {flag}: [^"]*"\n', err)
+    assert out == ""
+    assert not os.path.exists(out_dir)
+
+
+def test_missing_arguments_give_one_error_line(capsys):
+    code, out, err = _run(capsys, "prune", "--model", "m.acsp")
+    assert code == 1
+    assert re.fullmatch(r'error code=BadParams message="[^"]*--data[^"]*"\n', err)
+    assert out == ""
 
 
 # ------------------------------------------------------------------ eval

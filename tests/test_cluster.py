@@ -253,3 +253,181 @@ def test_curve_csv_round_trip(tmp_path):
     assert lines[0] == "k,mss"
     parsed = {int(l.split(",")[0]): float(l.split(",")[1]) for l in lines[1:]}
     assert parsed == curve.entries
+
+
+# --------------------------------------------- oracle: the plain PAM sweep
+#
+# The sweep shares one BUILD across k and confirms FastPAM1 swap estimates
+# exactly; these tests hold it to plain PAM (BUILD from scratch per k, every
+# k x n swap scored exactly) and MSS from the rows, compared with ==.
+
+def _plain_pam(dist, k):
+    n = dist.shape[0]
+    totals = dist.sum(axis=1)
+    medoids = [int(np.argmin(totals))]
+    dmin = dist[medoids[0]].copy()
+    while len(medoids) < k:
+        gains = np.maximum(dmin[:, None] - dist, 0.0).sum(axis=0)
+        gains[medoids] = -1.0
+        best = int(np.argmax(gains))
+        medoids.append(best)
+        dmin = np.minimum(dmin, dist[best])
+    medoids = sorted(medoids)
+    history = [float(dmin.sum())]
+    for _ in range(cluster.MAX_SWAP_PASSES):
+        if k == n:
+            break
+        meds = np.array(medoids)
+        pos, d1, dm = cluster._assign(dist, meds)
+        dm2 = dm.copy()
+        dm2[np.arange(n), pos] = np.inf
+        d2 = dm2.min(axis=1)
+        cost = d1.sum()
+        best_cost = cost
+        best_swap = None
+        for mi in range(k):
+            base = np.where(pos == mi, d2, d1)
+            new_costs = np.minimum(base[:, None], dist).sum(axis=0)
+            new_costs[meds] = np.inf
+            h = int(np.argmin(new_costs))
+            if new_costs[h] < best_cost:
+                best_cost = new_costs[h]
+                best_swap = (mi, h)
+        if best_swap is None:
+            break
+        candidate = medoids.copy()
+        candidate[best_swap[0]] = best_swap[1]
+        candidate.sort()
+        _, d1_new, _ = cluster._assign(dist, np.array(candidate))
+        exact = float(d1_new.sum())
+        if not exact < cost:
+            break
+        medoids = candidate
+        history.append(exact)
+    meds = np.array(medoids)
+    pos, d1, _ = cluster._assign(dist, meds)
+    return meds, meds[pos], float(d1.sum()), history
+
+
+def _plain_mss(rows, meds, assignment):
+    n, k = rows.shape[0], len(meds)
+    dist_to_meds = pairwise_distances(rows, rows[meds])
+    med_pos = {int(m): i for i, m in enumerate(meds)}
+    pos = np.array([med_pos[int(m)] for m in assignment])
+    a = dist_to_meds[np.arange(n), pos]
+    b = (dist_to_meds.sum(axis=1) - a) / (k - 1)
+    return float(np.mean(1.0 - a / np.maximum(b, cluster.B_FLOOR)))
+
+
+def _assert_sweep_matches_plain_pam(rows, k_min=2, k_max=None, stride=1):
+    curve, results = sweep_detailed(rows, k_min=k_min, k_max=k_max, stride=stride)
+    dist = pairwise_distances(rows, rows)
+    for k in range(k_min, (k_max or rows.shape[0]) + 1, stride):
+        meds, assignment, cost, history = _plain_pam(dist, k)
+        for res in (results[k], kmedoids(rows, k)):
+            assert res.medoid_indices.tolist() == meds.tolist(), k
+            assert res.assignment.tolist() == assignment.tolist(), k
+            assert res.total_cost == cost, k
+            assert res.cost_history == history, k
+        assert curve.entries[k] == _plain_mss(rows, meds, assignment), k
+    assert sorted(curve.entries) == sorted(results)
+
+
+@st.composite
+def _spaces(draw):
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "grid", "blocks"]))
+    n = draw(st.integers(3, 28))
+    d = draw(st.integers(1, 4))
+    if kind == "gaussian":
+        rows = gen.normal(size=(n, d))
+    elif kind == "grid":  # small integers: many exact ties between swaps
+        rows = gen.integers(0, 4, size=(n, d)).astype(np.float64)
+    else:  # repeated row blocks: some medoids own no point
+        base = gen.normal(size=(int(gen.integers(1, 5)), d))
+        rows = base[gen.integers(0, len(base), size=n)]
+    k_min = draw(st.integers(2, n))
+    k_max = draw(st.integers(k_min, n))
+    stride = draw(st.integers(1, 4))
+    return rows, k_min, k_max, stride
+
+
+@given(_spaces())
+@settings(max_examples=120, deadline=None)
+def test_sweep_equals_plain_pam_property(case):
+    rows, k_min, k_max, stride = case
+    _assert_sweep_matches_plain_pam(rows, k_min, k_max, stride)
+
+
+def test_sweep_equals_plain_pam_on_wide_rows():
+    rows = np.random.default_rng(21).uniform(size=(64, 6))
+    _assert_sweep_matches_plain_pam(rows)
+
+
+def test_repeated_rows_leave_a_medoid_without_points():
+    rows = _cols([0.0, 0.0, 0.0, 1.0, 5.0, 5.0, 9.0])
+    _assert_sweep_matches_plain_pam(rows)
+    res = kmedoids(rows, 5)
+    assert len(set(res.assignment.tolist())) < res.k
+
+
+def test_sweep_mss_equals_public_mss_bit_for_bit():
+    # at n=64 the row sums of a strided medoid slice differ by an ulp for
+    # most k; the sweep must score from a contiguous copy
+    rows = np.random.default_rng(1).normal(size=(64, 6))
+    curve, results = sweep_detailed(rows)
+    for k, res in results.items():
+        assert curve.entries[k] == mss(rows, res), k
+
+
+def test_seed7_layer_spaces_match_plain_pam(tmp_path, monkeypatch):
+    from acsp.cli import main
+
+    spaces = []
+    real_sweep = cluster.sweep_detailed
+
+    def recording_sweep(space, *args, **kwargs):
+        spaces.append(space)
+        return real_sweep(space, *args, **kwargs)
+
+    data, model = str(tmp_path / "data.acsp"), str(tmp_path / "model.acsp")
+    assert main(["gen-data", "--n", "2000", "--classes", "4", "--dims", "2",
+                 "--seed", "7", "--out", data]) == 0
+    assert main(["train", "--arch", "mlp:2-64-64-32-4", "--data", data,
+                 "--epochs", "60", "--lr", "0.1", "--seed", "7", "--out", model]) == 0
+    monkeypatch.setattr(cluster, "sweep_detailed", recording_sweep)
+    assert main(["prune", "--model", model, "--data", data, "--degree", "2",
+                 "--selection", "weighted", "--seed", "7",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert [s.values.shape[0] for s in spaces] == [64, 64, 32]
+    for space in spaces:
+        _assert_sweep_matches_plain_pam(space.values)
+
+
+# ------------------------------------------------------ SWAP pass budget
+
+def _needs_a_swap():
+    gen = np.random.default_rng(3)
+    while True:
+        rows = gen.normal(size=(12, 2))
+        res = kmedoids(rows, 3)
+        if len(res.cost_history) > 1:
+            return rows, res
+
+
+def test_swap_reports_passes_and_convergence():
+    rows, res = _needs_a_swap()
+    assert res.converged is True
+    # one pass per accepted swap, plus the pass that found none
+    assert res.swap_passes == len(res.cost_history)
+    full = kmedoids(rows, 12)
+    assert full.swap_passes == 0 and full.converged is True
+
+
+def test_swap_cap_reports_not_converged(monkeypatch):
+    rows, _ = _needs_a_swap()
+    monkeypatch.setattr(cluster, "MAX_SWAP_PASSES", 1)
+    res = kmedoids(rows, 3)
+    assert res.swap_passes == 1
+    assert res.converged is False
+    assert len(res.cost_history) == 2
