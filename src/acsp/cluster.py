@@ -13,19 +13,20 @@ scoring all k x n exchanges exactly. Following FastPAM1 (Schubert and
 Rousseeuw, "Faster k-Medoids Clustering", SISAP 2019), the cost after
 swapping medoid m for candidate h is
 
-    shared[h] + percl[m, h]
-    shared[h]   = sum_j min(d1_j, d_jh)
-    percl[m, h] = sum_{j in cluster m} min(d2_j, d_jh) - min(d1_j, d_jh)
+    est[m, h]  = sum_j near[j, h] + sum_j member[m, j] loss[j, h]
+    near[j, h] = min(d1_j, d_jh),  loss[j, h] = min(d2_j, d_jh) - near[j, h]
 
-with d1/d2 each point's distance to its nearest/second-nearest medoid:
-O(n^2) per pass instead of O(k n^2). These estimates round differently
-from PAM's exact per-medoid sums, but by at most a derived bound `tol`.
-A pass stops when no estimate comes within `tol` of improving the cost;
-otherwise it recomputes the exact sums of every medoid whose best estimate
-lies within 2 tol of the overall best, in ascending medoid order, and
-applies PAM's strict-improvement, lowest-index rule to them. Every medoid
-that could hold the exact minimum is among those, so the chosen swap is
-the one full PAM chooses, to the bit.
+with d1/d2 each point's distance to its nearest/second-nearest medoid and
+member[m, j] = 1 when medoid m owns point j, else 0. The per-cluster sums
+are one BLAS product: k n^2 multiply-adds, yet faster than grouping points
+by cluster up to n = 256. A medoid that owns no point (repeated rows) gets
+a zero row. These estimates differ from PAM's exact sums by at most a
+derived rounding bound `tol`. A pass stops when no estimate comes within
+`tol` of improving the cost; otherwise it recomputes the exact sums of
+every medoid whose best estimate lies within 2 tol of the overall best, in
+ascending medoid order, and applies PAM's strict-improvement, lowest-index
+rule to them. Every medoid that could hold the exact minimum is among
+those, so the chosen swap is the one full PAM chooses, to the bit.
 
 MSS scores a clustering in [-inf, 1]:
 
@@ -123,28 +124,31 @@ def _swap_tolerance(dist: np.ndarray) -> float:
     Every summand lies in [0, D], D = dist.max(), so a float64 sum of at most
     n of them is off by at most g = gamma_n * n * D, gamma_n = n u / (1 - n u)
     with u = 2^-53, in any summation order. The exact cost and the two parts
-    of the estimate are such sums (3 g); the per-point subtractions, the
-    final addition and the threshold comparisons each add a few u * n * D,
-    together below another 2 g for n >= 3. Hence 6 g.
+    of the estimate are such sums (3 g): the 0/1 membership product too, as
+    multiplying by 0 or 1 and adding +0 are exact, whatever order or FMA the
+    BLAS uses. The per-point subtractions, the final addition and the
+    threshold comparisons each add a few u * n * D, together below another
+    2 g for n >= 3. Hence 6 g.
     """
     n = dist.shape[0]
     nu = n * np.finfo(np.float64).eps / 2
     return 6.0 * nu / (1.0 - nu) * n * float(dist.max())
 
 
+def _swap_estimates(dist, pos, d1, d2, k):
+    """FastPAM1's estimated cost of every (medoid position, candidate) swap."""
+    n = dist.shape[0]
+    near = np.minimum(d1[:, None], dist)
+    loss = np.minimum(d2[:, None], dist)
+    loss -= near
+    member = np.zeros((k, n))
+    member[pos, np.arange(n)] = 1.0
+    return member @ loss + near.sum(axis=0)
+
+
 def _best_swap(dist, meds, pos, d1, d2, cost, tol):
     """PAM's best strictly improving (medoid position, candidate), or None."""
-    k = len(meds)
-    order = np.argsort(pos, kind="stable")
-    rows = dist[order]
-    near = np.minimum(d1[order, None], rows)
-    loss = np.minimum(d2[order, None], rows)
-    loss -= near
-    sizes = np.bincount(pos, minlength=k)
-    owners = np.flatnonzero(sizes)  # a medoid may own no point when rows repeat
-    starts = np.concatenate(([0], np.cumsum(sizes[owners])[:-1]))
-    est = np.tile(near.sum(axis=0), (k, 1))
-    est[owners] += np.add.reduceat(loss, starts, axis=0)
+    est = _swap_estimates(dist, pos, d1, d2, len(meds))
     est[:, meds] = np.inf
     low = est.min()
     if not low < cost + tol:
@@ -168,38 +172,33 @@ def _swap(dist: np.ndarray, medoids: list[int], build_cost: float, tol: float) -
     improving exchange per pass; stop when none improves."""
     n = dist.shape[0]
     k = len(medoids)
-    medoids = sorted(medoids)
+    meds = np.array(sorted(medoids))
+    pos, d1, dm = _assign(dist, meds)
+    cost = d1.sum()
     history = [build_cost]
     passes = 0
     converged = k == n
     while not converged and passes < MAX_SWAP_PASSES:
         passes += 1
-        meds = np.array(medoids)
-        pos, d1, dm = _assign(dist, meds)
         dm[np.arange(n), pos] = np.inf
-        d2 = dm.min(axis=1)
-        cost = d1.sum()
-        best = _best_swap(dist, meds, pos, d1, d2, cost, tol)
+        best = _best_swap(dist, meds, pos, d1, dm.min(axis=1), cost, tol)
         if best is None:
             converged = True
             break
-        candidate = medoids.copy()
+        candidate = meds.copy()
         candidate[best[0]] = best[1]
         candidate.sort()
-        # re-evaluate through _assign so this pass's acceptance test and the
-        # next pass's starting cost sum in the same order; otherwise the
-        # recorded history can wobble by an ulp and lose strict monotonicity
-        _, d1_new, _ = _assign(dist, np.array(candidate))
-        exact = float(d1_new.sum())
+        # the candidate's assignment becomes the next pass's state, so this
+        # pass's acceptance test and the next pass's cost are one sum; summed
+        # apart they could differ by an ulp and lose strict monotonicity
+        state = _assign(dist, candidate)
+        exact = state[1].sum()
         if not exact < cost:
             converged = True
             break
-        medoids = candidate
-        history.append(exact)
-
-    meds = np.array(medoids)
-    pos, d1, _ = _assign(dist, meds)
-    return ClusterResult(k, meds, meds[pos], float(d1.sum()), history, passes, converged)
+        meds, (pos, d1, dm), cost = candidate, state, exact
+        history.append(float(cost))
+    return ClusterResult(k, meds, meds[pos], float(cost), history, passes, converged)
 
 
 def kmedoids(space, k: int) -> ClusterResult:
@@ -227,15 +226,16 @@ def mss(space, result: ClusterResult, dist: np.ndarray | None = None) -> float:
     k = result.k
     if k < 2:
         raise BadK(f"mss needs k >= 2, got {k}")
-    if len(result.assignment) != n:
+    meds = result.medoid_indices
+    sorter = np.argsort(meds)
+    pos = sorter[np.searchsorted(meds, result.assignment, sorter=sorter).clip(max=k - 1)]
+    if len(pos) != n or np.any(meds[pos] != result.assignment):
         raise ValueError("clustering does not match the space")
     if dist is None:
-        dist_to_meds = pairwise_distances(rows, rows[result.medoid_indices])
+        dist_to_meds = pairwise_distances(rows, rows[meds])
     else:
         # contiguous, so each row sums in the same order as a fresh matrix
-        dist_to_meds = np.ascontiguousarray(dist[:, result.medoid_indices])
-    med_pos = {int(m): i for i, m in enumerate(result.medoid_indices)}
-    pos = np.array([med_pos[int(m)] for m in result.assignment])
+        dist_to_meds = np.ascontiguousarray(dist[:, meds])
     a = dist_to_meds[np.arange(n), pos]
     b = (dist_to_meds.sum(axis=1) - a) / (k - 1)
     return float(np.mean(1.0 - a / np.maximum(b, B_FLOOR)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cluster, knee, sepspace, toynet
-from .errors import AcspError, BadParams, NotPrunableLayer
+from .errors import BadParams, BadRange, ClassTooSmall, NotPrunableLayer
 from .rng import derive_seed
 from .tensio import SELECTION_MODES, PlanEntry, PruningPlan
 
@@ -133,7 +133,7 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
         if k_selected < n_comp:
             kept = compose(results[k_selected], config.selection,
                            component_norms(model, layer_id))
-    except AcspError as exc:
+    except (ClassTooSmall, BadRange) as exc:  # degenerate layer; anything else is bad input
         warning = f"{type(exc).__name__}: {exc}"
         kept = list(range(n_comp))
         k_selected = n_comp

@@ -184,6 +184,14 @@ def test_mss_ignores_medoid_listing_order():
     assert mss(rows, fwd) == mss(rows, rev)
 
 
+def test_mss_rejects_assignment_to_a_non_medoid():
+    rows = _cols([0.0, 1.0, 10.0, 11.0])
+    for stray in (1, 2, 7):  # below, between and above the medoid rows
+        bad = ClusterResult(2, np.array([0, 3]), np.array([0, stray, 3, 3]), 2.0)
+        with pytest.raises(ValueError):
+            mss(rows, bad)
+
+
 def test_mss_rejects_k_below_two():
     rows = _cols([0.0, 1.0, 2.0])
     bad = ClusterResult(1, np.array([0]), np.zeros(3, dtype=np.int64), 3.0)
@@ -261,6 +269,22 @@ def test_curve_csv_round_trip(tmp_path):
 # exactly; these tests hold it to plain PAM (BUILD from scratch per k, every
 # k x n swap scored exactly) and MSS from the rows, compared with ==.
 
+def _plain_swap_state(dist, meds):
+    n = dist.shape[0]
+    pos, d1, dm = cluster._assign(dist, meds)
+    dm2 = dm.copy()
+    dm2[np.arange(n), pos] = np.inf
+    return pos, d1, dm2.min(axis=1)
+
+
+def _plain_swap_costs(dist, meds, pos, d1, d2):
+    """PAM's exact cost of every (medoid position, candidate) swap; medoid columns inf."""
+    costs = np.stack([np.minimum(np.where(pos == mi, d2, d1)[:, None], dist).sum(axis=0)
+                      for mi in range(len(meds))])
+    costs[:, meds] = np.inf
+    return costs
+
+
 def _plain_pam(dist, k):
     n = dist.shape[0]
     totals = dist.sum(axis=1)
@@ -278,20 +302,15 @@ def _plain_pam(dist, k):
         if k == n:
             break
         meds = np.array(medoids)
-        pos, d1, dm = cluster._assign(dist, meds)
-        dm2 = dm.copy()
-        dm2[np.arange(n), pos] = np.inf
-        d2 = dm2.min(axis=1)
+        pos, d1, d2 = _plain_swap_state(dist, meds)
+        costs = _plain_swap_costs(dist, meds, pos, d1, d2)
         cost = d1.sum()
         best_cost = cost
         best_swap = None
         for mi in range(k):
-            base = np.where(pos == mi, d2, d1)
-            new_costs = np.minimum(base[:, None], dist).sum(axis=0)
-            new_costs[meds] = np.inf
-            h = int(np.argmin(new_costs))
-            if new_costs[h] < best_cost:
-                best_cost = new_costs[h]
+            h = int(np.argmin(costs[mi]))
+            if costs[mi, h] < best_cost:
+                best_cost = costs[mi, h]
                 best_swap = (mi, h)
         if best_swap is None:
             break
@@ -357,6 +376,22 @@ def _spaces(draw):
 def test_sweep_equals_plain_pam_property(case):
     rows, k_min, k_max, stride = case
     _assert_sweep_matches_plain_pam(rows, k_min, k_max, stride)
+
+
+@given(_spaces(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_swap_estimates_within_tolerance_of_plain_pam(case, seed):
+    # any medoid set, so repeated row blocks often leave medoids without points
+    rows, k, _, _ = case
+    n = rows.shape[0]
+    dist = pairwise_distances(rows, rows)
+    meds = np.sort(np.random.default_rng(seed).choice(n, min(k, n - 1), replace=False))
+    pos, d1, d2 = _plain_swap_state(dist, meds)
+    est = cluster._swap_estimates(dist, pos, d1, d2, len(meds))
+    exact = _plain_swap_costs(dist, meds, pos, d1, d2)
+    candidates = np.setdiff1d(np.arange(n), meds)
+    gap = np.abs(est[:, candidates] - exact[:, candidates])
+    assert gap.max() <= cluster._swap_tolerance(dist)
 
 
 def test_sweep_equals_plain_pam_on_wide_rows():

@@ -1,10 +1,14 @@
 """Pipeline orchestration: selection, per-layer loop, plans, reports."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acsp import cluster, data, planner, toynet
-from acsp.errors import BadParams, NotPrunableLayer
+from acsp.errors import BadParams, NotPrunableLayer, ShapeMismatch
 from acsp.planner import (
     PruneConfig,
     build_plan,
@@ -14,7 +18,7 @@ from acsp.planner import (
     prune_model,
     speedup,
 )
-from acsp.tensio import PruningPlan
+from acsp.tensio import PruningPlan, read_plan, write_plan
 from acsp.toynet import apply_prune, forward, from_arch
 
 from conftest import tiny_dataset
@@ -187,6 +191,15 @@ def test_prune_layer_degenerate_sweep_warns_and_keeps_all():
     np.testing.assert_array_equal(out.layers[0].w, model.layers[0].w)
 
 
+def test_prune_layer_raises_on_mismatched_samples():
+    # 3-dim samples for a 2-input model are bad input, not a degenerate layer
+    ds = tiny_dataset(n=20, num_classes=2, dims=(3,), seed=14)
+    model = from_arch("mlp:2-8-2", seed=11)
+    cfg = planner._resolve_ft_lr(PruneConfig(seed=5), model)
+    with pytest.raises(ShapeMismatch):
+        prune_layer(model, ds, 0, cfg)
+
+
 def test_prune_layer_freeze_upstream():
     ds, trained = _trained_blob_setup(seed=4)
     cfg = planner._resolve_ft_lr(PruneConfig(seed=6, freeze_upstream=True), trained)
@@ -249,6 +262,23 @@ def test_build_plan_round_trips_through_apply(tmp_path):
     for a, b in zip(replayed.layers, pruned.layers):
         if hasattr(a, "w"):
             np.testing.assert_array_equal(a.w, b.w)
+
+
+@given(st.integers(3, 12), st.integers(3, 12), st.integers(2, 4), st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_plan_json_replays_to_the_pruned_model(a, b, classes, seed):
+    ds, trained = _trained_blob_setup(seed=seed, arch=f"mlp:2-{a}-{b}-{classes}",
+                                      n=120, classes=classes, epochs=5)
+    pruned, reports = prune_model(trained, ds, PruneConfig(seed=seed, ft_epochs=0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "plan.json")
+        write_plan(build_plan(reports), path)
+        replayed = apply_prune(trained, read_plan(path))
+    assert [l.kind for l in replayed.layers] == [l.kind for l in pruned.layers]
+    for r, p in zip(replayed.layers, pruned.layers):
+        if r.parametric:
+            np.testing.assert_array_equal(r.w, p.w)
+            np.testing.assert_array_equal(r.b, p.b)
 
 
 def test_build_plan_skips_warned_layers():
