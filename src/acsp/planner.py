@@ -180,15 +180,13 @@ def prune_model(model: toynet.ToyModel, ds, config: PruneConfig | None = None):
     return current, reports
 
 
-def build_plan(reports: list[LayerReport], curve_ref=None) -> PruningPlan:
+def build_plan(reports: list[LayerReport]) -> PruningPlan:
     """Plan entries for every layer that completed analysis.
 
     Aborted layers (those carrying a warning) are omitted: with no curve
     and no selection there is no decision to replay. Keep-all layers that
     simply found no knee stay in the plan as explicit no-ops.
     """
-    if curve_ref is None:
-        curve_ref = lambda lid: f"mss_layer{lid}.csv"
     entries = []
     for r in reports:
         if r.warning is not None:
@@ -200,7 +198,7 @@ def build_plan(reports: list[LayerReport], curve_ref=None) -> PruningPlan:
             k_selected=r.k_selected,
             selection_mode=r.selection_mode,
             knee_degree=r.knee_degree,
-            mss_curve_ref=curve_ref(r.layer_id) if r.mss_curve is not None else None,
+            mss_curve_ref=f"mss_layer{r.layer_id}.csv" if r.mss_curve is not None else None,
             knee=r.knee.to_dict() if r.knee is not None else None,
         ))
     return PruningPlan(entries)

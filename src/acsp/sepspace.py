@@ -43,11 +43,6 @@ class ClassStats:
         self.var = max(float(self.var), VAR_FLOOR)
 
 
-def class_stats(values) -> ClassStats:
-    v = np.asarray(values, dtype=np.float64)
-    return ClassStats(float(v.mean()), float(v.var()))
-
-
 def bhattacharyya(a: ClassStats, b: ClassStats) -> float:
     """Distance between two 1-D Gaussians:
 
@@ -99,7 +94,7 @@ class SeparabilityMatrix:
         return class_pairs(self.num_classes)
 
 
-def build_space(act: ActivationTensor, var_floor: float = VAR_FLOOR) -> SeparabilityMatrix:
+def build_space(act: ActivationTensor) -> SeparabilityMatrix:
     """Separability matrix of one layer's activations.
 
     Per class, per component, per pixel the mean and population variance are
@@ -121,7 +116,7 @@ def build_space(act: ActivationTensor, var_floor: float = VAR_FLOOR) -> Separabi
     for c in range(num_classes):
         vc = np.sort(v[labels == c], axis=0)  # sample-order independence
         means[c] = vc.mean(axis=0)
-        variances[c] = np.maximum(vc.var(axis=0), var_floor)
+        variances[c] = np.maximum(vc.var(axis=0), VAR_FLOOR)
     pairs = class_pairs(num_classes)
     out = np.empty((n_comp, p * p * len(pairs)))
     block = p * p

@@ -19,6 +19,7 @@ human audits after a run.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -272,7 +273,7 @@ def read_dataset(path: str) -> LabeledDataset:
     if not dims or n != dims[0]:
         raise TruncatedFile(f"{path}: label count {n} disagrees with dims {dims}")
     labels = r.array("<u4", n).astype(np.int64)
-    values = r.array("<f4", int(np.prod(dims))).reshape(dims)
+    values = r.array("<f4", math.prod(dims)).reshape(dims)
     r.done()
     return LabeledDataset(values, labels)
 
@@ -287,38 +288,30 @@ def write_model(model, path: str) -> None:
     n_layers u32, a per-layer header block, then f32 weight payloads
     (weights then bias) for each parametric layer in order.
 
-    Layer headers: linear = (code, n_in u32, n_out u32); conv = (code,
-    c_in, c_out, kernel, stride, pad u32 each); avgpool = (code, size u32);
-    relu and flatten carry only their code.
+    A layer header is the layer's code u32 followed by its integer fields
+    u32 each, in constructor order: linear = (n_in, n_out); conv = (c_in,
+    c_out, kernel, stride, pad); avgpool = (size,); relu and flatten have
+    none.
     """
-    from . import toynet  # deferred: toynet imports tensio
-
     blob = bytearray(_header(KIND_MODEL))
     blob += _pack_dims(model.input_shape)
     blob += struct.pack("<QId", model.rng_seed, model.train_epochs, model.train_lr)
     blob += struct.pack("<I", len(model.layers))
     payloads = bytearray()
     for layer in model.layers:
-        code = _MODEL_LAYER_CODES[layer.kind]
-        if isinstance(layer, toynet.Linear):
-            blob += struct.pack("<III", code, layer.n_in, layer.n_out)
+        header = (_MODEL_LAYER_CODES[layer.kind], *layer.fields)
+        blob += struct.pack(f"<{len(header)}I", *header)
+        if layer.parametric:
             payloads += _f32_bytes(layer.w) + _f32_bytes(layer.b)
-        elif isinstance(layer, toynet.Conv):
-            blob += struct.pack("<IIIIII", code, layer.c_in, layer.c_out,
-                                layer.kernel, layer.stride, layer.pad)
-            payloads += _f32_bytes(layer.w) + _f32_bytes(layer.b)
-        elif isinstance(layer, toynet.AvgPool):
-            blob += struct.pack("<II", code, layer.size)
-        else:
-            blob += struct.pack("<I", code)
     blob += payloads
     with open(path, "wb") as fh:
         fh.write(blob)
 
 
 def read_model(path: str):
-    from . import toynet
+    from . import toynet  # deferred: toynet imports tensio
 
+    by_code = {code: toynet.LAYER_TYPES[kind] for kind, code in _MODEL_LAYER_CODES.items()}
     r = _open(path, KIND_MODEL)
     input_shape = _read_dims(r)
     rng_seed = r.u64()
@@ -328,37 +321,18 @@ def read_model(path: str):
     headers = []
     for _ in range(n_layers):
         code = r.u32()
-        if code == 1:
-            headers.append(("linear", r.u32(), r.u32()))
-        elif code == 2:
-            headers.append(("conv", r.u32(), r.u32(), r.u32(), r.u32(), r.u32()))
-        elif code == 3:
-            headers.append(("relu",))
-        elif code == 4:
-            headers.append(("avgpool", r.u32()))
-        elif code == 5:
-            headers.append(("flatten",))
-        else:
+        if code not in by_code:
             raise WrongKind(f"{path}: unknown layer code {code}")
+        cls = by_code[code]
+        headers.append((cls, [r.u32() for _ in cls.FIELDS]))
     layers = []
-    for h in headers:
-        if h[0] == "linear":
-            _, n_in, n_out = h
-            w = r.array("<f4", n_out * n_in).astype(np.float64).reshape(n_out, n_in)
-            b = r.array("<f4", n_out).astype(np.float64)
-            layers.append(toynet.Linear(n_in, n_out, w, b))
-        elif h[0] == "conv":
-            _, c_in, c_out, kernel, stride, pad = h
-            w = r.array("<f4", c_out * c_in * kernel * kernel).astype(np.float64)
-            w = w.reshape(c_out, c_in, kernel, kernel)
-            b = r.array("<f4", c_out).astype(np.float64)
-            layers.append(toynet.Conv(c_in, c_out, kernel, stride, pad, w, b))
-        elif h[0] == "relu":
-            layers.append(toynet.ReLU())
-        elif h[0] == "avgpool":
-            layers.append(toynet.AvgPool(h[1]))
-        else:
-            layers.append(toynet.Flatten())
+    for cls, fields in headers:
+        params = ()
+        if cls.parametric:
+            shape = cls.weight_shape(*fields)
+            w = r.array("<f4", math.prod(shape)).astype(np.float64).reshape(shape)
+            params = (w, r.array("<f4", shape[0]).astype(np.float64))
+        layers.append(cls(*fields, *params))
     r.done()
     for layer in layers:
         if layer.parametric and not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):

@@ -34,17 +34,52 @@ _CAPTURE_CHUNK = 256  # fixed so chunking never depends on the environment
 
 # ---------------------------------------------------------------- layers
 
-class Linear:
+class _Layer:
+    """What every layer kind shares.
+
+    A kind names its integer container fields in FIELDS, in constructor
+    order; a parametric kind's constructor takes `w` and `b` after them,
+    `w` shaped by its `weight_shape(*fields)`.
+    `out_shape` maps a per-sample input shape to the output shape, raising
+    ShapeMismatch when the kind cannot take that input.
+    """
+
+    parametric = False
+    FIELDS: tuple[str, ...] = ()
+
+    @property
+    def fields(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def copy(self):
+        params = (self.w.copy(), self.b.copy()) if self.parametric else ()
+        return type(self)(*self.fields, *params)
+
+    def out_shape(self, in_shape: tuple) -> tuple:
+        return in_shape
+
+    def flops(self, out_shape: tuple) -> int:
+        """Multiply-adds for one sample: two per weight per output value."""
+        return 2 * self.w[0].size * math.prod(out_shape) if self.parametric else 0
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.forward_cache(x)[0]
+
+
+class Linear(_Layer):
     kind = "linear"
     parametric = True
+    FIELDS = ("n_in", "n_out")
 
     def __init__(self, n_in: int, n_out: int, w: np.ndarray, b: np.ndarray):
-        self.n_in = n_in
-        self.n_out = n_out
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
-        if self.w.shape != (n_out, n_in) or self.b.shape != (n_out,):
+        if self.w.shape != self.weight_shape(n_in, n_out) or self.b.shape != (n_out,):
             raise ShapeMismatch(f"linear weights {self.w.shape} do not match ({n_out}, {n_in})")
+
+    @staticmethod
+    def weight_shape(n_in: int, n_out: int) -> tuple:
+        return (n_out, n_in)
 
     @classmethod
     def init(cls, n_in: int, n_out: int, rng: np.random.Generator) -> "Linear":
@@ -53,46 +88,49 @@ class Linear:
         return cls(n_in, n_out, w, np.zeros(n_out))
 
     @property
-    def n_components(self) -> int:
-        return self.n_out
+    def n_in(self) -> int:
+        return self.w.shape[1]
 
-    def copy(self) -> "Linear":
-        return Linear(self.n_in, self.n_out, self.w.copy(), self.b.copy())
+    @property
+    def n_out(self) -> int:
+        return self.w.shape[0]
 
-    def _check(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ShapeMismatch(f"linear expects [n, {self.n_in}], got {x.shape}")
+    n_components = n_out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._check(x)
-        return x @ self.w.T + self.b
+    def out_shape(self, in_shape):
+        if in_shape != (self.n_in,):
+            raise ShapeMismatch(f"linear expects ({self.n_in},), got {in_shape}")
+        return (self.n_out,)
 
     def forward_cache(self, x):
-        return self.forward(x), x
+        self.out_shape(x.shape[1:])
+        return x @ self.w.T + self.b, x
 
     def backward(self, gy, x):
         return gy @ self.w, {"w": gy.T @ x, "b": gy.sum(axis=0)}
 
 
-class Conv:
+class Conv(_Layer):
     """2-D convolution over square maps; symmetric zero padding."""
 
     kind = "conv"
     parametric = True
+    FIELDS = ("c_in", "c_out", "kernel", "stride", "pad")
 
     def __init__(self, c_in, c_out, kernel, stride, pad, w, b):
-        self.c_in = c_in
-        self.c_out = c_out
-        self.kernel = kernel
         self.stride = stride
         self.pad = pad
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
-        if self.w.shape != (c_out, c_in, kernel, kernel) or self.b.shape != (c_out,):
-            raise ShapeMismatch(f"conv weights {self.w.shape} do not match "
-                                f"({c_out}, {c_in}, {kernel}, {kernel})")
+        shape = self.weight_shape(c_in, c_out, kernel, stride, pad)
+        if self.w.shape != shape or self.b.shape != (c_out,):
+            raise ShapeMismatch(f"conv weights {self.w.shape} do not match {shape}")
         if stride < 1 or pad < 0 or kernel < 1:
             raise BadParams("conv needs kernel >= 1, stride >= 1, pad >= 0")
+
+    @staticmethod
+    def weight_shape(c_in, c_out, kernel, stride, pad) -> tuple:
+        return (c_out, c_in, kernel, kernel)
 
     @classmethod
     def init(cls, c_in, c_out, kernel, stride, pad, rng: np.random.Generator) -> "Conv":
@@ -102,39 +140,37 @@ class Conv:
         return cls(c_in, c_out, kernel, stride, pad, w, np.zeros(c_out))
 
     @property
-    def n_components(self) -> int:
-        return self.c_out
+    def c_in(self) -> int:
+        return self.w.shape[1]
 
-    def copy(self) -> "Conv":
-        return Conv(self.c_in, self.c_out, self.kernel, self.stride, self.pad,
-                    self.w.copy(), self.b.copy())
+    @property
+    def c_out(self) -> int:
+        return self.w.shape[0]
 
-    def out_hw(self, h: int) -> int:
-        span = h + 2 * self.pad - self.kernel
+    @property
+    def kernel(self) -> int:
+        return self.w.shape[2]
+
+    n_components = c_out
+
+    def out_shape(self, in_shape):
+        if len(in_shape) != 3 or in_shape[0] != self.c_in:
+            raise ShapeMismatch(f"conv expects ({self.c_in}, h, w), got {in_shape}")
+        if in_shape[1] != in_shape[2]:
+            raise ShapeMismatch(f"conv requires square maps, got {in_shape}")
+        span = in_shape[1] + 2 * self.pad - self.kernel
         if span < 0:
-            raise ShapeMismatch(f"conv kernel {self.kernel} too large for input {h}")
-        return span // self.stride + 1
-
-    def _windows(self, x: np.ndarray):
-        if x.ndim != 4 or x.shape[1] != self.c_in:
-            raise ShapeMismatch(f"conv expects [n, {self.c_in}, h, w], got {x.shape}")
-        if x.shape[2] != x.shape[3]:
-            raise ShapeMismatch(f"conv requires square maps, got {x.shape}")
-        if self.out_hw(x.shape[2]) < 1:
-            raise ShapeMismatch(f"conv output would be empty for input {x.shape}")
-        xp = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
-        win = sliding_window_view(xp, (self.kernel, self.kernel), axis=(2, 3))
-        return win[:, :, :: self.stride, :: self.stride], xp.shape
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        win, _ = self._windows(x)
-        y = np.einsum("ncxyij,ocij->noxy", win, self.w, optimize=True)
-        return y + self.b[None, :, None, None]
+            raise ShapeMismatch(f"conv kernel {self.kernel} too large for input {in_shape}")
+        out = span // self.stride + 1
+        return (self.c_out, out, out)
 
     def forward_cache(self, x):
-        win, xp_shape = self._windows(x)
+        self.out_shape(x.shape[1:])
+        p, k, s = self.pad, self.kernel, self.stride
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
         y = np.einsum("ncxyij,ocij->noxy", win, self.w, optimize=True)
-        return y + self.b[None, :, None, None], (win, xp_shape, x.shape)
+        return y + self.b[None, :, None, None], (win, xp.shape, x.shape)
 
     def backward(self, gy, cache):
         win, xp_shape, x_shape = cache
@@ -152,15 +188,8 @@ class Conv:
         return gxp[:, :, p : p + h, p : p + w], {"w": dw, "b": db}
 
 
-class ReLU:
+class ReLU(_Layer):
     kind = "relu"
-    parametric = False
-
-    def copy(self) -> "ReLU":
-        return ReLU()
-
-    def forward(self, x):
-        return np.maximum(x, 0.0)
 
     def forward_cache(self, x):
         return np.maximum(x, 0.0), x
@@ -169,58 +198,53 @@ class ReLU:
         return gy * (x > 0.0), None
 
 
-class AvgPool:
+class AvgPool(_Layer):
     """Non-overlapping average pooling; map size must divide evenly."""
 
     kind = "avgpool"
-    parametric = False
+    FIELDS = ("size",)
 
     def __init__(self, size: int):
         if size < 1:
             raise BadParams("pool size must be >= 1")
         self.size = size
 
-    def copy(self) -> "AvgPool":
-        return AvgPool(self.size)
-
-    def _check(self, x):
-        if x.ndim != 4:
-            raise ShapeMismatch(f"avgpool expects [n, c, h, w], got {x.shape}")
-        if x.shape[2] % self.size or x.shape[3] % self.size:
-            raise ShapeMismatch(f"pool size {self.size} does not divide map {x.shape[2:]}")
-
-    def forward(self, x):
-        self._check(x)
-        n, c, h, w = x.shape
-        s = self.size
-        return x.reshape(n, c, h // s, s, w // s, s).mean(axis=(3, 5))
+    def out_shape(self, in_shape):
+        if len(in_shape) != 3:
+            raise ShapeMismatch(f"avgpool expects (c, h, w), got {in_shape}")
+        c, h, w = in_shape
+        if h % self.size or w % self.size:
+            raise ShapeMismatch(f"pool {self.size} does not divide {in_shape}")
+        return (c, h // self.size, w // self.size)
 
     def forward_cache(self, x):
-        return self.forward(x), x.shape
+        c, h, w = self.out_shape(x.shape[1:])
+        s = self.size
+        return x.reshape(x.shape[0], c, h, s, w, s).mean(axis=(3, 5)), None
 
-    def backward(self, gy, x_shape):
+    def backward(self, gy, _cache):
         s = self.size
         gx = np.repeat(np.repeat(gy, s, axis=2), s, axis=3) / (s * s)
         return gx, None
 
 
-class Flatten:
+class Flatten(_Layer):
     kind = "flatten"
-    parametric = False
 
-    def copy(self) -> "Flatten":
-        return Flatten()
-
-    def forward(self, x):
-        if x.ndim < 2:
-            raise ShapeMismatch(f"flatten expects a batch, got {x.shape}")
-        return x.reshape(x.shape[0], -1)
+    def out_shape(self, in_shape):
+        if not in_shape:
+            raise ShapeMismatch("flatten expects at least one dimension per sample")
+        return (math.prod(in_shape),)
 
     def forward_cache(self, x):
-        return self.forward(x), x.shape
+        self.out_shape(x.shape[1:])
+        return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, gy, x_shape):
         return gy.reshape(x_shape), None
+
+
+LAYER_TYPES = {cls.kind: cls for cls in (Linear, Conv, ReLU, AvgPool, Flatten)}
 
 
 # ----------------------------------------------------------------- model
@@ -263,29 +287,10 @@ def layer_shapes(model: ToyModel) -> list[tuple[tuple, tuple]]:
     shapes = []
     cur = tuple(model.input_shape)
     for i, layer in enumerate(model.layers):
-        if isinstance(layer, Linear):
-            if len(cur) != 1 or cur[0] != layer.n_in:
-                raise ShapeMismatch(f"layer {i}: linear expects ({layer.n_in},), got {cur}")
-            nxt = (layer.n_out,)
-        elif isinstance(layer, Conv):
-            if len(cur) != 3 or cur[0] != layer.c_in:
-                raise ShapeMismatch(f"layer {i}: conv expects ({layer.c_in}, h, w), got {cur}")
-            if cur[1] != cur[2]:
-                raise ShapeMismatch(f"layer {i}: conv requires square maps, got {cur}")
-            out = layer.out_hw(cur[1])
-            if out < 1:
-                raise ShapeMismatch(f"layer {i}: conv output empty for input {cur}")
-            nxt = (layer.c_out, out, out)
-        elif isinstance(layer, AvgPool):
-            if len(cur) != 3:
-                raise ShapeMismatch(f"layer {i}: avgpool expects (c, h, w), got {cur}")
-            if cur[1] % layer.size or cur[2] % layer.size:
-                raise ShapeMismatch(f"layer {i}: pool {layer.size} does not divide {cur}")
-            nxt = (cur[0], cur[1] // layer.size, cur[2] // layer.size)
-        elif isinstance(layer, Flatten):
-            nxt = (int(np.prod(cur)),)
-        else:  # ReLU
-            nxt = cur
+        try:
+            nxt = layer.out_shape(cur)
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(f"layer {i}: {exc}") from None
         shapes.append((cur, nxt))
         cur = nxt
     return shapes
@@ -333,12 +338,7 @@ def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray):
 
 def _logit_width(model: ToyModel) -> int:
     shape = layer_shapes(model)[-1][1] if model.layers else model.input_shape
-    return int(np.prod(shape))
-
-
-def full_loss(model: ToyModel, ds: LabeledDataset) -> float:
-    loss, _ = softmax_xent(_batched_logits(model, ds.samples), ds.labels)
-    return float(loss)
+    return math.prod(shape)
 
 
 def accuracy(model: ToyModel, ds: LabeledDataset) -> float:
@@ -488,7 +488,7 @@ def apply_prune(model: ToyModel, plan: PruningPlan) -> ToyModel:
     """
     plan.validate()
     out = model.copy()
-    shapes = layer_shapes(model)  # spatial dims, unaffected by channel surgery
+    shapes = layer_shapes(model)  # widths before surgery
     prunable = set(model.prunable_ids())
     for entry in sorted(plan.entries, key=lambda e: e.layer_id):
         lid = entry.layer_id
@@ -501,30 +501,19 @@ def apply_prune(model: ToyModel, plan: PruningPlan) -> ToyModel:
         kept = np.asarray(entry.kept_indices, dtype=np.int64)
         if len(kept) == layer.n_components:
             continue
-        layer.w = layer.w[kept]
-        layer.b = layer.b[kept]
-        if isinstance(layer, Conv):
-            layer.c_out = len(kept)
-        else:
-            layer.n_out = len(kept)
         j = lid + 1
-        flat_hw = None
         while j < len(out.layers) and not out.layers[j].parametric:
-            if isinstance(out.layers[j], Flatten):
-                c, h, w = shapes[j][0]
-                flat_hw = h * w
             j += 1
         if j >= len(out.layers):
             raise MalformedPlan(f"layer {lid}: no parametric layer downstream")
+        # each component feeds a block of the next layer's input axis: one
+        # channel, one feature, or h*w flattened columns
+        block = shapes[j][0][0] // layer.n_components
+        cols = (kept[:, None] * block + np.arange(block)).ravel()
+        layer.w = layer.w[kept]
+        layer.b = layer.b[kept]
         nxt = out.layers[j]
-        if isinstance(nxt, Conv):
-            nxt.w = nxt.w[:, kept, :, :]
-            nxt.c_in = len(kept)
-        else:
-            cols = kept if flat_hw is None else (
-                kept[:, None] * flat_hw + np.arange(flat_hw)[None, :]).ravel()
-            nxt.w = nxt.w[:, cols]
-            nxt.n_in = nxt.w.shape[1]
+        nxt.w = nxt.w[:, cols]
     layer_shapes(out)  # sanity: the pruned stack must still compose
     return out
 
@@ -543,20 +532,9 @@ def count_flops(model: ToyModel) -> FlopsReport:
     Linear: 2 * n_in * n_out. Conv: 2 * k^2 * c_in * c_out * h_out * w_out.
     Activations, pooling and flatten count zero.
     """
-    shapes = layer_shapes(model)
-    per_layer = []
-    total = 0
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, Linear):
-            flops = 2 * layer.n_in * layer.n_out
-        elif isinstance(layer, Conv):
-            _, ho, wo = shapes[i][1]
-            flops = 2 * layer.kernel ** 2 * layer.c_in * layer.c_out * ho * wo
-        else:
-            flops = 0
-        per_layer.append((i, flops))
-        total += flops
-    return FlopsReport(per_layer, total)
+    per_layer = [(i, layer.flops(out))
+                 for i, (layer, (_, out)) in enumerate(zip(model.layers, layer_shapes(model)))]
+    return FlopsReport(per_layer, sum(f for _, f in per_layer))
 
 
 # ----------------------------------------------------- architecture specs
@@ -665,29 +643,13 @@ def from_arch(spec: str, seed: int) -> ToyModel:
     rng = np.random.default_rng(seed)
     layers = []
     cur = input_shape
-    for b in builders:
-        if b[0] == "linear":
-            n_in = b[1] if b[1] is not None else int(np.prod(cur))
-            if len(cur) != 1 or cur[0] != n_in:
-                raise ShapeMismatch(f"linear input {n_in} does not match {cur}")
-            layers.append(Linear.init(n_in, b[2], rng))
-            cur = (b[2],)
-        elif b[0] == "conv":
-            _, out, k, stride, pad = b
-            if len(cur) != 3:
-                raise ShapeMismatch(f"conv needs (c, h, w) input, got {cur}")
-            layer = Conv.init(cur[0], out, k, stride, pad, rng)
-            cur = (out, layer.out_hw(cur[1]), layer.out_hw(cur[2]))
-            layers.append(layer)
-        elif b[0] == "avgpool":
-            layer = AvgPool(b[1])
-            if len(cur) != 3 or cur[1] % b[1] or cur[2] % b[1]:
-                raise ShapeMismatch(f"pool {b[1]} does not divide {cur}")
-            cur = (cur[0], cur[1] // b[1], cur[2] // b[1])
-            layers.append(layer)
-        elif b[0] == "flatten":
-            layers.append(Flatten())
-            cur = (int(np.prod(cur)),)
+    for kind, *args in builders:
+        if kind == "linear":
+            layer = Linear.init(math.prod(cur), args[1], rng)
+        elif kind == "conv":
+            layer = Conv.init(cur[0], *args, rng)
         else:
-            layers.append(ReLU())
+            layer = LAYER_TYPES[kind](*args)
+        layers.append(layer)
+        cur = layer.out_shape(cur)
     return ToyModel(layers, input_shape, rng_seed=seed)

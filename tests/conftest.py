@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,3 +24,14 @@ def tiny_dataset(n=24, num_classes=3, dims=(4,), seed=0):
     gen = np.random.default_rng(seed)
     samples = gen.normal(size=(n, *dims)).astype(np.float32)
     return LabeledDataset(samples, balanced_labels(n, num_classes))
+
+
+def overflowing_dataset_bytes() -> bytes:
+    """Dataset file whose dims (2, 2**62, 4) multiply past 2**64; two labels
+    and four values follow, so a wrapped product of 0 would not stand out."""
+    from acsp import tensio
+
+    dims = (2, 2**62, 4)
+    return (tensio.MAGIC + struct.pack("<II", tensio.VERSION, tensio.KIND_DATASET)
+            + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+            + struct.pack("<Q", 2) + struct.pack("<2I", 0, 0) + struct.pack("<4f", 0, 0, 0, 0))

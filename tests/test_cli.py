@@ -10,6 +10,8 @@ import pytest
 from acsp import tensio, toynet
 from acsp.cli import main
 
+from conftest import overflowing_dataset_bytes
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -292,6 +294,16 @@ def test_eval_rejects_garbage_file(tmp_path, capsys):
     code, _, err = _run(capsys, "eval", "--model", bad, "--data", data_path)
     assert code == 1
     assert re.fullmatch(r'error code=BadMagic message="[^"]*"\n', err)
+
+
+def test_eval_rejects_overflowing_dataset_dims(tmp_path, capsys):
+    model_path, bad = str(tmp_path / "m.acsp"), str(tmp_path / "bad.acsp")
+    tensio.write_model(toynet.from_arch("mlp:2-4-2", seed=0), model_path)
+    with open(bad, "wb") as fh:
+        fh.write(overflowing_dataset_bytes())
+    code, _, err = _run(capsys, "eval", "--model", model_path, "--data", bad)
+    assert code == 1
+    assert re.fullmatch(r'error code=TruncatedFile message="[^"]*"\n', err)
 
 
 # ---------------------------------------------------------- determinism

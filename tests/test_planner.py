@@ -1,5 +1,6 @@
 """Pipeline orchestration: selection, per-layer loop, plans, reports."""
 
+import functools
 import os
 import tempfile
 
@@ -18,7 +19,7 @@ from acsp.planner import (
     prune_model,
     speedup,
 )
-from acsp.tensio import PruningPlan, read_plan, write_plan
+from acsp.tensio import LabeledDataset, PruningPlan, read_plan, write_plan
 from acsp.toynet import apply_prune, forward, from_arch
 
 from conftest import tiny_dataset
@@ -279,6 +280,32 @@ def test_plan_json_replays_to_the_pruned_model(a, b, classes, seed):
         if r.parametric:
             np.testing.assert_array_equal(r.w, p.w)
             np.testing.assert_array_equal(r.b, p.b)
+
+
+_INVARIANCE_ARCHS = ("mlp:2-12-8-3", "mlp:2-16-4", "mlp:2-10-10-6-4")
+
+
+@functools.lru_cache(maxsize=None)  # shared safely: prune_model copies the model
+def _kept_on_reference_order(arch_id):
+    arch = _INVARIANCE_ARCHS[arch_id]
+    classes = int(arch.rsplit("-", 1)[1])
+    ds, trained = _trained_blob_setup(seed=arch_id, arch=arch, n=160, classes=classes,
+                                      epochs=10)
+    _, reports = prune_model(trained, ds, PruneConfig(seed=3, ft_epochs=0))
+    return ds, trained, [r.kept_indices for r in reports]
+
+
+@given(st.integers(0, len(_INVARIANCE_ARCHS) - 1), st.integers(0, 10_000), st.data())
+@settings(max_examples=30, deadline=None)
+def test_kept_indices_ignore_sample_order_and_class_ids(arch_id, perm_seed, draw):
+    ds, trained, kept = _kept_on_reference_order(arch_id)
+    order = np.random.default_rng(perm_seed).permutation(ds.n_samples)
+    class_map = np.array(draw.draw(st.permutations(range(ds.num_classes))))
+    cfg = PruneConfig(seed=3, ft_epochs=0)
+    for variant in (LabeledDataset(ds.samples[order], ds.labels[order]),
+                    LabeledDataset(ds.samples, class_map[ds.labels])):
+        _, reports = prune_model(trained, variant, cfg)
+        assert [r.kept_indices for r in reports] == kept
 
 
 def test_build_plan_skips_warned_layers():

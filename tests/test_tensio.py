@@ -18,7 +18,7 @@ from acsp.errors import (
 )
 from acsp.tensio import ActivationTensor, LabeledDataset, PlanEntry, PruningPlan
 
-from conftest import balanced_labels, tiny_dataset
+from conftest import balanced_labels, overflowing_dataset_bytes, tiny_dataset
 
 
 # ------------------------------------------------------------ validation
@@ -109,6 +109,11 @@ def test_model_round_trip_cnn(tmp_path):
     )
     conv = back.layers[0]
     assert (conv.stride, conv.pad) == (model.layers[0].stride, model.layers[0].pad)
+    # conv, avgpool and flatten headers survive a second write unchanged
+    path2 = str(tmp_path / "w2.acsp")
+    tensio.write_model(back, path2)
+    with open(path, "rb") as a, open(path2, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_model_metadata_round_trip(tmp_path):
@@ -205,6 +210,27 @@ def test_nan_payload_rejected_on_read(tmp_path):
 def test_empty_file(tmp_path):
     with pytest.raises((BadMagic, TruncatedFile)):
         _read_raw(tmp_path, b"")
+
+
+def test_overflowing_dims_read_as_truncated(tmp_path):
+    # a wrapping product would ask for 0 values and fail later in reshape
+    with pytest.raises(TruncatedFile):
+        _read_raw(tmp_path, overflowing_dataset_bytes())
+
+
+def test_unknown_layer_code_rejected(tmp_path):
+    model = toynet.from_arch("mlp:3-4-2", seed=0)
+    path = str(tmp_path / "w.acsp")
+    tensio.write_model(model, path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    # magic+version+kind, input dims, rng_seed/train_epochs/train_lr, n_layers
+    first_code = 12 + 4 + 8 * len(model.input_shape) + 20 + 4
+    assert struct.unpack_from("<I", blob, first_code)[0] == 1  # linear
+    with open(path, "wb") as fh:
+        fh.write(blob[:first_code] + struct.pack("<I", 9) + blob[first_code + 4 :])
+    with pytest.raises(WrongKind, match="unknown layer code 9"):
+        tensio.read_model(path)
 
 
 # ---------------------------------------------------------------- plans
