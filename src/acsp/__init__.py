@@ -7,20 +7,12 @@ keep one representative component per cluster, cut the rest structurally,
 and fine-tune before moving to the next layer.
 """
 
-from .cluster import ClusterResult, MssCurve, kmedoids, mss, sweep_detailed
+from .cluster import ClusterResult, MssCurve, mss, sweep_detailed
 from .data import make_blobs, make_rings
 from .errors import AcspError
-from .knee import KneeResult, find_knee, polyfit, select_k
-from .planner import (
-    LayerReport,
-    PruneConfig,
-    build_plan,
-    compose,
-    prune_layer,
-    prune_model,
-    speedup,
-)
-from .sepspace import ClassStats, SeparabilityMatrix, bhattacharyya, build_space, jm_distance
+from .knee import KneeResult, find_knee, select_k
+from .planner import LayerReport, PruneConfig, build_plan, compose, prune_layer, prune_model
+from .sepspace import SeparabilityMatrix, build_space
 from .tensio import (
     ActivationTensor,
     LabeledDataset,

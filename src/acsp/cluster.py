@@ -201,20 +201,6 @@ def _swap(dist: np.ndarray, medoids: list[int], build_cost: float, tol: float) -
     return ClusterResult(k, meds, meds[pos], float(cost), history, passes, converged)
 
 
-def kmedoids(space, k: int) -> ClusterResult:
-    """Partition the rows of `space` into k clusters around medoid rows.
-
-    Accepts a SeparabilityMatrix or a plain [n, d] array.
-    """
-    rows = _rows(space)
-    n = rows.shape[0]
-    if not 2 <= k <= n:
-        raise BadK(f"k must lie in [2, {n}], got {k}")
-    dist = pairwise_distances(rows, rows)
-    order, costs = _build(dist, k)
-    return _swap(dist, order, costs[-1], _swap_tolerance(dist))
-
-
 def mss(space, result: ClusterResult, dist: np.ndarray | None = None) -> float:
     """Mean simplified silhouette of a clustering over `space`.
 

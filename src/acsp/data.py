@@ -16,6 +16,7 @@ from .tensio import LabeledDataset
 BLOB_RADIUS = 3.0
 BLOB_STD = 0.6
 RING_WIDTH = 0.5  # annulus [c + 0.25, c + 0.75], so rings never touch
+MAX_VALUES = 2**26  # n x prod(dims) ceiling: 512 MiB per float64 array
 
 
 def _balanced_labels(n: int, num_classes: int) -> np.ndarray:
@@ -40,9 +41,11 @@ def make_blobs(n: int, num_classes: int, dims: tuple[int, ...], seed: int) -> La
     """
     _check(n, num_classes)
     dims = tuple(int(d) for d in dims)
-    flat = int(np.prod(dims))
+    flat = math.prod(dims)
     if flat < 1:
         raise BadParams("feature dimensions must be >= 1")
+    if n * flat > MAX_VALUES:
+        raise BadParams(f"n x prod(dims) = {n * flat} values; the limit is {MAX_VALUES}")
     labels = _balanced_labels(n, num_classes)
     centers = np.zeros((num_classes, flat))
     if flat == 1:

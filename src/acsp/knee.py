@@ -41,21 +41,6 @@ class KneeResult:
         }
 
 
-def polyfit(xs, ys, degree: int) -> np.ndarray:
-    """Least-squares polynomial coefficients in ascending order."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise Underdetermined("xs and ys must be equal-length vectors")
-    if degree < 1:
-        raise Underdetermined("degree must be >= 1")
-    if len(xs) < degree + 1:
-        raise Underdetermined(f"degree {degree} needs {degree + 1} points, got {len(xs)}")
-    if len(np.unique(xs)) != len(xs):
-        raise Underdetermined("xs must be distinct")
-    return npoly.polyfit(xs, ys, degree)
-
-
 def _curvature(coeffs: np.ndarray, x: float) -> float:
     """Signed curvature of the fitted polynomial at x."""
     d1 = npoly.polyval(x, npoly.polyder(coeffs))
@@ -75,7 +60,9 @@ def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
     ys = curve.scores()
     if len(ks) < degree + 2:
         raise TooFewPoints(f"need at least {degree + 2} points for degree {degree}, got {len(ks)}")
-    coeffs = polyfit(ks, ys, degree)
+    if degree < 1:
+        raise Underdetermined("degree must be >= 1")
+    coeffs = npoly.polyfit(ks, ys, degree)
     if float(ys.max() - ys.min()) <= FLAT_EPS:
         return KneeResult(None, degree, coeffs, np.zeros(len(ks)))
     fit = npoly.polyval(ks, coeffs)
@@ -95,17 +82,19 @@ def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
     return KneeResult(k_prime, degree, coeffs, diff, _curvature(coeffs, ks[best]))
 
 
-def select_k(curve: MssCurve, degree: int = 2) -> tuple[int, KneeResult | None]:
+def select_k(curve: MssCurve, n_components: int,
+             degree: int = 2) -> tuple[int, KneeResult | None]:
     """The subset size to keep, and the knee result it came from.
 
-    The knee if one clears the threshold, otherwise the largest swept k
-    (keep everything). A curve too short to fit also keeps everything and
-    comes back with no knee result.
+    The knee if one clears the threshold, otherwise `n_components` (keep
+    everything; with a stride the last swept k can fall short of it). A
+    curve too short to fit also keeps everything and comes back with no
+    knee result.
     """
     try:
         result = find_knee(curve, degree)
     except TooFewPoints:
-        return int(curve.ks()[-1]), None
+        return n_components, None
     if result.k_prime is None:
-        return int(curve.ks()[-1]), result
+        return n_components, result
     return result.k_prime, result

@@ -129,7 +129,7 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
                                           pre_activation=config.pre_activation)
         space = sepspace.build_space(acts)
         curve, results = cluster.sweep_detailed(space, stride=config.stride)
-        k_selected, knee_result = knee.select_k(curve, config.knee_degree)
+        k_selected, knee_result = knee.select_k(curve, n_comp, config.knee_degree)
         if k_selected < n_comp:
             kept = compose(results[k_selected], config.selection,
                            component_norms(model, layer_id))
@@ -202,10 +202,3 @@ def build_plan(reports: list[LayerReport]) -> PruningPlan:
             knee=r.knee.to_dict() if r.knee is not None else None,
         ))
     return PruningPlan(entries)
-
-
-def speedup(reports: list[LayerReport]) -> float:
-    """Whole-run FLOPs ratio; 1.0 when nothing was pruned."""
-    if not reports:
-        return 1.0
-    return reports[0].flops_before / reports[-1].flops_after

@@ -32,43 +32,9 @@ from .tensio import ActivationTensor
 VAR_FLOOR = 1e-12
 
 
-@dataclass
-class ClassStats:
-    """Mean and population variance of one class's activations at one pixel."""
-
-    mean: float
-    var: float
-
-    def __post_init__(self):
-        self.var = max(float(self.var), VAR_FLOOR)
-
-
-def bhattacharyya(a: ClassStats, b: ClassStats) -> float:
-    """Distance between two 1-D Gaussians:
-
-        (1/8) (mu_a - mu_b)^2 / (var_a + var_b)
-        + (1/2) ln((var_a + var_b) / (2 sigma_a sigma_b))
-    """
-    va = max(a.var, VAR_FLOOR)
-    vb = max(b.var, VAR_FLOOR)
-    gap = a.mean - b.mean
-    val = 0.125 * gap * gap / (va + vb) + 0.5 * math.log(
-        (va + vb) / (2.0 * math.sqrt(va) * math.sqrt(vb)))
-    # va + vb >= 2 sqrt(va vb), so the true value is never negative; the log
-    # can still round a hair below zero when va == vb
-    return max(val, 0.0)
-
-
+# exp(-B) underflows to 0 past B ~ 745, which would put JM exactly on 2.0;
+# the range is half open, so JM is capped one ulp below
 _JM_SUP = math.nextafter(2.0, 0.0)
-
-
-def jm_distance(a: ClassStats, b: ClassStats) -> float:
-    """2 (1 - exp(-B)); saturates toward 2 as the classes separate.
-
-    The range is half open. exp(-B) underflows for B beyond ~745, which
-    would land exactly on 2.0, so the result is capped one ulp below.
-    """
-    return min(2.0 * (1.0 - math.exp(-bhattacharyya(a, b))), _JM_SUP)
 
 
 def class_pairs(num_classes: int) -> list[tuple[int, int]]:
@@ -125,7 +91,8 @@ def build_space(act: ActivationTensor) -> SeparabilityMatrix:
         gap = means[a] - means[b]
         bh = 0.125 * gap * gap / (va + vb) + 0.5 * np.log(
             (va + vb) / (2.0 * np.sqrt(va) * np.sqrt(vb)))
-        # same rounding guards as the scalar path: B >= 0, JM < 2
+        # va + vb >= 2 sqrt(va vb), so B >= 0, but the log can round a hair
+        # below zero when va == vb
         jm = np.minimum(2.0 * (1.0 - np.exp(-np.maximum(bh, 0.0))), _JM_SUP)
         out[:, i * block : (i + 1) * block] = jm.reshape(n_comp, block)
     return SeparabilityMatrix(act.layer_id, num_classes, p, out)

@@ -334,6 +334,8 @@ def read_model(path: str):
             params = (w, r.array("<f4", shape[0]).astype(np.float64))
         layers.append(cls(*fields, *params))
     r.done()
+    if not math.isfinite(train_lr):
+        raise NonFiniteValue(f"{path}: training lr is {train_lr}")
     for layer in layers:
         if layer.parametric and not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
             raise NonFiniteValue(f"{path}: model weights contain NaN or Inf")

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -15,6 +16,24 @@ def rng():
 
 def balanced_labels(n: int, num_classes: int) -> np.ndarray:
     return (np.arange(n) % num_classes).astype(np.int64)
+
+
+def two_class_activation(mean_a, var_a, mean_b, var_b):
+    """One linear component whose class 0 holds mean_a -+ sqrt(var_a) and class
+    1 holds mean_b -+ sqrt(var_b): population means and variances as given, up
+    to the float32 rounding of the stored samples."""
+    from acsp.tensio import ActivationTensor
+
+    sa, sb = math.sqrt(var_a), math.sqrt(var_b)
+    values = np.array([mean_a - sa, mean_a + sa, mean_b - sb, mean_b + sb])
+    return ActivationTensor(0, "linear", values.reshape(4, 1, 1, 1), np.array([0, 0, 1, 1]))
+
+
+def jm_cell(mean_a, var_a, mean_b, var_b) -> float:
+    """build_space's one JM value for the two-class activation above."""
+    from acsp.sepspace import build_space
+
+    return float(build_space(two_class_activation(mean_a, var_a, mean_b, var_b)).values[0, 0])
 
 
 def tiny_dataset(n=24, num_classes=3, dims=(4,), seed=0):

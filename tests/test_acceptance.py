@@ -19,9 +19,11 @@ import pytest
 
 from acsp import sepspace, toynet
 from acsp.cli import main
-from acsp.cluster import ClusterResult, MssCurve, kmedoids, mss
+from acsp.cluster import ClusterResult, MssCurve, mss, sweep_detailed
 from acsp.knee import find_knee
 from acsp.tensio import ActivationTensor, PlanEntry, PruningPlan
+
+from conftest import two_class_activation
 
 MAIN_SEED = 7                       # end-to-end runs
 COMPARE_SEEDS = [0, 1, 2, 3, 4]     # weighted vs regular averaging
@@ -52,7 +54,7 @@ def _run_cli(*argv):
     return out.getvalue()
 
 
-# ----------------------------------------------------- 1: JM scalar oracle
+# ------------------------------------------------ 1: JM cell vs scripted oracle
 
 def _scripted_jm(mean_a, var_a, mean_b, var_b):
     # straight transcription of the two-Gaussian formulas, stdlib math only
@@ -61,16 +63,25 @@ def _scripted_jm(mean_a, var_a, mean_b, var_b):
     return 2.0 * (1.0 - math.exp(-b))
 
 
+def _population_stats(xs):
+    xs = [float(x) for x in xs]
+    mean = sum(xs) / len(xs)
+    return mean, sum((x - mean) ** 2 for x in xs) / len(xs)
+
+
 def test_criterion_01_jm_matches_scripted_oracle():
-    with _criterion(1, "JM scalar vs scripted oracle", 1.0) as info:
+    with _criterion(1, "build_space JM cell vs scripted oracle", 1.0) as info:
         gen = np.random.default_rng(101)
         worst = 0.0
         for _ in range(1000):
             ma, mb = gen.uniform(-50.0, 50.0, size=2)
             va, vb = np.exp(gen.uniform(np.log(1e-6), np.log(1e3), size=2))
-            got = sepspace.jm_distance(
-                sepspace.ClassStats(ma, va), sepspace.ClassStats(mb, vb))
-            want = _scripted_jm(ma, va, mb, vb)
+            act = two_class_activation(ma, va, mb, vb)
+            got = float(sepspace.build_space(act).values[0, 0])
+            # the formula on the stats of the float32 samples actually stored
+            stored = act.values[:, 0, 0, 0]
+            want = _scripted_jm(*_population_stats(stored[:2]),
+                                *_population_stats(stored[2:]))
             assert 0.0 <= got < 2.0
             rel = abs(got - want) / max(abs(want), 1e-12)
             worst = max(worst, rel)
@@ -179,7 +190,7 @@ def test_criterion_03_kmedoids_matches_exhaustive_search():
             best = min(
                 dist[:, list(combo)].min(axis=1).sum()
                 for combo in itertools.combinations(range(n), k))
-            got = kmedoids(rows, k).total_cost
+            got = sweep_detailed(rows, k, k)[1][k].total_cost
             assert got >= best - 1e-9, f"trial {trial}: cost below optimum"
             if got > best + 1e-9:
                 misses += 1
@@ -199,7 +210,7 @@ def test_criterion_04_mss_properties():
         for _ in range(30):
             n = int(gen.integers(3, 10))
             rows = gen.normal(size=(n, 2))
-            assert mss(rows, kmedoids(rows, n)) == 1.0
+            assert mss(rows, sweep_detailed(rows, n, n)[1][n]) == 1.0
 
         # four collinear points, medoids at the extremes:
         # per-point scores (1, 1 - 1/10, 1, 1 - 1/10), mean 0.95
@@ -211,7 +222,7 @@ def test_criterion_04_mss_properties():
             n = int(gen.integers(4, 10))
             rows = gen.normal(size=(n, 2))
             k = int(gen.integers(2, min(n, 5) + 1))
-            res = kmedoids(rows, k)
+            res = sweep_detailed(rows, k, k)[1][k]
             before = mss(rows, res)
             dup = int(res.medoid_indices[gen.integers(len(res.medoid_indices))])
             extended = ClusterResult(res.k, res.medoid_indices,

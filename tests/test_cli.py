@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,14 +63,14 @@ def test_gen_data_is_deterministic(tmp_path, capsys):
     p1, p2 = str(tmp_path / "a.acsp"), str(tmp_path / "b.acsp")
     _gen(capsys, p1, seed=5)
     _gen(capsys, p2, seed=5)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_gen_data_seed_changes_bytes(tmp_path, capsys):
     p1, p2 = str(tmp_path / "a.acsp"), str(tmp_path / "b.acsp")
     _gen(capsys, p1, seed=1)
     _gen(capsys, p2, seed=2)
-    assert open(p1, "rb").read() != open(p2, "rb").read()
+    assert Path(p1).read_bytes() != Path(p2).read_bytes()
 
 
 def test_gen_data_error_line_format(tmp_path, capsys):
@@ -83,6 +84,16 @@ def test_gen_data_rejects_bad_dims(tmp_path, capsys):
     code, _, err = _run(capsys, "gen-data", "--dims", "2x", "--out",
                         str(tmp_path / "x.acsp"))
     assert code == 1 and "code=BadParams" in err
+
+
+@pytest.mark.parametrize("dims", ["4294967296x4294967296", "4294967297x4294967296"])
+def test_gen_data_rejects_oversized_dims(tmp_path, capsys, dims):
+    # products past 2**63 once wrapped to 0 or to a small allocation
+    path = tmp_path / "x.acsp"
+    code, out, err = _run(capsys, "gen-data", "--dims", dims, "--out", str(path))
+    assert code == 1 and out == ""
+    assert re.fullmatch(r'error code=BadParams message="n x prod\(dims\) = \d+ [^"]*"\n', err)
+    assert not path.exists()
 
 
 # ----------------------------------------------------------------- train
@@ -164,7 +175,7 @@ def test_prune_writes_all_outputs(tmp_path, capsys, trained):
     assert toynet.count_flops(pruned).total <= toynet.count_flops(
         tensio.read_model(model_path)).total
 
-    summary = open(os.path.join(out_dir, "summary.txt")).read()
+    summary = Path(out_dir, "summary.txt").read_text()
     assert summary == out
     assert "flops_before=" in summary and "speedup=" in summary
 
@@ -195,7 +206,7 @@ def test_prune_custom_plan_path(tmp_path, capsys, trained):
     assert code == 0
     assert os.path.exists(plan_path)
     assert not os.path.exists(os.path.join(out_dir, "plan.json"))
-    blob = json.load(open(plan_path))
+    blob = json.loads(Path(plan_path).read_text())
     assert blob["format"] == "acsp-plan/1"
 
 
@@ -221,9 +232,25 @@ def test_prune_stride_thins_the_curve(tmp_path, capsys, trained):
     code, _, _ = _run(capsys, "prune", "--model", model_path, "--data", data_path,
                       "--out", out_dir, "--stride", "3", "--seed", "3")
     assert code == 0
-    curve = open(os.path.join(out_dir, "mss_layer0.csv")).read().splitlines()
+    curve = Path(out_dir, "mss_layer0.csv").read_text().splitlines()
     ks = [int(l.split(",")[0]) for l in curve[1:]]
     assert ks == list(range(2, 17, 3))
+
+
+def test_prune_stride_past_the_last_component_keeps_all(tmp_path, capsys):
+    # stride 5 over 8 components sweeps k = 2, 7 only: no knee, so keep all 8
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, n=400, classes=4, seed=3)
+    _train(capsys, data_path, model_path, arch="mlp:2-8-4", epochs=30, seed=3)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", str(out_dir), "--stride", "5", "--seed", "3")
+    assert code == 0, err
+    [layer] = json.loads((out_dir / "plan.json").read_text())["layers"]
+    assert layer["knee"] is None
+    assert layer["k_selected"] == 8 and layer["kept_indices"] == list(range(8))
+    assert re.search(r"^  0 +8 +8 +96 +96 +kept all \(no knee\)$", out, re.M)
+    assert (out_dir / "pruned_model.acsp").read_bytes() == Path(model_path).read_bytes()
 
 
 def test_prune_regular_selection_flag(tmp_path, capsys, trained):
@@ -327,7 +354,7 @@ def test_identical_flags_produce_identical_bytes(tmp_path, capsys, monkeypatch):
             assert main(list(flags[step])) == 0
         capsys.readouterr()
         outputs[name] = {
-            f: open(workdir / "run" / f, "rb").read()
+            f: (workdir / "run" / f).read_bytes()
             for f in sorted(os.listdir(workdir / "run"))
         }
     assert sorted(outputs["one"]) == sorted(outputs["two"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acsp import cluster
-from acsp.cluster import ClusterResult, kmedoids, mss, pairwise_distances, sweep_detailed
+from acsp.cluster import ClusterResult, mss, pairwise_distances, sweep_detailed
 from acsp.errors import BadK, BadRange
 
 
@@ -15,11 +15,16 @@ def _cols(values):
     return np.asarray(values, dtype=np.float64).reshape(len(values), 1)
 
 
+def _sweep_at(space, k):
+    """The clustering of a sweep over k alone."""
+    return sweep_detailed(space, k, k)[1][k]
+
+
 # ------------------------------------------------------------- k-medoids
 
 def test_one_dimensional_hand_example():
     rows = _cols([0.0, 1.0, 2.0, 10.0, 11.0, 12.0])
-    res = kmedoids(rows, 2)
+    res = _sweep_at(rows, 2)
     assert list(res.medoid_indices) == [1, 4]  # values 1 and 11
     assert res.total_cost == pytest.approx(4.0, abs=0)
     assert res.cost_history == [5.0, 4.0]
@@ -27,7 +32,7 @@ def test_one_dimensional_hand_example():
 
 def test_assignment_points_to_medoid_rows():
     rows = _cols([0.0, 1.0, 2.0, 10.0, 11.0, 12.0])
-    res = kmedoids(rows, 2)
+    res = _sweep_at(rows, 2)
     assert set(res.assignment) == {1, 4}
     np.testing.assert_array_equal(res.assignment[:3], 1)
     np.testing.assert_array_equal(res.assignment[3:], 4)
@@ -35,7 +40,7 @@ def test_assignment_points_to_medoid_rows():
 
 def test_k_equals_n_costs_zero():
     rows = np.random.default_rng(0).normal(size=(7, 3))
-    res = kmedoids(rows, 7)
+    res = _sweep_at(rows, 7)
     assert res.total_cost == 0.0
     np.testing.assert_array_equal(res.medoid_indices, np.arange(7))
     np.testing.assert_array_equal(res.assignment, np.arange(7))
@@ -43,7 +48,7 @@ def test_k_equals_n_costs_zero():
 
 def test_duplicate_rows_tie_break_to_lowest_index():
     rows = _cols([0.0, 0.0, 0.0, 5.0, 5.0])
-    res = kmedoids(rows, 2)
+    res = _sweep_at(rows, 2)
     assert list(res.medoid_indices) == [0, 3]
     assert res.total_cost == 0.0
 
@@ -51,10 +56,10 @@ def test_duplicate_rows_tie_break_to_lowest_index():
 def test_bad_k():
     rows = np.zeros((5, 2))
     rows[:, 0] = np.arange(5)
-    with pytest.raises(BadK):
-        kmedoids(rows, 1)
-    with pytest.raises(BadK):
-        kmedoids(rows, 6)
+    with pytest.raises(BadRange):
+        _sweep_at(rows, 1)
+    with pytest.raises(BadRange):
+        _sweep_at(rows, 6)
 
 
 def test_accepts_separability_matrix_objects():
@@ -62,7 +67,7 @@ def test_accepts_separability_matrix_objects():
 
     values = np.random.default_rng(1).uniform(size=(6, 4))
     mat = SeparabilityMatrix(3, 3, 1, values)
-    res = kmedoids(mat, 2)
+    res = _sweep_at(mat, 2)
     assert res.k == 2 and len(res.medoid_indices) == 2
 
 
@@ -86,7 +91,7 @@ def test_matches_exhaustive_minimum_on_small_instances():
         k = int(gen.integers(2, 4))
         k = min(k, n)
         rows = gen.normal(size=(n, d))
-        res = kmedoids(rows, k)
+        res = _sweep_at(rows, k)
         target = _exhaustive_cost(pairwise_distances(rows, rows), k)
         assert res.total_cost >= target - 1e-12
         if res.total_cost > target + 1e-12:
@@ -99,7 +104,7 @@ def test_cost_history_strictly_decreasing():
     gen = np.random.default_rng(3)
     for _ in range(20):
         rows = gen.normal(size=(12, 2))
-        res = kmedoids(rows, 3)
+        res = _sweep_at(rows, 3)
         hist = res.cost_history
         assert all(b < a for a, b in zip(hist, hist[1:]))
         assert res.total_cost == pytest.approx(hist[-1], abs=1e-12)
@@ -108,16 +113,16 @@ def test_cost_history_strictly_decreasing():
 def test_row_permutation_preserves_cost():
     gen = np.random.default_rng(5)
     rows = gen.normal(size=(10, 3))
-    base = kmedoids(rows, 3)
+    base = _sweep_at(rows, 3)
     perm = gen.permutation(10)
-    permuted = kmedoids(rows[perm], 3)
+    permuted = _sweep_at(rows[perm], 3)
     assert permuted.total_cost == pytest.approx(base.total_cost, rel=1e-12)
 
 
 def test_deterministic_across_calls():
     rows = np.random.default_rng(11).normal(size=(15, 4))
-    a = kmedoids(rows, 4)
-    b = kmedoids(rows, 4)
+    a = _sweep_at(rows, 4)
+    b = _sweep_at(rows, 4)
     np.testing.assert_array_equal(a.medoid_indices, b.medoid_indices)
     assert a.cost_history == b.cost_history
 
@@ -126,7 +131,7 @@ def test_deterministic_across_calls():
 
 def test_mss_is_one_at_k_equals_n():
     rows = np.random.default_rng(2).normal(size=(9, 3))
-    res = kmedoids(rows, 9)
+    res = _sweep_at(rows, 9)
     assert mss(rows, res) == 1.0
 
 
@@ -145,15 +150,15 @@ def test_mss_never_exceeds_one():
         n = int(gen.integers(4, 12))
         rows = gen.normal(size=(n, 2))
         k = int(gen.integers(2, n + 1))
-        assert mss(rows, kmedoids(rows, k)) <= 1.0 + 1e-15
+        assert mss(rows, _sweep_at(rows, k)) <= 1.0 + 1e-15
 
 
 def test_mss_equals_one_iff_every_point_on_a_medoid():
     rows = _cols([0.0, 0.0, 5.0, 5.0, 5.0])
-    res = kmedoids(rows, 2)
+    res = _sweep_at(rows, 2)
     assert mss(rows, res) == 1.0
     spread = _cols([0.0, 0.4, 5.0, 5.0, 5.0])
-    res2 = kmedoids(spread, 2)
+    res2 = _sweep_at(spread, 2)
     assert mss(spread, res2) < 1.0
 
 
@@ -163,7 +168,7 @@ def test_duplicating_a_medoid_row_never_decreases_mss():
         n = int(gen.integers(4, 10))
         rows = gen.normal(size=(n, 2))
         k = int(gen.integers(2, min(n, 5) + 1))
-        res = kmedoids(rows, k)
+        res = _sweep_at(rows, k)
         before = mss(rows, res)
         dup = int(res.medoid_indices[gen.integers(len(res.medoid_indices))])
         rows2 = np.vstack([rows, rows[dup]])
@@ -205,7 +210,7 @@ def test_mss_at_full_k_property(seed):
     gen = np.random.default_rng(seed)
     n = int(gen.integers(3, 10))
     rows = gen.normal(size=(n, int(gen.integers(1, 4))))
-    assert mss(rows, kmedoids(rows, n)) == 1.0
+    assert mss(rows, _sweep_at(rows, n)) == 1.0
 
 
 # ----------------------------------------------------------------- sweep
@@ -236,10 +241,11 @@ def test_sweep_bad_range():
 
 
 def test_sweep_detailed_results_match_direct_calls():
+    # one BUILD shared by every k gives what a sweep over k alone gives
     rows = np.random.default_rng(9).normal(size=(8, 3))
     curve, results = sweep_detailed(rows)
     for k in curve.ks():
-        direct = kmedoids(rows, int(k))
+        direct = _sweep_at(rows, int(k))
         np.testing.assert_array_equal(results[int(k)].medoid_indices, direct.medoid_indices)
         assert curve.entries[int(k)] == pytest.approx(mss(rows, direct), abs=0)
 
@@ -343,7 +349,7 @@ def _assert_sweep_matches_plain_pam(rows, k_min=2, k_max=None, stride=1):
     dist = pairwise_distances(rows, rows)
     for k in range(k_min, (k_max or rows.shape[0]) + 1, stride):
         meds, assignment, cost, history = _plain_pam(dist, k)
-        for res in (results[k], kmedoids(rows, k)):
+        for res in (results[k], _sweep_at(rows, k)):
             assert res.medoid_indices.tolist() == meds.tolist(), k
             assert res.assignment.tolist() == assignment.tolist(), k
             assert res.total_cost == cost, k
@@ -402,7 +408,7 @@ def test_sweep_equals_plain_pam_on_wide_rows():
 def test_repeated_rows_leave_a_medoid_without_points():
     rows = _cols([0.0, 0.0, 0.0, 1.0, 5.0, 5.0, 9.0])
     _assert_sweep_matches_plain_pam(rows)
-    res = kmedoids(rows, 5)
+    res = _sweep_at(rows, 5)
     assert len(set(res.assignment.tolist())) < res.k
 
 
@@ -445,7 +451,7 @@ def _needs_a_swap():
     gen = np.random.default_rng(3)
     while True:
         rows = gen.normal(size=(12, 2))
-        res = kmedoids(rows, 3)
+        res = _sweep_at(rows, 3)
         if len(res.cost_history) > 1:
             return rows, res
 
@@ -455,14 +461,14 @@ def test_swap_reports_passes_and_convergence():
     assert res.converged is True
     # one pass per accepted swap, plus the pass that found none
     assert res.swap_passes == len(res.cost_history)
-    full = kmedoids(rows, 12)
+    full = _sweep_at(rows, 12)
     assert full.swap_passes == 0 and full.converged is True
 
 
 def test_swap_cap_reports_not_converged(monkeypatch):
     rows, _ = _needs_a_swap()
     monkeypatch.setattr(cluster, "MAX_SWAP_PASSES", 1)
-    res = kmedoids(rows, 3)
+    res = _sweep_at(rows, 3)
     assert res.swap_passes == 1
     assert res.converged is False
     assert len(res.cost_history) == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from acsp.cluster import MssCurve
 from acsp.errors import TooFewPoints, Underdetermined
-from acsp.knee import SENSITIVITY, find_knee, polyfit, select_k
+from acsp.knee import SENSITIVITY, find_knee, select_k
 
 
 def _curve(ks, ys):
@@ -37,23 +37,20 @@ def _oracle_knee(ks, ys, degree):
     return int(round(ks[best]))
 
 
-# --------------------------------------------------------------- polyfit
+# ------------------------------------------------------------ the fit
 
 def test_polyfit_recovers_exact_quadratic():
-    xs = np.arange(2, 9, dtype=np.float64)
-    ys = 1.0 - 3.0 * xs + 2.0 * xs * xs
-    np.testing.assert_allclose(polyfit(xs, ys, 2), [1.0, -3.0, 2.0], atol=1e-9)
+    ks = np.arange(2, 9)
+    ys = 1.0 - 3.0 * ks + 2.0 * ks * ks
+    res = find_knee(_curve(ks, ys), degree=2)
+    np.testing.assert_allclose(res.fitted_coeffs, [1.0, -3.0, 2.0], atol=1e-9)
 
 
 def test_polyfit_underdetermined_cases():
+    with pytest.raises(TooFewPoints):
+        find_knee(_curve([2, 3], [1.0, 2.0]), degree=1)  # degree + 2 points needed
     with pytest.raises(Underdetermined):
-        polyfit([1.0, 2.0], [1.0, 2.0], 2)  # 3 points needed
-    with pytest.raises(Underdetermined):
-        polyfit([1.0, 2.0, 3.0], [1.0, 2.0], 1)  # length mismatch
-    with pytest.raises(Underdetermined):
-        polyfit([1.0, 1.0, 2.0], [1.0, 2.0, 3.0], 1)  # duplicate x
-    with pytest.raises(Underdetermined):
-        polyfit([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0)  # constant fit
+        find_knee(_curve([2, 3, 4], [1.0, 2.0, 3.0]), degree=0)  # constant fit
 
 
 # ------------------------------------------------------------- find_knee
@@ -169,17 +166,26 @@ def test_knee_always_inside_swept_range(seed):
 def test_select_k_picks_knee_when_present():
     ks = np.arange(2, 20)
     ys = _saturating(ks, rate=1.0, lo=0.2)
-    k, result = select_k(_curve(ks, ys), degree=2)
+    k, result = select_k(_curve(ks, ys), 19, degree=2)
     assert result.k_prime is not None
     assert k == result.k_prime == find_knee(_curve(ks, ys), degree=2).k_prime
 
 
 def test_select_k_falls_back_to_k_max():
     ks = np.arange(2, 12)
-    k, result = select_k(_curve(ks, np.full(len(ks), 0.5)), degree=2)  # flat
+    k, result = select_k(_curve(ks, np.full(len(ks), 0.5)), 11, degree=2)  # flat
     assert k == 11
     assert result is not None and result.k_prime is None
 
 
 def test_select_k_short_curve_has_no_knee_result():
-    assert select_k(_curve([2, 3, 4], [0.2, 0.5, 0.6]), degree=2) == (4, None)
+    assert select_k(_curve([2, 3, 4], [0.2, 0.5, 0.6]), 4, degree=2) == (4, None)
+
+
+def test_select_k_keeps_every_component_past_a_strided_sweep():
+    # a strided sweep can stop short of n: stride 5 over 8 components sweeps
+    # k = 2, 7 (too short to fit), stride 3 over 16 stops at 14 (flat, no
+    # knee); both keep every component, not the last swept k
+    assert select_k(_curve([2, 7], [0.2, 0.6]), 8, degree=2) == (8, None)
+    k, result = select_k(_curve([2, 5, 8, 11, 14], [0.5] * 5), 16, degree=2)
+    assert k == 16 and result.k_prime is None

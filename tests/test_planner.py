@@ -17,7 +17,6 @@ from acsp.planner import (
     compose,
     prune_layer,
     prune_model,
-    speedup,
 )
 from acsp.tensio import LabeledDataset, PruningPlan, read_plan, write_plan
 from acsp.toynet import apply_prune, forward, from_arch
@@ -63,7 +62,7 @@ def test_component_norms_rejects_relu():
 
 def test_compose_regular_keeps_medoids():
     rows = np.array([[0.0], [1.0], [10.0], [11.0]])
-    res = cluster.kmedoids(rows, 2)
+    res = cluster.sweep_detailed(rows, 2, 2)[1][2]
     kept = compose(res, "regular", np.zeros(4))
     assert kept == sorted(int(m) for m in res.medoid_indices)
 
@@ -78,7 +77,7 @@ def test_compose_weighted_picks_heaviest_member():
 
 def test_compose_same_k_both_modes():
     rows = np.random.default_rng(4).normal(size=(9, 3))
-    res = cluster.kmedoids(rows, 4)
+    res = cluster.sweep_detailed(rows, 4, 4)[1][4]
     norms = np.random.default_rng(5).uniform(1, 2, size=9)
     assert len(compose(res, "regular", norms)) == 4
     assert len(compose(res, "weighted", norms)) == 4
@@ -92,7 +91,7 @@ def test_compose_rejects_unknown_mode():
 
 def test_weighted_kept_indices_live_in_their_cluster():
     rows = np.random.default_rng(6).normal(size=(12, 4))
-    res = cluster.kmedoids(rows, 3)
+    res = cluster.sweep_detailed(rows, 3, 3)[1][3]
     norms = np.random.default_rng(7).uniform(size=12)
     kept = compose(res, "weighted", norms)
     clusters = {int(m): set(np.flatnonzero(res.assignment == m)) for m in res.medoid_indices}
@@ -329,12 +328,15 @@ def test_build_plan_carries_curve_refs_and_knee():
 
 
 def test_speedup_is_ratio_of_totals():
+    # each layer starts from the FLOPs the one before left, so the first
+    # layer's before over the last layer's after is the whole-run speedup
     ds, trained = _trained_blob_setup(seed=10)
-    _, reports = prune_model(trained, ds, PruneConfig(seed=14))
-    expect = reports[0].flops_before / reports[-1].flops_after
-    assert speedup(reports) == pytest.approx(expect)
-    assert speedup(reports) >= 1.0
-    assert speedup([]) == 1.0
+    pruned, reports = prune_model(trained, ds, PruneConfig(seed=14))
+    assert reports[0].flops_before == toynet.count_flops(trained).total
+    for a, b in zip(reports, reports[1:]):
+        assert a.flops_after == b.flops_before
+    assert reports[-1].flops_after == toynet.count_flops(pruned).total
+    assert reports[0].flops_before / reports[-1].flops_after >= 1.0
 
 
 def test_selection_modes_share_k_but_not_members():

@@ -9,46 +9,43 @@ from hypothesis import given, strategies as st
 
 from acsp import sepspace
 from acsp.errors import ClassTooSmall
-from acsp.sepspace import ClassStats, bhattacharyya, build_space, class_pairs, jm_distance
+from acsp.sepspace import build_space, class_pairs
 from acsp.tensio import ActivationTensor
 
-from conftest import balanced_labels
+from conftest import balanced_labels, jm_cell
 
 
 # ------------------------------------------------------------ hand values
+#
+# Each class holds the two samples mu -+ sigma, so its population mean and
+# variance are mu and sigma^2 (see conftest.two_class_activation).
 
 def test_bhattacharyya_mean_gap_only():
-    # means 0 and 2, unit variances: 0.125 * 4 / 2 = 0.25, log term zero
-    a, b = ClassStats(0.0, 1.0), ClassStats(2.0, 1.0)
-    assert bhattacharyya(a, b) == pytest.approx(0.25, abs=1e-15)
-    assert jm_distance(a, b) == pytest.approx(0.44239843385719024, abs=1e-12)
+    # means 0 and 2, unit variances: B = 0.125 * 4 / 2 = 0.25, log term zero
+    assert jm_cell(0.0, 1.0, 2.0, 1.0) == pytest.approx(0.44239843385719024, abs=1e-12)
 
 
 def test_bhattacharyya_variance_gap_only():
-    # equal means, variances 1 and 4: 0.5 * ln(5 / 4)
-    a, b = ClassStats(3.0, 1.0), ClassStats(3.0, 4.0)
-    assert bhattacharyya(a, b) == pytest.approx(0.11157177565710488, abs=1e-15)
+    # equal means, variances 1 and 4: B = 0.5 * ln(5 / 4) = 0.11157177565710488
+    want = 2.0 * (1.0 - math.exp(-0.11157177565710488))
+    assert jm_cell(3.0, 1.0, 3.0, 4.0) == pytest.approx(want, abs=1e-15)
 
 
 def test_jm_saturates_toward_two():
-    a, b = ClassStats(0.0, 1.0), ClassStats(10.0, 1.0)
-    assert jm_distance(a, b) == pytest.approx(1.9961390917275446, abs=1e-12)
+    assert jm_cell(0.0, 1.0, 10.0, 1.0) == pytest.approx(1.9961390917275446, abs=1e-12)
 
 
 def test_identical_distributions_are_zero():
-    a = ClassStats(1.5, 0.5)
-    assert bhattacharyya(a, a) == 0.0
-    assert jm_distance(a, a) == 0.0
+    assert jm_cell(1.5, 0.5, 1.5, 0.5) == 0.0
 
 
 def test_symmetry():
-    a, b = ClassStats(0.3, 2.0), ClassStats(-1.0, 0.7)
-    assert bhattacharyya(a, b) == bhattacharyya(b, a)
+    assert jm_cell(0.3, 2.0, -1.0, 0.7) == jm_cell(-1.0, 0.7, 0.3, 2.0)
 
 
 def test_variance_floor_keeps_constants_finite():
-    a, b = ClassStats(0.0, 0.0), ClassStats(1.0, 0.0)
-    val = jm_distance(a, b)
+    # B = 0.125 / (2 VAR_FLOOR) underflows exp(-B): the cap keeps JM below 2
+    val = jm_cell(0.0, 0.0, 1.0, 0.0)
     assert np.isfinite(val) and 0.0 <= val < 2.0
 
 
@@ -59,9 +56,7 @@ def test_variance_floor_keeps_constants_finite():
     vb=st.floats(1e-6, 100),
 )
 def test_jm_range_property(mu_a, mu_b, va, vb):
-    val = jm_distance(ClassStats(mu_a, va), ClassStats(mu_b, vb))
-    assert 0.0 <= val < 2.0
-    assert bhattacharyya(ClassStats(mu_a, va), ClassStats(mu_b, vb)) >= 0.0
+    assert 0.0 <= jm_cell(mu_a, va, mu_b, vb) < 2.0
 
 
 @given(
@@ -73,8 +68,8 @@ def test_jm_range_property(mu_a, mu_b, va, vb):
 )
 def test_jm_monotone_in_mean_gap(mu_a, mu_b, va, vb, extra):
     lo, hi = sorted((mu_a, mu_b))
-    near = jm_distance(ClassStats(lo, va), ClassStats(hi, vb))
-    far = jm_distance(ClassStats(lo, va), ClassStats(hi + extra, vb))
+    near = jm_cell(lo, va, hi, vb)
+    far = jm_cell(lo, va, hi + extra, vb)
     assert far >= near - 1e-12
 
 

@@ -207,6 +207,20 @@ def test_nan_payload_rejected_on_read(tmp_path):
         _read_raw(tmp_path, patched)
 
 
+def test_nan_training_lr_rejected_on_read(tmp_path):
+    model = toynet.from_arch("mlp:3-4-2", seed=0)
+    path = tmp_path / "m.acsp"
+    tensio.write_model(model, str(path))
+    blob = bytearray(path.read_bytes())
+    # magic+version+kind, input dims, rng_seed u64, train_epochs u32, then train_lr
+    lr_at = 12 + 4 + 8 * len(model.input_shape) + 12
+    assert struct.unpack_from("<d", blob, lr_at)[0] == model.train_lr
+    struct.pack_into("<d", blob, lr_at, float("nan"))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(NonFiniteValue):
+        tensio.read_model(str(path))
+
+
 def test_empty_file(tmp_path):
     with pytest.raises((BadMagic, TruncatedFile)):
         _read_raw(tmp_path, b"")
