@@ -21,7 +21,7 @@ from .rng import derive_seed
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     parts = text.split("x")
-    if not all(p.isdigit() and int(p) >= 1 for p in parts):
+    if not all(p.isdecimal() and int(p) >= 1 for p in parts):
         raise BadParams(f"bad dims {text!r}; expected forms like '2' or '1x8x8'")
     return tuple(int(p) for p in parts)
 
@@ -96,7 +96,7 @@ def _format_summary(args, reports, base_acc, pruned_acc, base_flops, pruned_flop
     return "\n".join(lines)
 
 
-def _write_curve_svg(curve, knee_k, path: str) -> None:
+def _write_curve_svg(layer_id, curve, knee_k, path: str) -> None:
     """Hand-rolled line chart; no plotting dependency for a 30-line picture."""
     width, height, margin = 480, 320, 42
     ks = curve.ks()
@@ -127,7 +127,7 @@ def _write_curve_svg(curve, knee_k, path: str) -> None:
         f'k={ks[-1]}</text>',
         f'<text x="4" y="{sy(y1):.2f}" font-size="11">{y1:.4f}</text>',
         f'<text x="4" y="{sy(y0):.2f}" font-size="11">{y0:.4f}</text>',
-        f'<text x="{margin}" y="{margin - 10}" font-size="12">layer {curve.layer_id} '
+        f'<text x="{margin}" y="{margin - 10}" font-size="12">layer {layer_id} '
         f'mss curve</text>',
     ]
     if knee_k is not None:
@@ -173,7 +173,7 @@ def cmd_prune(args) -> None:
         r.mss_curve.to_csv(os.path.join(args.out, f"mss_layer{r.layer_id}.csv"))
         if args.svg:
             knee_k = r.knee.k_prime if r.knee is not None else None
-            _write_curve_svg(r.mss_curve, knee_k,
+            _write_curve_svg(r.layer_id, r.mss_curve, knee_k,
                              os.path.join(args.out, f"mss_layer{r.layer_id}.svg"))
     summary = _format_summary(args, reports, base_acc, pruned_acc,
                               base_flops, pruned_flops)

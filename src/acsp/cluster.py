@@ -63,7 +63,6 @@ class ClusterResult:
 
 @dataclass
 class MssCurve:
-    layer_id: int
     entries: dict[int, float]
 
     def ks(self) -> np.ndarray:
@@ -76,11 +75,6 @@ class MssCurve:
         lines = ["k,mss"] + [f"{k},{self.entries[k]!r}" for k in sorted(self.entries)]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def _rows(space) -> np.ndarray:
-    values = getattr(space, "values", space)
-    return np.asarray(values, dtype=np.float64)
 
 
 def pairwise_distances(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -201,13 +195,12 @@ def _swap(dist: np.ndarray, medoids: list[int], build_cost: float, tol: float) -
     return ClusterResult(k, meds, meds[pos], float(cost), history, passes, converged)
 
 
-def mss(space, result: ClusterResult, dist: np.ndarray | None = None) -> float:
-    """Mean simplified silhouette of a clustering over `space`.
+def mss(rows: np.ndarray, result: ClusterResult, dist: np.ndarray | None = None) -> float:
+    """Mean simplified silhouette of a clustering of the 2-D array `rows`.
 
-    `dist`, the pairwise distance matrix of `space` if the caller holds it,
+    `dist`, the pairwise distance matrix of `rows` if the caller holds it,
     spares recomputing the point-to-medoid distances; the score is the same.
     """
-    rows = _rows(space)
     n = rows.shape[0]
     k = result.k
     if k < 2:
@@ -216,7 +209,7 @@ def mss(space, result: ClusterResult, dist: np.ndarray | None = None) -> float:
     sorter = np.argsort(meds)
     pos = sorter[np.searchsorted(meds, result.assignment, sorter=sorter).clip(max=k - 1)]
     if len(pos) != n or np.any(meds[pos] != result.assignment):
-        raise ValueError("clustering does not match the space")
+        raise ValueError("clustering does not match the rows")
     if dist is None:
         dist_to_meds = pairwise_distances(rows, rows[meds])
     else:
@@ -227,13 +220,12 @@ def mss(space, result: ClusterResult, dist: np.ndarray | None = None) -> float:
     return float(np.mean(1.0 - a / np.maximum(b, B_FLOOR)))
 
 
-def sweep_detailed(space, k_min: int = 2, k_max: int | None = None, stride: int = 1):
+def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, stride: int = 1):
     """MSS over k in {k_min, k_min+stride, ...} up to k_max (default n_rows).
 
     The pairwise distance matrix and one BUILD run are shared by every k.
     Returns (curve, {k: ClusterResult}).
     """
-    rows = _rows(space)
     n = rows.shape[0]
     if k_max is None:
         k_max = n
@@ -248,5 +240,5 @@ def sweep_detailed(space, k_min: int = 2, k_max: int | None = None, stride: int 
     entries = {}
     for k in ks:
         results[k] = _swap(dist, order[:k], costs[k - 1], tol)
-        entries[k] = mss(space, results[k], dist)
-    return MssCurve(getattr(space, "layer_id", -1), entries), results
+        entries[k] = mss(rows, results[k], dist)
+    return MssCurve(entries), results

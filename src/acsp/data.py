@@ -25,11 +25,13 @@ def _balanced_labels(n: int, num_classes: int) -> np.ndarray:
     return np.repeat(np.arange(num_classes), counts)
 
 
-def _check(n: int, num_classes: int) -> None:
+def _check(n: int, num_classes: int, flat: int) -> None:
     if num_classes < 2:
         raise BadParams("need at least 2 classes")
     if n < 2 * num_classes:
         raise BadParams(f"need n >= {2 * num_classes} so every class occurs twice")
+    if n * flat > MAX_VALUES:
+        raise BadParams(f"n x prod(dims) = {n * flat} values; the limit is {MAX_VALUES}")
 
 
 def make_blobs(n: int, num_classes: int, dims: tuple[int, ...], seed: int) -> LabeledDataset:
@@ -39,13 +41,11 @@ def make_blobs(n: int, num_classes: int, dims: tuple[int, ...], seed: int) -> La
     in the flattened space and reshaped, which gives image-shaped inputs
     for the conv stack.
     """
-    _check(n, num_classes)
     dims = tuple(int(d) for d in dims)
     flat = math.prod(dims)
     if flat < 1:
         raise BadParams("feature dimensions must be >= 1")
-    if n * flat > MAX_VALUES:
-        raise BadParams(f"n x prod(dims) = {n * flat} values; the limit is {MAX_VALUES}")
+    _check(n, num_classes, flat)
     labels = _balanced_labels(n, num_classes)
     centers = np.zeros((num_classes, flat))
     if flat == 1:
@@ -61,7 +61,7 @@ def make_blobs(n: int, num_classes: int, dims: tuple[int, ...], seed: int) -> La
 
 def make_rings(n: int, num_classes: int, seed: int) -> LabeledDataset:
     """Concentric annuli in the plane; class c lives at radius about c + 0.5."""
-    _check(n, num_classes)
+    _check(n, num_classes, 2)
     labels = _balanced_labels(n, num_classes)
     rng = np.random.default_rng(seed)
     inner = labels + (1.0 - RING_WIDTH) / 2

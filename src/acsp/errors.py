@@ -49,10 +49,6 @@ class Divergence(AcspError):
     """Training produced a non-finite loss or non-finite weights."""
 
 
-class ClassTooSmall(AcspError):
-    """A class has fewer than two samples, so it has no usable variance."""
-
-
 class BadK(AcspError):
     """Requested cluster count is outside [2, n_points]."""
 

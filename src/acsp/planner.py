@@ -3,9 +3,8 @@
 Layers are processed front to back over the prunable layers of the model
 (everything parametric but the output layer), and every layer after the
 first sees the network as already pruned and fine-tuned up to that point.
-A layer that hits a degenerate condition (too few samples per class, too
-few components to sweep) keeps all its components and records a warning
-instead of failing the run.
+A layer with too few components to sweep keeps all its components and
+records a warning instead of failing the run.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cluster, knee, sepspace, toynet
-from .errors import BadParams, BadRange, ClassTooSmall, NotPrunableLayer
+from .errors import BadParams, BadRange, NotPrunableLayer
 from .rng import derive_seed
 from .tensio import SELECTION_MODES, PlanEntry, PruningPlan
 
@@ -87,9 +86,13 @@ def compose(result: cluster.ClusterResult, mode: str, norms: np.ndarray) -> list
         return sorted(int(m) for m in result.medoid_indices)
     if mode != "weighted":
         raise BadParams(f"unknown selection mode {mode!r}")
+    # a medoid whose row repeats a lower one's owns no point, not even
+    # itself; give every medoid itself so each cluster has a member
+    owner = result.assignment.copy()
+    owner[result.medoid_indices] = result.medoid_indices
     kept = []
     for m in result.medoid_indices:
-        members = np.flatnonzero(result.assignment == m)
+        members = np.flatnonzero(owner == m)
         best = members[int(np.argmax(norms[members]))]  # argmax: first max wins
         kept.append(int(best))
     return sorted(kept)
@@ -128,12 +131,12 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
         acts = toynet.capture_activations(model, ds, layer_id,
                                           pre_activation=config.pre_activation)
         space = sepspace.build_space(acts)
-        curve, results = cluster.sweep_detailed(space, stride=config.stride)
+        curve, results = cluster.sweep_detailed(space.values, stride=config.stride)
         k_selected, knee_result = knee.select_k(curve, n_comp, config.knee_degree)
         if k_selected < n_comp:
             kept = compose(results[k_selected], config.selection,
                            component_norms(model, layer_id))
-    except (ClassTooSmall, BadRange) as exc:  # degenerate layer; anything else is bad input
+    except BadRange as exc:  # degenerate layer; anything else is bad input
         warning = f"{type(exc).__name__}: {exc}"
         kept = list(range(n_comp))
         k_selected = n_comp

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassTooSmall
 from .tensio import ActivationTensor
 
 VAR_FLOOR = 1e-12
@@ -46,14 +45,9 @@ def class_pairs(num_classes: int) -> list[tuple[int, int]]:
 class SeparabilityMatrix:
     """Rows are components; columns are p*p pixels per canonical class pair."""
 
-    layer_id: int
     num_classes: int
     patch: int
     values: np.ndarray  # float64, [n_components, p*p * n_pairs]
-
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[0]
 
     @property
     def pair_order(self) -> list[tuple[int, int]]:
@@ -71,10 +65,6 @@ def build_space(act: ActivationTensor) -> SeparabilityMatrix:
     """
     labels = act.labels
     num_classes = int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=num_classes)
-    if (counts < 2).any():
-        bad = int(np.flatnonzero(counts < 2)[0])
-        raise ClassTooSmall(f"class {bad} has {counts[bad]} sample(s); need at least 2")
     v = act.values.astype(np.float64)
     n_comp, p = act.n_components, act.patch
     means = np.empty((num_classes, n_comp, p, p))
@@ -95,4 +85,4 @@ def build_space(act: ActivationTensor) -> SeparabilityMatrix:
         # below zero when va == vb
         jm = np.minimum(2.0 * (1.0 - np.exp(-np.maximum(bh, 0.0))), _JM_SUP)
         out[:, i * block : (i + 1) * block] = jm.reshape(n_comp, block)
-    return SeparabilityMatrix(act.layer_id, num_classes, p, out)
+    return SeparabilityMatrix(num_classes, p, out)

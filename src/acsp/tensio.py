@@ -41,8 +41,6 @@ VERSION = 1
 KIND_DATASET = 1
 KIND_MODEL = 4
 
-_ACTIVATION_KINDS = ("linear", "conv")
-
 PLAN_FORMAT = "acsp-plan/1"
 
 SELECTION_MODES = ("regular", "weighted")
@@ -50,32 +48,36 @@ SELECTION_MODES = ("regular", "weighted")
 
 # ---------------------------------------------------------------- types
 
+def _check_labels(labels, n: int) -> np.ndarray:
+    """Labels as int64: one per sample, all >= 0, and every class id below
+    the maximum present at least twice, since the separability statistics
+    downstream need a variance per class."""
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise InvalidDataset("labels must be a vector with one entry per sample")
+    if int(labels.min()) < 0:
+        raise InvalidDataset("class ids must be non-negative")
+    counts = np.bincount(labels)
+    if (counts < 2).any():
+        bad = int(np.flatnonzero(counts < 2)[0])
+        raise InvalidDataset(f"class {bad} occurs fewer than twice")
+    return labels
+
+
 @dataclass(eq=False)
 class LabeledDataset:
-    """Sample batch plus integer class labels in [0, C).
-
-    Every class id below the maximum must occur at least twice: the
-    separability statistics downstream need a variance per class.
-    """
+    """Sample batch plus integer class labels in [0, C), each class at least twice."""
 
     samples: np.ndarray  # float32, [n, *feature_dims]
     labels: np.ndarray   # int64, [n]
 
     def __post_init__(self):
         self.samples = np.ascontiguousarray(self.samples, dtype=np.float32)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.samples.ndim < 2 or self.samples.shape[0] == 0:
             raise InvalidDataset("need at least one sample and one feature dimension")
-        if self.labels.shape != (self.samples.shape[0],):
-            raise InvalidDataset("labels must be a vector with one entry per sample")
+        self.labels = _check_labels(self.labels, self.samples.shape[0])
         if not np.isfinite(self.samples).all():
             raise NonFiniteValue("dataset samples contain NaN or Inf")
-        if int(self.labels.min()) < 0:
-            raise InvalidDataset("class ids must be non-negative")
-        counts = np.bincount(self.labels, minlength=int(self.labels.max()) + 1)
-        if (counts < 2).any():
-            bad = int(np.flatnonzero(counts < 2)[0])
-            raise InvalidDataset(f"class {bad} occurs fewer than twice")
 
     @property
     def n_samples(self) -> int:
@@ -91,38 +93,24 @@ class ActivationTensor:
     """Activation maps of one layer over a labeled batch.
 
     `values` has shape [n_samples, n_components, p, p]; linear layers use
-    p = 1. Values must be finite.
+    p = 1. Values must be finite; labels follow the dataset's rule.
     """
 
-    layer_id: int
-    kind: str  # "linear" or "conv"
     values: np.ndarray  # float32
     labels: np.ndarray  # int64
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.kind not in _ACTIVATION_KINDS:
-            raise WrongKind(f"unknown activation kind {self.kind!r}")
         if self.values.ndim != 4:
             raise InvalidDataset("activation values must be [n, components, p, p]")
         n, _, p, q = self.values.shape
         if p != q or p < 1:
             raise InvalidDataset("activation maps must be square with p >= 1")
-        if self.kind == "linear" and p != 1:
-            raise InvalidDataset("linear activations must have p = 1")
-        if self.labels.shape != (n,):
-            raise InvalidDataset("labels must be a vector with one entry per sample")
         if n == 0 or self.values.shape[1] == 0:
             raise InvalidDataset("activation tensor must be non-empty")
-        if int(self.labels.min()) < 0:
-            raise InvalidDataset("class ids must be non-negative")
+        self.labels = _check_labels(self.labels, n)
         if not np.isfinite(self.values).all():
             raise NonFiniteValue("activation values contain NaN or Inf")
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n_components(self) -> int:

@@ -471,8 +471,7 @@ def capture_activations(model: ToyModel, ds: LabeledDataset, layer_id: int,
     values = np.concatenate(chunks, axis=0)
     if values.ndim == 2:
         values = values[:, :, None, None]
-    return ActivationTensor(layer_id, model.layers[layer_id].kind,
-                            values.astype(np.float32), ds.labels)
+    return ActivationTensor(values, ds.labels)
 
 
 # -------------------------------------------------------------- surgery
@@ -553,7 +552,7 @@ def _tokens(body: str, base: int):
 
 
 def _int_token(tok: str, off: int) -> int:
-    if not tok.isdigit():
+    if not tok.isdecimal():
         raise ParseError(f"expected a positive integer, got {tok!r}", off)
     val = int(tok)
     if val < 1:

@@ -123,11 +123,12 @@ def test_criterion_02_graph_space_oracle_and_invariances():
             per_class = int(gen.integers(2, 6))
             n_comp = int(gen.integers(1, 7))
             p = int(gen.integers(1, 4))
-            kind = "conv" if p > 1 else ("linear" if gen.random() < 0.5 else "conv")
+            if p == 1:
+                gen.random()  # once picked a container kind; kept so the trials stay the same
             labels = np.repeat(np.arange(n_classes), per_class)
             values = gen.normal(scale=3.0,
                                 size=(len(labels), n_comp, p, p)).astype(np.float32)
-            act = ActivationTensor(0, kind, values, labels)
+            act = ActivationTensor(values, labels)
             space = sepspace.build_space(act)
             want = _scripted_space(act.values, act.labels)
             gap = float(np.abs(space.values - want).max())
@@ -137,16 +138,16 @@ def test_criterion_02_graph_space_oracle_and_invariances():
             # sample order must not matter at all
             perm = gen.permutation(len(labels))
             shuffled = sepspace.build_space(
-                ActivationTensor(0, kind, values[perm], labels[perm]))
+                ActivationTensor(values[perm], labels[perm]))
             np.testing.assert_array_equal(space.values, shuffled.values)
 
         # class relabeling permutes pair columns, bit for bit
         labels = np.repeat(np.arange(3), 4)
         values = gen.normal(size=(12, 5, 1, 1)).astype(np.float32)
-        base = sepspace.build_space(ActivationTensor(0, "linear", values, labels))
+        base = sepspace.build_space(ActivationTensor(values, labels))
         swapped_labels = np.where(labels == 0, 1, np.where(labels == 1, 0, labels))
         swapped = sepspace.build_space(
-            ActivationTensor(0, "linear", values, swapped_labels))
+            ActivationTensor(values, swapped_labels))
         # pairs (0,1),(0,2),(1,2): swapping classes 0 and 1 exchanges the
         # last two columns and fixes the first
         np.testing.assert_array_equal(swapped.values, base.values[:, [0, 2, 1]])
@@ -275,15 +276,15 @@ def test_criterion_05_knee_matches_dense_argmax():
             rate = gen.uniform(0.2, 1.2)
             ys = a * (1.0 - np.exp(-rate * (ks - ks[0] + 1)))
             ys = ys + gen.normal(scale=1e-4, size=n)
-            curve = MssCurve(0, {int(k): float(y) for k, y in zip(ks, ys)})
+            curve = MssCurve({int(k): float(y) for k, y in zip(ks, ys)})
             got = find_knee(curve, degree=2).k_prime
             want = _dense_knee(ks, ys)
             assert got == want, f"trial {trial}: {got} != {want}"
             knees += got is not None
 
-        line = MssCurve(0, {k: 0.1 + 0.08 * i for i, k in enumerate(range(2, 12))})
+        line = MssCurve({k: 0.1 + 0.08 * i for i, k in enumerate(range(2, 12))})
         assert find_knee(line, 2).k_prime is None
-        flat = MssCurve(0, {k: 0.7 for k in range(2, 12)})
+        flat = MssCurve({k: 0.7 for k in range(2, 12)})
         assert find_knee(flat, 2).k_prime is None
         info["curves"] = 20
         info["with_knee"] = knees

@@ -81,9 +81,22 @@ def test_gen_data_error_line_format(tmp_path, capsys):
 
 
 def test_gen_data_rejects_bad_dims(tmp_path, capsys):
-    code, _, err = _run(capsys, "gen-data", "--dims", "2x", "--out",
-                        str(tmp_path / "x.acsp"))
-    assert code == 1 and "code=BadParams" in err
+    for dims in ("2x", "\u00b2"):  # '²' passes str.isdigit(), yet int() refuses it
+        code, _, err = _run(capsys, "gen-data", "--dims", dims, "--out",
+                            str(tmp_path / "x.acsp"))
+        assert code == 1 and "code=BadParams" in err
+
+
+def test_gen_data_rejects_oversized_rings(tmp_path, capsys, monkeypatch):
+    from acsp import data
+
+    monkeypatch.setattr(data, "MAX_VALUES", 100)
+    path = tmp_path / "x.acsp"
+    code, out, err = _run(capsys, "gen-data", "--kind", "rings", "--n", "51",
+                          "--classes", "2", "--out", str(path))
+    assert code == 1 and out == ""
+    assert re.fullmatch(r'error code=BadParams message="n x prod\(dims\) = 102 [^"]*"\n', err)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("dims", ["4294967296x4294967296", "4294967297x4294967296"])
@@ -122,10 +135,11 @@ def test_train_rejects_missing_dataset(tmp_path, capsys):
 def test_train_bad_arch_offset_in_message(tmp_path, capsys):
     data_path = str(tmp_path / "d.acsp")
     _gen(capsys, data_path)
-    code, _, err = _run(capsys, "train", "--arch", "mlp:2-", "--data", data_path,
-                        "--out", str(tmp_path / "m.acsp"))
-    assert code == 1
-    assert "code=ParseError" in err and "offset 6" in err
+    for arch in ("mlp:2-", "mlp:2-\u00b2-4"):  # '²' passes str.isdigit()
+        code, _, err = _run(capsys, "train", "--arch", arch, "--data", data_path,
+                            "--out", str(tmp_path / "m.acsp"))
+        assert code == 1
+        assert "code=ParseError" in err and "offset 6" in err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -251,6 +265,23 @@ def test_prune_stride_past_the_last_component_keeps_all(tmp_path, capsys):
     assert layer["k_selected"] == 8 and layer["kept_indices"] == list(range(8))
     assert re.search(r"^  0 +8 +8 +96 +96 +kept all \(no knee\)$", out, re.M)
     assert (out_dir / "pruned_model.acsp").read_bytes() == Path(model_path).read_bytes()
+
+
+def test_prune_survives_a_medoid_without_points(tmp_path, capsys):
+    # four units of the 6-wide layer never fire, so their separability rows
+    # coincide and every medoid among them but the lowest owns no point
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, n=120, classes=2, seed=114)
+    _train(capsys, data_path, model_path, arch="mlp:2-3-6-2", epochs=5, seed=114)
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                        "--out", str(out_dir), "--seed", "114")
+    assert code == 0, err
+    plan = tensio.read_plan(str(out_dir / "plan.json"))
+    replayed = toynet.apply_prune(tensio.read_model(model_path), plan)
+    pruned = tensio.read_model(str(out_dir / "pruned_model.acsp"))
+    assert [l.w.shape for l in replayed.layers if l.parametric] == \
+        [l.w.shape for l in pruned.layers if l.parametric]
 
 
 def test_prune_regular_selection_flag(tmp_path, capsys, trained):

@@ -15,9 +15,9 @@ def _cols(values):
     return np.asarray(values, dtype=np.float64).reshape(len(values), 1)
 
 
-def _sweep_at(space, k):
+def _sweep_at(rows, k):
     """The clustering of a sweep over k alone."""
-    return sweep_detailed(space, k, k)[1][k]
+    return sweep_detailed(rows, k, k)[1][k]
 
 
 # ------------------------------------------------------------- k-medoids
@@ -60,15 +60,6 @@ def test_bad_k():
         _sweep_at(rows, 1)
     with pytest.raises(BadRange):
         _sweep_at(rows, 6)
-
-
-def test_accepts_separability_matrix_objects():
-    from acsp.sepspace import SeparabilityMatrix
-
-    values = np.random.default_rng(1).uniform(size=(6, 4))
-    mat = SeparabilityMatrix(3, 3, 1, values)
-    res = _sweep_at(mat, 2)
-    assert res.k == 2 and len(res.medoid_indices) == 2
 
 
 def _exhaustive_cost(dist, k):
@@ -427,9 +418,9 @@ def test_seed7_layer_spaces_match_plain_pam(tmp_path, monkeypatch):
     spaces = []
     real_sweep = cluster.sweep_detailed
 
-    def recording_sweep(space, *args, **kwargs):
-        spaces.append(space)
-        return real_sweep(space, *args, **kwargs)
+    def recording_sweep(rows, *args, **kwargs):
+        spaces.append(rows)
+        return real_sweep(rows, *args, **kwargs)
 
     data, model = str(tmp_path / "data.acsp"), str(tmp_path / "model.acsp")
     assert main(["gen-data", "--n", "2000", "--classes", "4", "--dims", "2",
@@ -440,9 +431,9 @@ def test_seed7_layer_spaces_match_plain_pam(tmp_path, monkeypatch):
     assert main(["prune", "--model", model, "--data", data, "--degree", "2",
                  "--selection", "weighted", "--seed", "7",
                  "--out", str(tmp_path / "run")]) == 0
-    assert [s.values.shape[0] for s in spaces] == [64, 64, 32]
-    for space in spaces:
-        _assert_sweep_matches_plain_pam(space.values)
+    assert [rows.shape[0] for rows in spaces] == [64, 64, 32]
+    for rows in spaces:
+        _assert_sweep_matches_plain_pam(rows)
 
 
 # ------------------------------------------------------ SWAP pass budget

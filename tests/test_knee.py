@@ -11,7 +11,7 @@ from acsp.knee import SENSITIVITY, find_knee, select_k
 
 
 def _curve(ks, ys):
-    return MssCurve(0, {int(k): float(y) for k, y in zip(ks, ys)})
+    return MssCurve({int(k): float(y) for k, y in zip(ks, ys)})
 
 
 def _saturating(ks, rate=0.8, lo=0.3):

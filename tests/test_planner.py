@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from acsp import cluster, data, planner, toynet
 from acsp.errors import BadParams, NotPrunableLayer, ShapeMismatch
@@ -73,6 +73,13 @@ def test_compose_weighted_picks_heaviest_member():
     )
     norms = np.array([1.0, 5.0, 2.0, 2.0])  # tie in second cluster
     assert compose(res, "weighted", norms) == [1, 2]  # first max wins the tie
+
+
+def test_compose_weighted_medoid_without_points_keeps_itself():
+    # rows 0 and 1 are identical, so every tie, row 1's own included, goes
+    # to medoid 0 and medoid 1 owns no point
+    res = cluster.ClusterResult(2, np.array([0, 1]), np.array([0, 0, 0]), 0.0)
+    assert compose(res, "weighted", np.array([1.0, 5.0, 2.0])) == [1, 2]
 
 
 def test_compose_same_k_both_modes():
@@ -266,6 +273,7 @@ def test_build_plan_round_trips_through_apply(tmp_path):
 
 @given(st.integers(3, 12), st.integers(3, 12), st.integers(2, 4), st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
+@example(a=3, b=6, classes=2, seed=114)  # dead units: a medoid owns no point
 def test_plan_json_replays_to_the_pruned_model(a, b, classes, seed):
     ds, trained = _trained_blob_setup(seed=seed, arch=f"mlp:2-{a}-{b}-{classes}",
                                       n=120, classes=classes, epochs=5)

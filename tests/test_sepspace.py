@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from acsp import sepspace
-from acsp.errors import ClassTooSmall
+from acsp.errors import InvalidDataset
 from acsp.sepspace import build_space, class_pairs
 from acsp.tensio import ActivationTensor
 
@@ -86,12 +86,10 @@ def test_class_pairs_matches_combinations():
 
 # ------------------------------------------------------ the matrix itself
 
-def _tensor(n, components, p, num_classes, seed, kind=None):
+def _tensor(n, components, p, num_classes, seed):
     gen = np.random.default_rng(seed)
     values = gen.normal(size=(n, components, p, p)).astype(np.float32)
-    if kind is None:
-        kind = "linear" if p == 1 else "conv"
-    return ActivationTensor(2, kind, values, balanced_labels(n, num_classes))
+    return ActivationTensor(values, balanced_labels(n, num_classes))
 
 
 def _oracle_space(act):
@@ -125,7 +123,7 @@ def test_matches_brute_force_oracle():
         p = int(gen.integers(1, 4))
         classes = int(gen.integers(2, 5))
         n = max(n, 2 * classes)
-        act = _tensor(n, comps, p, classes, seed, kind="linear" if p == 1 else "conv")
+        act = _tensor(n, comps, p, classes, seed)
         space = build_space(act)
         assert space.values.shape == (comps, p * p * classes * (classes - 1) // 2)
         np.testing.assert_allclose(space.values, _oracle_space(act), atol=1e-9, rtol=0)
@@ -139,10 +137,10 @@ def test_linear_patch_is_single_column_per_pair():
 
 
 def test_sample_permutation_invariance_is_exact():
-    act = _tensor(20, 5, 2, 4, 1, kind="conv")
+    act = _tensor(20, 5, 2, 4, 1)
     space = build_space(act)
     perm = np.random.default_rng(9).permutation(20)
-    shuffled = ActivationTensor(act.layer_id, act.kind, act.values[perm], act.labels[perm])
+    shuffled = ActivationTensor(act.values[perm], act.labels[perm])
     np.testing.assert_array_equal(build_space(shuffled).values, space.values)
 
 
@@ -152,7 +150,7 @@ def test_class_swap_permutes_pair_blocks_exactly():
     swapped_labels = act.labels.copy()
     swapped_labels[act.labels == 0] = 1
     swapped_labels[act.labels == 1] = 0
-    swapped = ActivationTensor(act.layer_id, act.kind, act.values, swapped_labels)
+    swapped = ActivationTensor(act.values, swapped_labels)
     space2 = build_space(swapped)
     # pairs (0,1),(0,2),(1,2) under swap 0<->1 become (0,1),(1,2),(0,2)
     np.testing.assert_array_equal(space2.values[:, 0], space.values[:, 0])
@@ -164,7 +162,7 @@ def test_common_affine_shift_and_scale_invariance():
     # activations are f32, so the transform costs a few f32 ulps
     act = _tensor(16, 3, 1, 2, 3)
     base = build_space(act).values
-    moved = ActivationTensor(2, "linear", act.values * 3.0 + 7.0, act.labels)
+    moved = ActivationTensor(act.values * 3.0 + 7.0, act.labels)
     np.testing.assert_allclose(build_space(moved).values, base, atol=2e-5)
 
 
@@ -172,7 +170,7 @@ def test_dead_component_row_is_zero():
     gen = np.random.default_rng(4)
     values = gen.normal(size=(10, 3, 1, 1)).astype(np.float32)
     values[:, 1] = 0.0  # component 1 never fires
-    act = ActivationTensor(2, "linear", values, balanced_labels(10, 2))
+    act = ActivationTensor(values, balanced_labels(10, 2))
     space = build_space(act)
     np.testing.assert_array_equal(space.values[1], 0.0)
 
@@ -182,7 +180,7 @@ def test_strong_separator_dominates_noise_row():
     labels = balanced_labels(40, 2)
     values = gen.normal(size=(40, 2, 1, 1)).astype(np.float32)
     values[:, 0, 0, 0] = labels * 10.0 + gen.normal(scale=0.1, size=40)
-    act = ActivationTensor(2, "linear", values, labels)
+    act = ActivationTensor(values, labels)
     space = build_space(act)
     assert space.values[0, 0] > 1.9
     assert space.values[0, 0] > space.values[1, 0]
@@ -190,15 +188,14 @@ def test_strong_separator_dominates_noise_row():
 
 def test_class_too_small_raises():
     values = np.random.default_rng(6).normal(size=(5, 3, 1, 1)).astype(np.float32)
-    act = ActivationTensor(2, "linear", values, np.array([0, 0, 1, 1, 2]))
-    # class 2 has a single sample; the dataset gate would refuse it, the
-    # space builder must refuse it too when reached directly
-    with pytest.raises(ClassTooSmall):
-        build_space(act)
+    # class 2 has a single sample; the activation container refuses it as
+    # the dataset does, so build_space never sees a class without variance
+    with pytest.raises(InvalidDataset):
+        ActivationTensor(values, np.array([0, 0, 1, 1, 2]))
 
 
 def test_rows_are_finite_and_in_jm_range():
-    act = _tensor(30, 6, 2, 3, 7, kind="conv")
+    act = _tensor(30, 6, 2, 3, 7)
     space = build_space(act)
     assert np.isfinite(space.values).all()
     assert (space.values >= 0.0).all() and (space.values < 2.0).all()

@@ -51,22 +51,10 @@ def test_dataset_rejects_negative_label():
         LabeledDataset(np.ones((4, 2), np.float32), np.array([0, 0, -1, -1]))
 
 
-def test_activation_linear_patch_must_be_one():
-    values = np.ones((4, 3, 2, 2), np.float32)
-    with pytest.raises(InvalidDataset):
-        ActivationTensor(2, "linear", values, balanced_labels(4, 2))
-
-
 def test_activation_rejects_rectangular_patch():
     values = np.ones((4, 3, 2, 3), np.float32)
     with pytest.raises(InvalidDataset):
-        ActivationTensor(2, "conv", values, balanced_labels(4, 2))
-
-
-def test_activation_rejects_unknown_kind():
-    values = np.ones((4, 3, 1, 1), np.float32)
-    with pytest.raises(WrongKind):
-        ActivationTensor(2, "dense", values, balanced_labels(4, 2))
+        ActivationTensor(values, balanced_labels(4, 2))
 
 
 # ----------------------------------------------------------- round trips
