@@ -18,8 +18,7 @@ def main():
     ap.add_argument("--model", required=True)
     ap.add_argument("--data", required=True)
     ap.add_argument("--degrees", default="2,3,4,5")
-    ap.add_argument("--selection", default="weighted",
-                    choices=["weighted", "regular"])
+    ap.add_argument("--selection", default="weighted", choices=tensio.SELECTION_MODES)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 

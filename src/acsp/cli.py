@@ -44,6 +44,7 @@ def cmd_train(args) -> None:
     toynet.check_train_settings(args.epochs, args.lr, args.batch_size)
     ds = tensio.read_dataset(args.data)
     model = toynet.from_arch(args.arch, derive_seed(args.seed, "init"))
+    toynet.check_class_ids(model, ds)
     print("epoch,loss,accuracy")
 
     def log(epoch, loss, acc):
@@ -168,13 +169,14 @@ def cmd_prune(args) -> None:
     plan_path = args.plan or os.path.join(args.out, "plan.json")
     tensio.write_plan(planner.build_plan(reports), plan_path)
     for r in reports:
-        if r.mss_curve is None:
+        if r.entry is None:
             continue
-        r.mss_curve.to_csv(os.path.join(args.out, f"mss_layer{r.layer_id}.csv"))
+        csv_path = os.path.join(args.out, r.entry.mss_curve_ref)
+        r.mss_curve.to_csv(csv_path)
         if args.svg:
             knee_k = r.knee.k_prime if r.knee is not None else None
             _write_curve_svg(r.layer_id, r.mss_curve, knee_k,
-                             os.path.join(args.out, f"mss_layer{r.layer_id}.svg"))
+                             os.path.splitext(csv_path)[0] + ".svg")
     summary = _format_summary(args, reports, base_acc, pruned_acc,
                               base_flops, pruned_flops)
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8",
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--plan", default=None, help="plan path (default <out>/plan.json)")
     p.add_argument("--degree", type=int, default=2, help="knee fit degree")
-    p.add_argument("--selection", choices=("regular", "weighted"), default="weighted")
+    p.add_argument("--selection", choices=tensio.SELECTION_MODES, default="weighted")
     p.add_argument("--stride", type=int, default=1, help="sweep stride over k")
     p.add_argument("--ft-fraction", type=float, default=0.25)
     p.add_argument("--ft-epochs", type=_nonneg_int, default=2)

@@ -9,7 +9,7 @@ records a warning instead of failing the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class PruneConfig:
     seed: int = 0
     pre_activation: bool = False
     freeze_upstream: bool = False
-    batch_size: int = 64
 
     def __post_init__(self):
         if self.selection not in SELECTION_MODES:
@@ -45,8 +44,6 @@ class PruneConfig:
             raise BadParams(f"fine-tune fraction must lie in (0, 1], got {self.ft_fraction}")
         if self.ft_epochs < 0:
             raise BadParams(f"fine-tune epochs must be >= 0, got {self.ft_epochs}")
-        if self.batch_size < 1:
-            raise BadParams(f"batch size must be >= 1, got {self.batch_size}")
         if self.ft_lr is not None and not self.ft_lr > 0.0:
             raise BadParams(f"fine-tune lr must be > 0, got {self.ft_lr}")
 
@@ -56,11 +53,9 @@ class LayerReport:
     layer_id: int
     n_components: int
     k_selected: int
-    kept_indices: list[int]
-    selection_mode: str
-    knee_degree: int
     mss_curve: cluster.MssCurve | None
     knee: knee.KneeResult | None
+    entry: PlanEntry | None  # the layer's decision; None when it could not be swept
     flops_before: int  # whole-model totals around this layer's step
     flops_after: int
     warning: str | None = None
@@ -122,45 +117,37 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
             f"layer {layer_id} is not prunable; prunable ids: {model.prunable_ids()}")
     flops_before = toynet.count_flops(model).total
     n_comp = model.n_components(layer_id)
-    curve = None
-    knee_result = None
-    warning = None
-    kept = list(range(n_comp))
-    k_selected = n_comp
+    curve = knee_result = entry = warning = None
     try:
         acts = toynet.capture_activations(model, ds, layer_id,
                                           pre_activation=config.pre_activation)
         space = sepspace.build_space(acts)
         curve, results = cluster.sweep_detailed(space.values, stride=config.stride)
         k_selected, knee_result = knee.select_k(curve, n_comp, config.knee_degree)
-        if k_selected < n_comp:
-            kept = compose(results[k_selected], config.selection,
-                           component_norms(model, layer_id))
+        kept = (compose(results[k_selected], config.selection, component_norms(model, layer_id))
+                if k_selected < n_comp else list(range(n_comp)))
+        entry = PlanEntry(layer_id, n_comp, kept, len(kept), config.selection,
+                          config.knee_degree, mss_curve_ref=f"mss_layer{layer_id}.csv",
+                          knee=knee_result.to_dict() if knee_result is not None else None)
     except BadRange as exc:  # degenerate layer; anything else is bad input
         warning = f"{type(exc).__name__}: {exc}"
-        kept = list(range(n_comp))
-        k_selected = n_comp
-    if len(kept) < n_comp:
-        entry = PlanEntry(layer_id, n_comp, kept, len(kept),
-                          config.selection, config.knee_degree)
+    if entry is not None and entry.k_selected < n_comp:
         pruned = toynet.apply_prune(model, PruningPlan([entry]))
         trainable = None
         if config.freeze_upstream:
             trainable = {i for i in range(layer_id, len(model.layers))}
         out = toynet.finetune(pruned, ds, config.ft_fraction, config.ft_epochs,
                               config.ft_lr, derive_seed(config.seed, f"finetune{layer_id}"),
-                              batch_size=config.batch_size, trainable=trainable)
+                              trainable=trainable)
     else:
         out = model.copy()
     report = LayerReport(
         layer_id=layer_id,
         n_components=n_comp,
-        k_selected=len(kept),
-        kept_indices=[int(i) for i in kept],
-        selection_mode=config.selection,
-        knee_degree=config.knee_degree,
+        k_selected=entry.k_selected if entry is not None else n_comp,
         mss_curve=curve,
         knee=knee_result,
+        entry=entry,
         flops_before=flops_before,
         flops_after=toynet.count_flops(out).total,
         warning=warning,
@@ -172,9 +159,11 @@ def prune_model(model: toynet.ToyModel, ds, config: PruneConfig | None = None):
     """Run the layer loop over every prunable layer, front to back.
 
     Returns (model, [LayerReport]). A model with no prunable layer is
-    passed through unchanged with an empty report list.
+    passed through unchanged with an empty report list. A dataset with a
+    class id beyond the model's output width fails before the first layer.
     """
     config = _resolve_ft_lr(config or PruneConfig(), model)
+    toynet.check_class_ids(model, ds)
     reports: list[LayerReport] = []
     current = model.copy()
     for layer_id in model.prunable_ids():
@@ -184,24 +173,10 @@ def prune_model(model: toynet.ToyModel, ds, config: PruneConfig | None = None):
 
 
 def build_plan(reports: list[LayerReport]) -> PruningPlan:
-    """Plan entries for every layer that completed analysis.
+    """The plan entries of every layer that completed analysis.
 
-    Aborted layers (those carrying a warning) are omitted: with no curve
+    Aborted layers (those carrying a warning) have no entry: with no curve
     and no selection there is no decision to replay. Keep-all layers that
     simply found no knee stay in the plan as explicit no-ops.
     """
-    entries = []
-    for r in reports:
-        if r.warning is not None:
-            continue
-        entries.append(PlanEntry(
-            layer_id=r.layer_id,
-            n_components=r.n_components,
-            kept_indices=list(r.kept_indices),
-            k_selected=r.k_selected,
-            selection_mode=r.selection_mode,
-            knee_degree=r.knee_degree,
-            mss_curve_ref=f"mss_layer{r.layer_id}.csv" if r.mss_curve is not None else None,
-            knee=r.knee.to_dict() if r.knee is not None else None,
-        ))
-    return PruningPlan(entries)
+    return PruningPlan([r.entry for r in reports if r.entry is not None])

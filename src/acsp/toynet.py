@@ -296,14 +296,26 @@ def layer_shapes(model: ToyModel) -> list[tuple[tuple, tuple]]:
     return shapes
 
 
-def forward(model: ToyModel, x: np.ndarray) -> np.ndarray:
-    """Logits for a batch; raises ShapeMismatch on a wrong input shape."""
+def _run_layers(model: ToyModel, x: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """Output of `model.layers[:stop]` for one batch, in float64."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != model.input_shape:
         raise ShapeMismatch(f"model expects [n, {model.input_shape}], got {x.shape}")
-    for layer in model.layers:
+    for layer in model.layers[:stop]:
         x = layer.forward(x)
     return x
+
+
+def forward(model: ToyModel, x: np.ndarray) -> np.ndarray:
+    """Logits for a batch; raises ShapeMismatch on a wrong input shape."""
+    return _run_layers(model, x)
+
+
+def check_class_ids(model: ToyModel, ds: LabeledDataset) -> None:
+    """Raise ShapeMismatch unless every class id of `ds` has a logit in `model`."""
+    shape = layer_shapes(model)[-1][1] if model.layers else model.input_shape
+    if ds.labels.max(initial=0) >= math.prod(shape):
+        raise ShapeMismatch("dataset class id exceeds model output width")
 
 
 # -------------------------------------------------------------- training
@@ -321,8 +333,6 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
 
 def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray):
     """Cross-entropy loss and per-layer parameter gradients for one batch."""
-    if labels.max(initial=0) >= _logit_width(model):
-        raise ShapeMismatch("class id exceeds model output width")
     h = np.asarray(x, dtype=np.float64)
     caches = []
     for layer in model.layers:
@@ -336,21 +346,10 @@ def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray):
     return loss, grads
 
 
-def _logit_width(model: ToyModel) -> int:
-    shape = layer_shapes(model)[-1][1] if model.layers else model.input_shape
-    return math.prod(shape)
-
-
 def accuracy(model: ToyModel, ds: LabeledDataset) -> float:
-    pred = _batched_logits(model, ds.samples).argmax(axis=1)
-    return float((pred == ds.labels).mean())
-
-
-def _batched_logits(model: ToyModel, samples: np.ndarray) -> np.ndarray:
-    out = []
-    for start in range(0, samples.shape[0], _CAPTURE_CHUNK):
-        out.append(forward(model, samples[start : start + _CAPTURE_CHUNK]))
-    return np.concatenate(out, axis=0)
+    logits = np.concatenate([_run_layers(model, ds.samples[start : start + _CAPTURE_CHUNK])
+                             for start in range(0, ds.n_samples, _CAPTURE_CHUNK)])
+    return float((logits.argmax(axis=1) == ds.labels).mean())
 
 
 def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
@@ -365,14 +364,14 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
     """SGD on shuffled mini-batches; returns a new model, input untouched.
 
     `trainable` restricts updates to the given layer ids (None = all).
-    Raises Divergence when the epoch loss or any weight goes non-finite.
+    Raises ShapeMismatch up front when a class id has no logit, and
+    Divergence when the epoch loss or any weight goes non-finite.
     """
     check_train_settings(epochs, lr, batch_size)
+    check_class_ids(model, ds)
     out = model.copy()
     if epochs == 0:
         return out
-    if ds.labels.max(initial=0) >= _logit_width(out):
-        raise ShapeMismatch("dataset class id exceeds model output width")
     x = ds.samples.astype(np.float64)
     y = ds.labels
     n = ds.n_samples
@@ -459,16 +458,8 @@ def capture_activations(model: ToyModel, ds: LabeledDataset, layer_id: int,
                  and layer_id + 1 < len(model.layers)
                  and isinstance(model.layers[layer_id + 1], ReLU))
     stop = layer_id + 2 if take_relu else layer_id + 1
-    chunks = []
-    samples = ds.samples.astype(np.float64)
-    for start in range(0, ds.n_samples, _CAPTURE_CHUNK):
-        h = samples[start : start + _CAPTURE_CHUNK]
-        if h.shape[1:] != model.input_shape:
-            raise ShapeMismatch(f"model expects [n, {model.input_shape}], got {h.shape}")
-        for layer in model.layers[:stop]:
-            h = layer.forward(h)
-        chunks.append(h)
-    values = np.concatenate(chunks, axis=0)
+    values = np.concatenate([_run_layers(model, ds.samples[start : start + _CAPTURE_CHUNK], stop)
+                             for start in range(0, ds.n_samples, _CAPTURE_CHUNK)])
     if values.ndim == 2:
         values = values[:, :, None, None]
     return ActivationTensor(values, ds.labels)

@@ -159,6 +159,18 @@ def test_train_rejects_bad_settings_before_any_output(tmp_path, capsys, flag, va
     assert not os.path.exists(model_path)
 
 
+def test_train_rejects_classes_beyond_output_width_before_any_output(tmp_path, capsys):
+    data_path = str(tmp_path / "d.acsp")
+    _gen(capsys, data_path, classes=3)
+    model_path = str(tmp_path / "m.acsp")
+    code, out, err = _run(capsys, "train", "--arch", "mlp:2-8-2", "--data", data_path,
+                          "--epochs", "0", "--out", model_path)
+    assert code == 1
+    assert re.fullmatch(r'error code=ShapeMismatch message="[^"]*"\n', err)
+    assert out == ""
+    assert not os.path.exists(model_path)
+
+
 # ----------------------------------------------------------------- prune
 
 @pytest.fixture
@@ -309,6 +321,21 @@ def test_prune_rejects_bad_config_before_any_layer(tmp_path, capsys, trained, fl
     assert re.fullmatch(r'error code=BadParams message="[^"]*"\n', err)
     assert out == ""
     assert not os.path.exists(os.path.join(out_dir, "plan.json"))
+
+
+def test_prune_rejects_classes_beyond_output_width_before_any_layer(tmp_path, capsys):
+    two, three = str(tmp_path / "d2.acsp"), str(tmp_path / "d3.acsp")
+    model_path = str(tmp_path / "m.acsp")
+    _gen(capsys, two, classes=2)
+    _gen(capsys, three, classes=3)
+    _train(capsys, two, model_path, arch="mlp:2-8-2", epochs=2)
+    out_dir = str(tmp_path / "out")
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", three,
+                          "--out", out_dir, "--ft-epochs", "0")
+    assert code == 1
+    assert re.fullmatch(r'error code=ShapeMismatch message="[^"]*"\n', err)
+    assert out == ""
+    assert not os.path.exists(out_dir)
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -113,9 +113,9 @@ def test_config_rejects_unknown_selection():
         PruneConfig(selection="all")
 
 
-@pytest.mark.parametrize("field, value", [("ft_epochs", -1), ("batch_size", 0)])
+@pytest.mark.parametrize("field, value", [("ft_epochs", -1)])
 def test_config_rejects_fields_the_cli_cannot_set_badly(field, value):
-    # argparse already refuses negative --ft-epochs, and prune has no batch flag
+    # argparse already refuses negative --ft-epochs
     with pytest.raises(BadParams):
         PruneConfig(**{field: value})
 
@@ -154,7 +154,7 @@ def test_prune_layer_shrinks_and_reports(rng):
     out, report = prune_layer(trained, ds, 0, cfg)
     assert report.layer_id == 0
     assert report.n_components == 12
-    assert report.k_selected == len(report.kept_indices)
+    assert report.k_selected == len(report.entry.kept_indices)
     assert report.warning is None
     assert report.mss_curve is not None and report.knee is not None
     assert out.layers[0].n_out == report.k_selected
@@ -171,7 +171,7 @@ def test_prune_layer_flat_curve_keeps_all():
     cfg = planner._resolve_ft_lr(PruneConfig(seed=4), model)
     out, report = prune_layer(model, ds, 0, cfg)
     assert report.k_selected == 6
-    assert report.kept_indices == list(range(6))
+    assert report.entry.kept_indices == list(range(6))
     np.testing.assert_array_equal(out.layers[0].w, model.layers[0].w)
 
 
@@ -183,7 +183,7 @@ def test_prune_layer_short_curve_keeps_all_silently():
     cfg = planner._resolve_ft_lr(PruneConfig(seed=5), model)
     out, report = prune_layer(model, ds, 0, cfg)
     assert report.warning is None
-    assert report.kept_indices == [0, 1]
+    assert report.entry.kept_indices == [0, 1]
     np.testing.assert_array_equal(out.layers[0].w, model.layers[0].w)
 
 
@@ -194,7 +194,7 @@ def test_prune_layer_degenerate_sweep_warns_and_keeps_all():
     cfg = planner._resolve_ft_lr(PruneConfig(seed=5), model)
     out, report = prune_layer(model, ds, 0, cfg)
     assert report.warning is not None and "BadRange" in report.warning
-    assert report.kept_indices == [0]
+    assert report.entry is None and report.k_selected == 1
     np.testing.assert_array_equal(out.layers[0].w, model.layers[0].w)
 
 
@@ -299,7 +299,7 @@ def _kept_on_reference_order(arch_id):
     ds, trained = _trained_blob_setup(seed=arch_id, arch=arch, n=160, classes=classes,
                                       epochs=10)
     _, reports = prune_model(trained, ds, PruneConfig(seed=3, ft_epochs=0))
-    return ds, trained, [r.kept_indices for r in reports]
+    return ds, trained, [r.entry.kept_indices for r in reports]
 
 
 @given(st.integers(0, len(_INVARIANCE_ARCHS) - 1), st.integers(0, 10_000), st.data())
@@ -312,7 +312,7 @@ def test_kept_indices_ignore_sample_order_and_class_ids(arch_id, perm_seed, draw
     for variant in (LabeledDataset(ds.samples[order], ds.labels[order]),
                     LabeledDataset(ds.samples, class_map[ds.labels])):
         _, reports = prune_model(trained, variant, cfg)
-        assert [r.kept_indices for r in reports] == kept
+        assert [r.entry.kept_indices for r in reports] == kept
 
 
 def test_build_plan_skips_warned_layers():
@@ -322,6 +322,16 @@ def test_build_plan_skips_warned_layers():
     assert any(r.warning for r in reports)
     plan = build_plan(reports)
     assert plan.entries == []
+
+
+def test_build_plan_holds_the_entries_the_reports_carry():
+    # the 1-wide layer aborts with no entry; the 4-wide one is analysed
+    ds = tiny_dataset(n=20, num_classes=2, dims=(3,), seed=16)
+    model = from_arch("mlp:3-1-4-2", seed=13)
+    _, reports = prune_model(model, ds, PruneConfig(seed=12))
+    assert reports[0].entry is None and reports[1].entry is not None
+    plan = build_plan(reports)
+    assert len(plan.entries) == 1 and plan.entries[0] is reports[1].entry
 
 
 def test_build_plan_carries_curve_refs_and_knee():
@@ -352,4 +362,4 @@ def test_selection_modes_share_k_but_not_members():
     pw, rw = prune_model(trained, ds, PruneConfig(seed=15, selection="weighted"))
     pr, rr = prune_model(trained, ds, PruneConfig(seed=15, selection="regular"))
     assert [r.k_selected for r in rw] == [r.k_selected for r in rr]
-    assert any(a.kept_indices != b.kept_indices for a, b in zip(rw, rr))
+    assert any(a.entry.kept_indices != b.entry.kept_indices for a, b in zip(rw, rr))
