@@ -219,12 +219,12 @@ def test_train_rejects_bad_params():
         train(model, ds, epochs=1, lr=0.0, seed=0)
 
 
-@pytest.mark.parametrize("epochs", [0, 1])
-def test_train_rejects_labels_beyond_output_width(epochs):
+def test_train_rejects_labels_beyond_output_width():
     ds = tiny_dataset(n=12, num_classes=3, dims=(4,))
     model = from_arch("mlp:4-4-2", seed=0)  # only 2 logits
-    with pytest.raises(ShapeMismatch):
-        train(model, ds, epochs=epochs, lr=0.1, seed=0)
+    for epochs in (0, 1):
+        with pytest.raises(ShapeMismatch):
+            train(model, ds, epochs=epochs, lr=0.1, seed=0)
 
 
 def test_train_is_deterministic():
