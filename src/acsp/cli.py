@@ -188,6 +188,7 @@ def cmd_prune(args) -> None:
 def cmd_eval(args) -> None:
     model = tensio.read_model(args.model)
     ds = tensio.read_dataset(args.data)
+    toynet.check_class_ids(model, ds)
     acc = toynet.accuracy(model, ds)
     flops = toynet.count_flops(model).total
     print(f"accuracy={acc:.6f} flops={flops}")

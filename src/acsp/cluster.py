@@ -22,11 +22,12 @@ are one BLAS product: k n^2 multiply-adds, yet faster than grouping points
 by cluster up to n = 256. A medoid that owns no point (repeated rows) gets
 a zero row. These estimates differ from PAM's exact sums by at most a
 derived rounding bound `tol`. A pass stops when no estimate comes within
-`tol` of improving the cost; otherwise it recomputes the exact sums of
-every medoid whose best estimate lies within 2 tol of the overall best, in
-ascending medoid order, and applies PAM's strict-improvement, lowest-index
-rule to them. Every medoid that could hold the exact minimum is among
-those, so the chosen swap is the one full PAM chooses, to the bit.
+`tol` of improving the cost; otherwise it computes the exact cost of each
+(medoid, candidate) pair whose estimate lies within 2 tol of the lowest
+one, summing the points in the order PAM does, and applies PAM's
+strict-improvement, lowest-index rule to those pairs in PAM's order.
+Every pair that could hold the exact minimum is among them, so the chosen
+swap is the one full PAM chooses, to the bit.
 
 MSS scores a clustering in [-inf, 1]:
 
@@ -141,24 +142,31 @@ def _swap_estimates(dist, pos, d1, d2, k):
 
 
 def _best_swap(dist, meds, pos, d1, d2, cost, tol):
-    """PAM's best strictly improving (medoid position, candidate), or None."""
+    """PAM's best strictly improving (medoid position, candidate), or None.
+
+    Only the pairs whose estimate lies within 2 tol of the lowest one can
+    hold the exact minimum. They are scored exactly, at most n at a time,
+    in PAM's row-major (position, candidate) order, so the first argmin is
+    PAM's pick. Each exact cost is the last prefix sum over the points,
+    which adds them in index order as PAM's (n, n) axis-0 sum does; a 2-D
+    sum over a subset of the columns may add them in another order.
+    """
+    n = dist.shape[0]
     est = _swap_estimates(dist, pos, d1, d2, len(meds))
     est[:, meds] = np.inf
     low = est.min()
     if not low < cost + tol:
         return None
-    best_cost = cost
-    best_swap = None
-    for mi in np.flatnonzero(est.min(axis=1) <= low + 2.0 * tol):
-        # PAM's exact row: a 2-D axis-0 sum, which adds points in index order
-        base = np.where(pos == mi, d2, d1)
-        new_costs = np.minimum(base[:, None], dist).sum(axis=0)
-        new_costs[meds] = np.inf
-        h = int(np.argmin(new_costs))
-        if new_costs[h] < best_cost:
-            best_cost = new_costs[h]
-            best_swap = (int(mi), h)
-    return best_swap
+    mi, h = np.nonzero(est <= low + 2.0 * tol)
+    exact = np.empty(len(mi))
+    for s in range(0, len(mi), n):
+        block = slice(s, s + n)
+        costs = np.where(pos == mi[block, None], d2, d1)
+        np.minimum(costs, dist[:, h[block]].T, out=costs)
+        exact[block] = np.cumsum(costs, axis=-1, out=costs)[:, -1]
+        del costs  # freed before the next block: at most two n x n arrays live
+    best = int(np.argmin(exact))
+    return (int(mi[best]), int(h[best])) if exact[best] < cost else None
 
 
 def _swap(dist: np.ndarray, medoids: list[int], build_cost: float, tol: float) -> ClusterResult:

@@ -370,6 +370,18 @@ def test_eval_output_format(tmp_path, capsys, trained):
     assert re.fullmatch(r"accuracy=\d\.\d{6} flops=\d+\n", out)
 
 
+def test_eval_rejects_classes_beyond_output_width(tmp_path, capsys):
+    two, three = str(tmp_path / "d2.acsp"), str(tmp_path / "d3.acsp")
+    model_path = str(tmp_path / "m.acsp")
+    _gen(capsys, two, classes=2)
+    _gen(capsys, three, classes=3)
+    _train(capsys, two, model_path, arch="mlp:2-8-2", epochs=2)
+    code, out, err = _run(capsys, "eval", "--model", model_path, "--data", three)
+    assert code == 1
+    assert re.fullmatch(r'error code=ShapeMismatch message="[^"]*"\n', err)
+    assert out == ""
+
+
 def test_eval_rejects_garbage_file(tmp_path, capsys):
     bad = str(tmp_path / "bad.acsp")
     with open(bad, "wb") as fh:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from acsp import cluster
 from acsp.cluster import ClusterResult, mss, pairwise_distances, sweep_detailed
 from acsp.errors import BadK, BadRange
+from acsp.sepspace import _JM_SUP
 
 
 def _cols(values):
@@ -396,11 +397,57 @@ def test_sweep_equals_plain_pam_on_wide_rows():
     _assert_sweep_matches_plain_pam(rows)
 
 
+def test_sweep_equals_plain_pam_on_saturated_jm_rows():
+    # JM cells saturate at _JM_SUP, so swap estimates tie often
+    gen = np.random.default_rng(5)
+    rows = gen.uniform(0.0, 2.0, size=(96, 6))
+    rows[gen.uniform(size=rows.shape) < 0.7] = _JM_SUP
+    _assert_sweep_matches_plain_pam(rows)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-13])
+def test_sweep_equals_plain_pam_when_windows_exceed_n_pairs(monkeypatch, jitter):
+    # four repeated row blocks: most SWAP passes hold thousands of candidate
+    # pairs within the tolerance window, scored exactly in blocks of at most
+    # n; a jitter far below the tolerance splits the exact ties, so that
+    # accepted swaps lie beyond the first block
+    gen = np.random.default_rng(1)
+    rows = gen.uniform(size=(4, 6))[gen.integers(0, 4, size=128)]
+    rows += jitter * gen.uniform(size=rows.shape)
+    windows = []
+    real_estimates = cluster._swap_estimates
+
+    def recording_estimates(*args):
+        windows.append(real_estimates(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(cluster, "_swap_estimates", recording_estimates)
+    _assert_sweep_matches_plain_pam(rows, k_max=24)
+    # _best_swap masks the medoid columns of each recorded array in place
+    tol = cluster._swap_tolerance(pairwise_distances(rows, rows))
+    assert max(int((est <= est.min() + 2.0 * tol).sum()) for est in windows) > 128
+
+
 def test_repeated_rows_leave_a_medoid_without_points():
     rows = _cols([0.0, 0.0, 0.0, 1.0, 5.0, 5.0, 9.0])
     _assert_sweep_matches_plain_pam(rows)
     res = _sweep_at(rows, 5)
     assert len(set(res.assignment.tolist())) < res.k
+
+
+@given(st.integers(2, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_last_prefix_sum_adds_like_a_full_column_sum(n, seed):
+    # _best_swap scores a subset of columns by the last prefix sum over the
+    # points; PAM's exact cost is the axis-0 sum of the full (n, n) array
+    gen = np.random.default_rng(seed)
+    dist = gen.uniform(0.0, 2.0, size=(n, n))[gen.integers(0, n, size=n)]
+    dist[gen.uniform(size=dist.shape) < 0.7] = _JM_SUP
+    base = np.minimum(dist[gen.integers(0, n)], dist[gen.integers(0, n)])
+    h = np.sort(gen.choice(n, int(gen.integers(1, n + 1)), replace=False))
+    full = np.minimum(base[:, None], dist).sum(axis=0)[h]
+    tiled = np.broadcast_to(base, (len(h), n))
+    assert np.cumsum(np.minimum(tiled, dist[:, h].T), axis=-1)[:, -1].tolist() == full.tolist()
 
 
 def test_sweep_mss_equals_public_mss_bit_for_bit():
