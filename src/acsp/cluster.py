@@ -10,21 +10,22 @@ for each k, with the BUILD cost recorded after each pick.
 
 Each SWAP pass finds PAM's best (medoid, candidate) exchange without
 scoring all k x n exchanges exactly. Following FastPAM1 (Schubert and
-Rousseeuw, "Faster k-Medoids Clustering", SISAP 2019), the cost after
-swapping medoid m for candidate h is
+Rousseeuw, "Faster k-Medoids Clustering", SISAP 2019), it estimates the
+cost after swapping medoid m for candidate h, over the n-k non-medoid
+candidates only, as
 
     est[m, h]  = sum_j near[j, h] + sum_j member[m, j] loss[j, h]
     near[j, h] = min(d1_j, d_jh),  loss[j, h] = min(d2_j, d_jh) - near[j, h]
 
 with d1/d2 each point's distance to its nearest/second-nearest medoid and
 member[m, j] = 1 when medoid m owns point j, else 0. The per-cluster sums
-are one BLAS product: k n^2 multiply-adds, yet faster than grouping points
-by cluster up to n = 256. A medoid that owns no point (repeated rows) gets
-a zero row. These estimates differ from PAM's exact sums by at most a
-derived rounding bound `tol`. A pass stops when no estimate comes within
-`tol` of improving the cost; otherwise it computes the exact cost of each
-(medoid, candidate) pair whose estimate lies within 2 tol of the lowest
-one, summing the points in the order PAM does, and applies PAM's
+are one BLAS product: k (n-k) n multiply-adds, yet faster than grouping
+points by cluster up to n = 256. A medoid that owns no point (repeated
+rows) gets a zero row. These estimates differ from PAM's exact sums by at
+most a derived rounding bound `tol`. A pass stops when no estimate comes
+within `tol` of improving the cost; otherwise it computes the exact cost
+of each (medoid, candidate) pair whose estimate lies within 2 tol of the
+lowest one, summing the points in the order PAM does, and applies PAM's
 strict-improvement, lowest-index rule to those pairs in PAM's order.
 Every pair that could hold the exact minimum is among them, so the chosen
 swap is the one full PAM chooses, to the bit.
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadK, BadRange
+from .errors import BadK, BadRange, NonFiniteValue, ShapeMismatch
 
 B_FLOOR = 1e-12
 MAX_SWAP_PASSES = 100
@@ -130,15 +131,24 @@ def _swap_tolerance(dist: np.ndarray) -> float:
     return 6.0 * nu / (1.0 - nu) * n * float(dist.max())
 
 
-def _swap_estimates(dist, pos, d1, d2, k):
-    """FastPAM1's estimated cost of every (medoid position, candidate) swap."""
+def _swap_estimates(dist, meds, pos, d1, d2):
+    """FastPAM1's estimated cost of every (medoid position, candidate) swap.
+
+    Returns (est, cand): `cand` holds the n - k non-medoid rows in ascending
+    order and est[m, c] the cost of swapping medoid position m for cand[c].
+    `dist` is exactly symmetric, so the candidates' rows are their columns.
+    """
     n = dist.shape[0]
-    near = np.minimum(d1[:, None], dist)
-    loss = np.minimum(d2[:, None], dist)
+    is_medoid = np.zeros(n, dtype=bool)
+    is_medoid[meds] = True
+    cand = np.flatnonzero(~is_medoid)
+    rows = dist[cand]
+    near = np.minimum(rows, d1)
+    loss = np.minimum(rows, d2)
     loss -= near
-    member = np.zeros((k, n))
+    member = np.zeros((len(meds), n))
     member[pos, np.arange(n)] = 1.0
-    return member @ loss + near.sum(axis=0)
+    return member @ loss.T + near.sum(axis=1), cand
 
 
 def _best_swap(dist, meds, pos, d1, d2, cost, tol):
@@ -147,22 +157,23 @@ def _best_swap(dist, meds, pos, d1, d2, cost, tol):
     Only the pairs whose estimate lies within 2 tol of the lowest one can
     hold the exact minimum. They are scored exactly, at most n at a time,
     in PAM's row-major (position, candidate) order, so the first argmin is
-    PAM's pick. Each exact cost is the last prefix sum over the points,
-    which adds them in index order as PAM's (n, n) axis-0 sum does; a 2-D
-    sum over a subset of the columns may add them in another order.
+    PAM's pick. Each exact cost is the last prefix sum over the points of
+    the candidate's row of `dist` (its column, by exact symmetry), which
+    adds them in index order as PAM's (n, n) axis-0 sum does; a 2-D sum
+    over a subset of the columns may add them in another order.
     """
     n = dist.shape[0]
-    est = _swap_estimates(dist, pos, d1, d2, len(meds))
-    est[:, meds] = np.inf
+    est, cand = _swap_estimates(dist, meds, pos, d1, d2)
     low = est.min()
     if not low < cost + tol:
         return None
-    mi, h = np.nonzero(est <= low + 2.0 * tol)
+    mi, col = divmod(np.flatnonzero(est <= low + 2.0 * tol), len(cand))
+    h = cand[col]
     exact = np.empty(len(mi))
     for s in range(0, len(mi), n):
         block = slice(s, s + n)
         costs = np.where(pos == mi[block, None], d2, d1)
-        np.minimum(costs, dist[:, h[block]].T, out=costs)
+        np.minimum(costs, dist[h[block]], out=costs)
         exact[block] = np.cumsum(costs, axis=-1, out=costs)[:, -1]
         del costs  # freed before the next block: at most two n x n arrays live
     best = int(np.argmin(exact))
@@ -232,8 +243,13 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     """MSS over k in {k_min, k_min+stride, ...} up to k_max (default n_rows).
 
     The pairwise distance matrix and one BUILD run are shared by every k.
-    Returns (curve, {k: ClusterResult}).
+    Returns (curve, {k: ClusterResult}). Raises ShapeMismatch unless `rows`
+    is 2-D and NonFiniteValue if it holds NaN or Inf.
     """
+    if rows.ndim != 2:
+        raise ShapeMismatch(f"sweep needs 2-D rows, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise NonFiniteValue("sweep rows contain NaN or Inf")
     n = rows.shape[0]
     if k_max is None:
         k_max = n

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from acsp import cluster
 from acsp.cluster import ClusterResult, mss, pairwise_distances, sweep_detailed
-from acsp.errors import BadK, BadRange
+from acsp.errors import BadK, BadRange, NonFiniteValue, ShapeMismatch
 from acsp.sepspace import _JM_SUP
 
 
@@ -232,6 +232,21 @@ def test_sweep_bad_range():
         sweep_detailed(rows, stride=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sweep_refuses_non_finite_rows(bad):
+    rows = np.random.default_rng(6).normal(size=(5, 2))
+    rows[3, 1] = bad
+    with pytest.raises(NonFiniteValue):
+        sweep_detailed(rows)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 2, 1)])
+def test_sweep_refuses_rows_that_are_not_2d(shape):
+    rows = np.random.default_rng(6).normal(size=shape)
+    with pytest.raises(ShapeMismatch):
+        sweep_detailed(rows)
+
+
 def test_sweep_detailed_results_match_direct_calls():
     # one BUILD shared by every k gives what a sweep over k alone gives
     rows = np.random.default_rng(9).normal(size=(8, 3))
@@ -385,10 +400,10 @@ def test_swap_estimates_within_tolerance_of_plain_pam(case, seed):
     dist = pairwise_distances(rows, rows)
     meds = np.sort(np.random.default_rng(seed).choice(n, min(k, n - 1), replace=False))
     pos, d1, d2 = _plain_swap_state(dist, meds)
-    est = cluster._swap_estimates(dist, pos, d1, d2, len(meds))
+    est, cand = cluster._swap_estimates(dist, meds, pos, d1, d2)
     exact = _plain_swap_costs(dist, meds, pos, d1, d2)
-    candidates = np.setdiff1d(np.arange(n), meds)
-    gap = np.abs(est[:, candidates] - exact[:, candidates])
+    assert cand.tolist() == np.setdiff1d(np.arange(n), meds).tolist()
+    gap = np.abs(est - exact[:, cand])
     assert gap.max() <= cluster._swap_tolerance(dist)
 
 
@@ -418,14 +433,46 @@ def test_sweep_equals_plain_pam_when_windows_exceed_n_pairs(monkeypatch, jitter)
     real_estimates = cluster._swap_estimates
 
     def recording_estimates(*args):
-        windows.append(real_estimates(*args))
-        return windows[-1]
+        est, cand = real_estimates(*args)
+        windows.append(est)
+        return est, cand
 
     monkeypatch.setattr(cluster, "_swap_estimates", recording_estimates)
     _assert_sweep_matches_plain_pam(rows, k_max=24)
-    # _best_swap masks the medoid columns of each recorded array in place
+    # each recorded array holds the non-medoid candidate columns only
     tol = cluster._swap_tolerance(pairwise_distances(rows, rows))
     assert max(int((est <= est.min() + 2.0 * tol).sum()) for est in windows) > 128
+
+
+def test_sweep_equals_plain_pam_with_one_to_three_candidates(monkeypatch):
+    # k from n-3 up: the estimates hold three, two and one candidate columns
+    gen = np.random.default_rng(4)
+    rows = gen.uniform(size=(5, 3))[gen.integers(0, 5, size=40)]
+    seen = []
+    real_estimates = cluster._swap_estimates
+
+    def recording_estimates(dist, meds, *args):
+        est, cand = real_estimates(dist, meds, *args)
+        assert cand.tolist() == np.setdiff1d(np.arange(len(dist)), meds).tolist()
+        assert est.shape == (len(meds), len(cand))
+        seen.append(len(cand))
+        return est, cand
+
+    monkeypatch.setattr(cluster, "_swap_estimates", recording_estimates)
+    _assert_sweep_matches_plain_pam(rows, k_min=37)
+    assert {1, 2, 3} <= set(seen)
+
+
+@given(st.integers(1, 128), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pairwise_distances_exactly_symmetric_with_zero_diagonal(n, d, seed):
+    # _swap_estimates reads the candidates' rows of dist as their columns
+    gen = np.random.default_rng(seed)
+    rows = gen.uniform(0.0, 2.0, size=(n, d))[gen.integers(0, n, size=n)]
+    rows[gen.uniform(size=rows.shape) < 0.5] = _JM_SUP
+    dist = pairwise_distances(rows, rows)
+    assert (dist == dist.T).all()
+    assert (np.diag(dist) == 0.0).all()
 
 
 def test_repeated_rows_leave_a_medoid_without_points():
