@@ -28,7 +28,16 @@ of each (medoid, candidate) pair whose estimate lies within 2 tol of the
 lowest one, summing the points in the order PAM does, and applies PAM's
 strict-improvement, lowest-index rule to those pairs in PAM's order.
 Every pair that could hold the exact minimum is among them, so the chosen
-swap is the one full PAM chooses, to the bit.
+swap is the one full PAM chooses, to the bit. When that window holds a
+single pair p and the lowest estimate is below cost - tol, the exact step
+is skipped. Then exact_p <= est_p + tol < cost, so p strictly improves;
+and every other pair q has est_q > est_p + 2 tol, hence exact_q >= est_q -
+tol > est_p + tol >= exact_p, so p is the unique exact minimum: full PAM's
+pick. A pass near convergence, whose lowest estimate lies within tol of
+the cost, always takes the exact step.
+
+Each k's MSS is scored from SWAP's final state: the (n, k) block of
+point-to-medoid distances that the last pass already holds.
 
 MSS scores a clustering in [-inf, 1]:
 
@@ -124,7 +133,11 @@ def _swap_tolerance(dist: np.ndarray) -> float:
     multiplying by 0 or 1 and adding +0 are exact, whatever order or FMA the
     BLAS uses. The per-point subtractions, the final addition and the
     threshold comparisons each add a few u * n * D, together below another
-    2 g for n >= 3. Hence 6 g.
+    2 g for n >= 3. Hence 6 g. The threshold comparisons are `cost + tol`
+    (some pair may improve), `low + 2 tol` (the window) and `cost - tol` (a
+    single window pair improves without the exact step); each threshold is
+    one addition of values below 2 n D, rounded by at most 2 u n D, so the
+    third one also fits in those 2 g.
     """
     n = dist.shape[0]
     nu = n * np.finfo(np.float64).eps / 2
@@ -155,12 +168,16 @@ def _best_swap(dist, meds, pos, d1, d2, cost, tol):
     """PAM's best strictly improving (medoid position, candidate), or None.
 
     Only the pairs whose estimate lies within 2 tol of the lowest one can
-    hold the exact minimum. They are scored exactly, at most n at a time,
-    in PAM's row-major (position, candidate) order, so the first argmin is
-    PAM's pick. Each exact cost is the last prefix sum over the points of
-    the candidate's row of `dist` (its column, by exact symmetry), which
-    adds them in index order as PAM's (n, n) axis-0 sum does; a 2-D sum
-    over a subset of the columns may add them in another order.
+    hold the exact minimum. A single such pair whose estimate is below
+    cost - tol is that minimum and strictly improves (exact <= est + tol <
+    cost, and any other pair's exact cost exceeds est + tol), so it is
+    PAM's pick unscored. Otherwise the window is scored exactly, at most n
+    pairs at a time, in PAM's row-major (position, candidate) order, so the
+    first argmin is PAM's pick. Each exact cost is the last prefix sum over
+    the points of the candidate's row of `dist` (its column, by exact
+    symmetry), which adds them in index order as PAM's (n, n) axis-0 sum
+    does; a 2-D sum over a subset of the columns may add them in another
+    order.
     """
     n = dist.shape[0]
     est, cand = _swap_estimates(dist, meds, pos, d1, d2)
@@ -169,6 +186,8 @@ def _best_swap(dist, meds, pos, d1, d2, cost, tol):
         return None
     mi, col = divmod(np.flatnonzero(est <= low + 2.0 * tol), len(cand))
     h = cand[col]
+    if len(mi) == 1 and low < cost - tol:
+        return int(mi[0]), int(h[0])
     exact = np.empty(len(mi))
     for s in range(0, len(mi), n):
         block = slice(s, s + n)
@@ -180,9 +199,14 @@ def _best_swap(dist, meds, pos, d1, d2, cost, tol):
     return (int(mi[best]), int(h[best])) if exact[best] < cost else None
 
 
-def _swap(dist: np.ndarray, medoids: list[int], build_cost: float, tol: float) -> ClusterResult:
+def _swap(dist: np.ndarray, medoids: list[int], build_cost: float,
+          tol: float) -> tuple[ClusterResult, np.ndarray]:
     """SWAP passes from a BUILD medoid set: apply the single best strictly
-    improving exchange per pass; stop when none improves."""
+    improving exchange per pass; stop when none improves.
+
+    Returns the ClusterResult and the final (n, k) point-to-medoid distance
+    block, its columns in `medoid_indices` order.
+    """
     n = dist.shape[0]
     k = len(medoids)
     meds = np.array(sorted(medoids))
@@ -211,29 +235,49 @@ def _swap(dist: np.ndarray, medoids: list[int], build_cost: float, tol: float) -
             break
         meds, (pos, d1, dm), cost = candidate, state, exact
         history.append(float(cost))
-    return ClusterResult(k, meds, meds[pos], float(cost), history, passes, converged)
+    dm[np.arange(n), pos] = d1  # a pass that ended the loop set them to inf
+    return ClusterResult(k, meds, meds[pos], float(cost), history, passes, converged), dm
 
 
-def mss(rows: np.ndarray, result: ClusterResult, dist: np.ndarray | None = None) -> float:
+def _check_rows(rows: np.ndarray) -> None:
+    """Refuse rows that are not 2-D or hold NaN or Inf."""
+    if rows.ndim != 2:
+        raise ShapeMismatch(f"need 2-D rows, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise NonFiniteValue("rows contain NaN or Inf")
+
+
+def mss(rows: np.ndarray, result: ClusterResult, dist_to_meds: np.ndarray | None = None) -> float:
     """Mean simplified silhouette of a clustering of the 2-D array `rows`.
 
-    `dist`, the pairwise distance matrix of `rows` if the caller holds it,
-    spares recomputing the point-to-medoid distances; the score is the same.
+    `dist_to_meds`, the (n, k) distances from each row to each medoid with
+    the columns in `result.medoid_indices` order, spares recomputing them
+    if the caller holds them; the score is the same. Raises ShapeMismatch
+    unless `rows` is 2-D and `dist_to_meds` (n, k), NonFiniteValue if
+    `rows` holds NaN or Inf, BadK for k < 2 and ValueError when a point is
+    assigned to a row that is not a medoid.
     """
+    _check_rows(rows)
     n = rows.shape[0]
     k = result.k
     if k < 2:
         raise BadK(f"mss needs k >= 2, got {k}")
     meds = result.medoid_indices
-    sorter = np.argsort(meds)
-    pos = sorter[np.searchsorted(meds, result.assignment, sorter=sorter).clip(max=k - 1)]
-    if len(pos) != n or np.any(meds[pos] != result.assignment):
+    assignment = result.assignment
+    if len(assignment) != n or assignment.min() < 0 or assignment.max() >= n:
         raise ValueError("clustering does not match the rows")
-    if dist is None:
+    where = np.full(n, -1)  # row -> medoid position, -1 off the medoids
+    where[meds] = np.arange(len(meds))
+    pos = where[assignment]
+    if pos.min() < 0:
+        raise ValueError("clustering does not match the rows")
+    if dist_to_meds is None:
         dist_to_meds = pairwise_distances(rows, rows[meds])
-    else:
-        # contiguous, so each row sums in the same order as a fresh matrix
-        dist_to_meds = np.ascontiguousarray(dist[:, meds])
+    elif dist_to_meds.shape != (n, k):
+        raise ShapeMismatch(f"mss needs an ({n}, {k}) medoid distance block, "
+                            f"got shape {dist_to_meds.shape}")
+    # contiguous, so each row sums in the same order as a fresh block
+    dist_to_meds = np.ascontiguousarray(dist_to_meds)
     a = dist_to_meds[np.arange(n), pos]
     b = (dist_to_meds.sum(axis=1) - a) / (k - 1)
     return float(np.mean(1.0 - a / np.maximum(b, B_FLOOR)))
@@ -246,10 +290,7 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     Returns (curve, {k: ClusterResult}). Raises ShapeMismatch unless `rows`
     is 2-D and NonFiniteValue if it holds NaN or Inf.
     """
-    if rows.ndim != 2:
-        raise ShapeMismatch(f"sweep needs 2-D rows, got shape {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise NonFiniteValue("sweep rows contain NaN or Inf")
+    _check_rows(rows)
     n = rows.shape[0]
     if k_max is None:
         k_max = n
@@ -263,6 +304,6 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     results = {}
     entries = {}
     for k in ks:
-        results[k] = _swap(dist, order[:k], costs[k - 1], tol)
-        entries[k] = mss(rows, results[k], dist)
+        results[k], dist_to_meds = _swap(dist, order[:k], costs[k - 1], tol)
+        entries[k] = mss(rows, results[k], dist_to_meds)
     return MssCurve(entries), results

@@ -196,6 +196,34 @@ def test_mss_rejects_k_below_two():
         mss(rows, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mss_refuses_non_finite_rows(bad):
+    rows = np.random.default_rng(6).normal(size=(5, 2))
+    res = _sweep_at(rows, 2)
+    rows[3, 1] = bad
+    with pytest.raises(NonFiniteValue):
+        mss(rows, res)
+
+
+@pytest.mark.parametrize("reshape", [lambda r: r[:, 0], lambda r: r[:, :, None]],
+                         ids=["1-D", "3-D"])
+def test_mss_refuses_rows_that_are_not_2d(reshape):
+    rows = np.random.default_rng(6).normal(size=(5, 2))
+    res = _sweep_at(rows, 2)
+    with pytest.raises(ShapeMismatch):
+        mss(reshape(rows), res)
+
+
+@pytest.mark.parametrize("block", [lambda r, m: pairwise_distances(r, r),
+                                   lambda r, m: pairwise_distances(r[m], r)],
+                         ids=["n x n", "k x n"])
+def test_mss_refuses_a_medoid_block_of_the_wrong_shape(block):
+    rows = np.random.default_rng(6).normal(size=(5, 2))
+    res = _sweep_at(rows, 2)
+    with pytest.raises(ShapeMismatch):
+        mss(rows, res, block(rows, res.medoid_indices))
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=25)
 def test_mss_at_full_k_property(seed):
@@ -497,6 +525,58 @@ def test_last_prefix_sum_adds_like_a_full_column_sum(n, seed):
     assert np.cumsum(np.minimum(tiled, dist[:, h].T), axis=-1)[:, -1].tolist() == full.tolist()
 
 
+def _record_passes(mp):
+    """Patch `_best_swap` through `mp` to record each SWAP pass's arguments and pick."""
+    passes = []
+    real_best_swap = cluster._best_swap
+
+    def recording_best_swap(*args):
+        best = real_best_swap(*args)
+        passes.append((args, best))
+        return best
+
+    mp.setattr(cluster, "_best_swap", recording_best_swap)
+    return passes
+
+
+def _check_pass_against_plain_pam(args, best):
+    """Assert that one pass picked plain PAM's swap; True when the single-pair
+    shortcut fired, whose pair must be the strict unique exact minimum."""
+    dist, meds, pos, d1, d2, cost, tol = args
+    costs = _plain_swap_costs(dist, meds, pos, d1, d2)
+    pick = divmod(int(np.argmin(costs)), costs.shape[1])  # first in row-major order
+    assert best == (pick if costs[pick] < cost else None)
+    est, _ = cluster._swap_estimates(dist, meds, pos, d1, d2)
+    low = est.min()
+    if not ((est <= low + 2.0 * tol).sum() == 1 and low < cost - tol):
+        return False
+    others = costs.copy()
+    others[pick] = np.inf
+    assert costs[pick] < cost and costs[pick] < others.min()
+    return True
+
+
+@given(_spaces())
+@settings(max_examples=120, deadline=None)
+def test_single_pair_shortcut_is_plain_pams_unique_pick(case):
+    # every pass, shortcut or not, must pick what plain PAM picks; a shortcut
+    # taken near the cost would pick a pair plain PAM rejects
+    rows, k_min, k_max, stride = case
+    with pytest.MonkeyPatch.context() as mp:
+        passes = _record_passes(mp)
+        sweep_detailed(rows, k_min, k_max, stride)
+    for args, best in passes:
+        _check_pass_against_plain_pam(args, best)
+
+
+def test_single_pair_shortcut_fires_on_uniform_rows(monkeypatch):
+    rows = np.random.default_rng(21).uniform(size=(40, 6))
+    passes = _record_passes(monkeypatch)
+    sweep_detailed(rows, k_max=16)
+    fired = sum(_check_pass_against_plain_pam(args, best) for args, best in passes)
+    assert 0 < fired < len(passes)
+
+
 def test_sweep_mss_equals_public_mss_bit_for_bit():
     # at n=64 the row sums of a strided medoid slice differ by an ulp for
     # most k; the sweep must score from a contiguous copy
@@ -557,3 +637,37 @@ def test_swap_cap_reports_not_converged(monkeypatch):
     assert res.swap_passes == 1
     assert res.converged is False
     assert len(res.cost_history) == 2
+
+
+def _farthest_from_first_medoid(dist, meds, *_):
+    return 0, int(np.argmax(dist[meds[0]]))
+
+
+@pytest.mark.parametrize("exit", ["no estimate within tol", "exact step finds no gain",
+                                  "swap not below the cost", "pass cap", "k = n"])
+def test_curve_equals_plain_mss_at_each_swap_exit(monkeypatch, exit):
+    # the sweep scores each k from SWAP's last medoid distance block; a pass
+    # that ends the loop has set each point's own entry to inf
+    rows, k = _needs_a_swap()[0], 3
+    passes = _record_passes(monkeypatch)
+    if exit == "exact step finds no gain":  # medoid 0 ties with its duplicate row 1
+        rows = _cols([0.0, 0.0, 1.0, 5.0, 5.0, 6.0, 9.0])
+    elif exit == "swap not below the cost":
+        monkeypatch.setattr(cluster, "_best_swap", _farthest_from_first_medoid)
+    elif exit == "pass cap":
+        monkeypatch.setattr(cluster, "MAX_SWAP_PASSES", 1)
+    elif exit == "k = n":
+        k = len(rows)
+    curve, results = sweep_detailed(rows, k, k)
+    res = results[k]
+    assert curve.entries[k] == _plain_mss(rows, res.medoid_indices, res.assignment)
+    if exit in ("no estimate within tol", "exact step finds no gain"):
+        (dist, meds, pos, d1, d2, cost, tol), best = passes[-1]
+        low = cluster._swap_estimates(dist, meds, pos, d1, d2)[0].min()
+        assert best is None and (low < cost + tol) == (exit == "exact step finds no gain")
+    elif exit == "swap not below the cost":
+        assert res.swap_passes == 1 and len(res.cost_history) == 1 and res.converged
+    elif exit == "pass cap":
+        assert res.swap_passes == 1 and not res.converged
+    else:
+        assert passes == [] and res.swap_passes == 0
