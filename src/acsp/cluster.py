@@ -36,8 +36,20 @@ tol > est_p + tol >= exact_p, so p is the unique exact minimum: full PAM's
 pick. A pass near convergence, whose lowest estimate lies within tol of
 the cost, always takes the exact step.
 
-Each k's MSS is scored from SWAP's final state: the (n, k) block of
-point-to-medoid distances that the last pass already holds.
+SWAP's state lives across passes. The point-to-medoid distances are a
+(k, n) block of medoid rows of `dist` (its columns, by exact symmetry),
+so d1 and d2 come from argmin/min along the long axis. The candidates,
+their (n-k, n) rows of `dist` and the membership are built once per k;
+an accepted swap of medoid position m for candidate slot c writes the old
+medoid into slot c, one row copy, and moves n membership entries. The
+candidates are therefore not in index order, and the estimates' columns
+with them. Which pairs lie in the window, and whether one pair clearly
+wins, does not depend on that order; PAM's first-argmin tie rule does, so
+a window of several pairs is sorted back into PAM's (position, row index)
+order before its exact step.
+
+Each k's MSS is scored from SWAP's final state: the (k, n) block that the
+last pass already holds, handed to `mss` transposed.
 
 MSS scores a clustering in [-inf, 1]:
 
@@ -94,12 +106,17 @@ def pairwise_distances(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-def _assign(dist: np.ndarray, medoids: np.ndarray):
-    """Nearest-medoid position per point; argmin takes the lowest index on ties."""
-    dm = dist[:, medoids]
-    pos = dm.argmin(axis=1)
-    d1 = dm[np.arange(len(dist)), pos]
-    return pos, d1, dm
+def _assign(dist: np.ndarray, medoids: np.ndarray, ar: np.ndarray):
+    """Nearest-medoid position per point; argmin takes the lowest index on ties.
+
+    Returns (pos, d1, dm): dm = dist[medoids] is the (k, n) medoid block,
+    one row per medoid (by exact symmetry, each point's distance to it), and
+    `ar` is np.arange(n). Gathering rows copies contiguous memory, and
+    argmin/min run along the long axis.
+    """
+    dm = dist[medoids]
+    pos = dm.argmin(axis=0)
+    return pos, dm[pos, ar], dm
 
 
 def _build(dist: np.ndarray, k_max: int):
@@ -144,50 +161,50 @@ def _swap_tolerance(dist: np.ndarray) -> float:
     return 6.0 * nu / (1.0 - nu) * n * float(dist.max())
 
 
-def _swap_estimates(dist, meds, pos, d1, d2):
+def _swap_estimates(rows, member, d1, d2):
     """FastPAM1's estimated cost of every (medoid position, candidate) swap.
 
-    Returns (est, cand): `cand` holds the n - k non-medoid rows in ascending
-    order and est[m, c] the cost of swapping medoid position m for cand[c].
-    `dist` is exactly symmetric, so the candidates' rows are their columns.
+    `rows` holds the candidates' rows of `dist` (their columns, by exact
+    symmetry) and `member` the (k, n) 0/1 membership; est[m, c] is the cost
+    of swapping medoid position m for the candidate of row c.
     """
-    n = dist.shape[0]
-    is_medoid = np.zeros(n, dtype=bool)
-    is_medoid[meds] = True
-    cand = np.flatnonzero(~is_medoid)
-    rows = dist[cand]
     near = np.minimum(rows, d1)
     loss = np.minimum(rows, d2)
     loss -= near
-    member = np.zeros((len(meds), n))
-    member[pos, np.arange(n)] = 1.0
-    return member @ loss.T + near.sum(axis=1), cand
+    return member @ loss.T + near.sum(axis=1)
 
 
-def _best_swap(dist, meds, pos, d1, d2, cost, tol):
-    """PAM's best strictly improving (medoid position, candidate), or None.
+def _best_swap(dist, cand, rows, member, pos, d1, d2, cost, tol):
+    """PAM's best strictly improving (medoid position, candidate slot), or None.
 
-    Only the pairs whose estimate lies within 2 tol of the lowest one can
-    hold the exact minimum. A single such pair whose estimate is below
-    cost - tol is that minimum and strictly improves (exact <= est + tol <
-    cost, and any other pair's exact cost exceeds est + tol), so it is
-    PAM's pick unscored. Otherwise the window is scored exactly, at most n
-    pairs at a time, in PAM's row-major (position, candidate) order, so the
-    first argmin is PAM's pick. Each exact cost is the last prefix sum over
+    `cand` lists the non-medoid rows in no particular order and `rows` their
+    rows of `dist`; the returned slot c names candidate cand[c]. Only the
+    pairs whose estimate lies within 2 tol of the lowest one can hold the
+    exact minimum. A single such pair whose estimate is below cost - tol is
+    that minimum and strictly improves (exact <= est + tol < cost, and any
+    other pair's exact cost exceeds est + tol), so it is PAM's pick unscored.
+    Otherwise the window is scored exactly, at most n pairs at a time, in
+    PAM's row-major (position, row index) order: `cand` is unsorted, so the
+    window is lexsorted back into that order, and the first argmin, PAM's
+    tie rule, is PAM's pick. Each exact cost is the last prefix sum over
     the points of the candidate's row of `dist` (its column, by exact
     symmetry), which adds them in index order as PAM's (n, n) axis-0 sum
     does; a 2-D sum over a subset of the columns may add them in another
     order.
     """
     n = dist.shape[0]
-    est, cand = _swap_estimates(dist, meds, pos, d1, d2)
-    low = est.min()
+    est = _swap_estimates(rows, member, d1, d2)
+    flat = est.argmin()
+    low = est.flat[flat]
     if not low < cost + tol:
         return None
-    mi, col = divmod(np.flatnonzero(est <= low + 2.0 * tol), len(cand))
+    window = est <= low + 2.0 * tol
+    if low < cost - tol and np.count_nonzero(window) == 1:
+        return divmod(int(flat), len(cand))
+    mi, col = divmod(np.flatnonzero(window), len(cand))
+    order = np.lexsort((cand[col], mi))
+    mi, col = mi[order], col[order]
     h = cand[col]
-    if len(mi) == 1 and low < cost - tol:
-        return int(mi[0]), int(h[0])
     exact = np.empty(len(mi))
     for s in range(0, len(mi), n):
         block = slice(s, s + n)
@@ -196,46 +213,58 @@ def _best_swap(dist, meds, pos, d1, d2, cost, tol):
         exact[block] = np.cumsum(costs, axis=-1, out=costs)[:, -1]
         del costs  # freed before the next block: at most two n x n arrays live
     best = int(np.argmin(exact))
-    return (int(mi[best]), int(h[best])) if exact[best] < cost else None
+    return (int(mi[best]), int(col[best])) if exact[best] < cost else None
 
 
 def _swap(dist: np.ndarray, medoids: list[int], build_cost: float,
-          tol: float) -> tuple[ClusterResult, np.ndarray]:
+          tol: float, ar: np.ndarray) -> tuple[ClusterResult, np.ndarray]:
     """SWAP passes from a BUILD medoid set: apply the single best strictly
     improving exchange per pass; stop when none improves.
 
-    Returns the ClusterResult and the final (n, k) point-to-medoid distance
-    block, its columns in `medoid_indices` order.
+    The candidates, their rows of `dist` and the membership are built once
+    and updated in place by each accepted swap: the old medoid takes the
+    incoming candidate's slot, so `cand` is not kept sorted. Returns the
+    ClusterResult and the final (k, n) medoid distance block, its rows in
+    `medoid_indices` order.
     """
     n = dist.shape[0]
     k = len(medoids)
     meds = np.array(sorted(medoids))
-    pos, d1, dm = _assign(dist, meds)
+    pos, d1, dm = _assign(dist, meds, ar)
     cost = d1.sum()
     history = [build_cost]
     passes = 0
     converged = k == n
+    cand = np.delete(ar, meds)
+    rows = dist[cand]
+    member = np.zeros((k, n))
+    member[pos, ar] = 1.0
     while not converged and passes < MAX_SWAP_PASSES:
         passes += 1
-        dm[np.arange(n), pos] = np.inf
-        best = _best_swap(dist, meds, pos, d1, dm.min(axis=1), cost, tol)
+        dm[pos, ar] = np.inf
+        best = _best_swap(dist, cand, rows, member, pos, d1, dm.min(axis=0), cost, tol)
         if best is None:
             converged = True
             break
+        m, c = best
         candidate = meds.copy()
-        candidate[best[0]] = best[1]
+        candidate[m] = cand[c]
         candidate.sort()
         # the candidate's assignment becomes the next pass's state, so this
         # pass's acceptance test and the next pass's cost are one sum; summed
         # apart they could differ by an ulp and lose strict monotonicity
-        state = _assign(dist, candidate)
+        state = _assign(dist, candidate, ar)
         exact = state[1].sum()
         if not exact < cost:
             converged = True
             break
+        cand[c] = meds[m]
+        rows[c] = dist[meds[m]]
+        member[pos, ar] = 0.0
+        member[state[0], ar] = 1.0
         meds, (pos, d1, dm), cost = candidate, state, exact
         history.append(float(cost))
-    dm[np.arange(n), pos] = d1  # a pass that ended the loop set them to inf
+    dm[pos, ar] = d1  # a pass that ended the loop set them to inf
     return ClusterResult(k, meds, meds[pos], float(cost), history, passes, converged), dm
 
 
@@ -254,8 +283,9 @@ def mss(rows: np.ndarray, result: ClusterResult, dist_to_meds: np.ndarray | None
     the columns in `result.medoid_indices` order, spares recomputing them
     if the caller holds them; the score is the same. Raises ShapeMismatch
     unless `rows` is 2-D and `dist_to_meds` (n, k), NonFiniteValue if
-    `rows` holds NaN or Inf, BadK for k < 2 and ValueError when a point is
-    assigned to a row that is not a medoid.
+    `rows` holds NaN or Inf, BadK for k < 2 and ValueError unless
+    `medoid_indices` holds k distinct rows, in any order, and every point
+    is assigned to one of them.
     """
     _check_rows(rows)
     n = rows.shape[0]
@@ -263,11 +293,16 @@ def mss(rows: np.ndarray, result: ClusterResult, dist_to_meds: np.ndarray | None
     if k < 2:
         raise BadK(f"mss needs k >= 2, got {k}")
     meds = result.medoid_indices
+    # bincount raises ValueError on a negative row; a row beyond the rows
+    # lengthens the counts and a repeated one counts twice
+    counts = np.bincount(meds, minlength=n)
+    if len(meds) != k or len(counts) != n or counts.max() > 1:
+        raise ValueError(f"need {k} distinct medoid rows in [0, {n})")
     assignment = result.assignment
     if len(assignment) != n or assignment.min() < 0 or assignment.max() >= n:
         raise ValueError("clustering does not match the rows")
     where = np.full(n, -1)  # row -> medoid position, -1 off the medoids
-    where[meds] = np.arange(len(meds))
+    where[meds] = np.arange(k)
     pos = where[assignment]
     if pos.min() < 0:
         raise ValueError("clustering does not match the rows")
@@ -301,9 +336,10 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     ks = range(k_min, k_max + 1, stride)
     order, costs = _build(dist, ks[-1])
     tol = _swap_tolerance(dist)
+    ar = np.arange(n)
     results = {}
     entries = {}
     for k in ks:
-        results[k], dist_to_meds = _swap(dist, order[:k], costs[k - 1], tol)
-        entries[k] = mss(rows, results[k], dist_to_meds)
+        results[k], dm = _swap(dist, order[:k], costs[k - 1], tol, ar)
+        entries[k] = mss(rows, results[k], dm.T)
     return MssCurve(entries), results

@@ -189,6 +189,20 @@ def test_mss_rejects_assignment_to_a_non_medoid():
             mss(rows, bad)
 
 
+@pytest.mark.parametrize("k, meds, assignment",
+                         [(3, [0, 3], [0, 0, 3, 3]), (2, [0, 7], [0, 0, 3, 3]),
+                          (2, [0, 0], [0, 0, 0, 0])],
+                         ids=["k above the medoid count", "medoid beyond the rows",
+                              "repeated medoid"])
+def test_mss_rejects_medoids_that_do_not_match_k(k, meds, assignment):
+    # unchecked, the first scores with k - 1 = 2 and returns 0.9 (the k = 2
+    # score is 0.95), the second raises IndexError and the last returns 0.25
+    rows = _cols([0.0, 1.0, 10.0, 11.0])
+    bad = ClusterResult(k, np.array(meds), np.array(assignment), 2.0)
+    with pytest.raises(ValueError):
+        mss(rows, bad)
+
+
 def test_mss_rejects_k_below_two():
     rows = _cols([0.0, 1.0, 2.0])
     bad = ClusterResult(1, np.array([0]), np.zeros(3, dtype=np.int64), 3.0)
@@ -310,12 +324,17 @@ def test_curve_csv_round_trip(tmp_path):
 # exactly; these tests hold it to plain PAM (BUILD from scratch per k, every
 # k x n swap scored exactly) and MSS from the rows, compared with ==.
 
+def _plain_assign(dist, meds):
+    dm = dist[:, meds]
+    pos = dm.argmin(axis=1)
+    return pos, dm[np.arange(len(dist)), pos], dm
+
+
 def _plain_swap_state(dist, meds):
     n = dist.shape[0]
-    pos, d1, dm = cluster._assign(dist, meds)
-    dm2 = dm.copy()
-    dm2[np.arange(n), pos] = np.inf
-    return pos, d1, dm2.min(axis=1)
+    pos, d1, dm = _plain_assign(dist, meds)
+    dm[np.arange(n), pos] = np.inf
+    return pos, d1, dm.min(axis=1)
 
 
 def _plain_swap_costs(dist, meds, pos, d1, d2):
@@ -358,14 +377,14 @@ def _plain_pam(dist, k):
         candidate = medoids.copy()
         candidate[best_swap[0]] = best_swap[1]
         candidate.sort()
-        _, d1_new, _ = cluster._assign(dist, np.array(candidate))
+        _, d1_new, _ = _plain_assign(dist, np.array(candidate))
         exact = float(d1_new.sum())
         if not exact < cost:
             break
         medoids = candidate
         history.append(exact)
     meds = np.array(medoids)
-    pos, d1, _ = cluster._assign(dist, meds)
+    pos, d1, _ = _plain_assign(dist, meds)
     return meds, meds[pos], float(d1.sum()), history
 
 
@@ -426,11 +445,14 @@ def test_swap_estimates_within_tolerance_of_plain_pam(case, seed):
     rows, k, _, _ = case
     n = rows.shape[0]
     dist = pairwise_distances(rows, rows)
-    meds = np.sort(np.random.default_rng(seed).choice(n, min(k, n - 1), replace=False))
+    gen = np.random.default_rng(seed)
+    meds = np.sort(gen.choice(n, min(k, n - 1), replace=False))
     pos, d1, d2 = _plain_swap_state(dist, meds)
-    est, cand = cluster._swap_estimates(dist, meds, pos, d1, d2)
+    cand = gen.permutation(np.setdiff1d(np.arange(n), meds))  # SWAP keeps them unsorted
+    member = np.zeros((len(meds), n))
+    member[pos, np.arange(n)] = 1.0
+    est = cluster._swap_estimates(dist[cand], member, d1, d2)
     exact = _plain_swap_costs(dist, meds, pos, d1, d2)
-    assert cand.tolist() == np.setdiff1d(np.arange(n), meds).tolist()
     gap = np.abs(est - exact[:, cand])
     assert gap.max() <= cluster._swap_tolerance(dist)
 
@@ -461,15 +483,24 @@ def test_sweep_equals_plain_pam_when_windows_exceed_n_pairs(monkeypatch, jitter)
     real_estimates = cluster._swap_estimates
 
     def recording_estimates(*args):
-        est, cand = real_estimates(*args)
+        est = real_estimates(*args)
         windows.append(est)
-        return est, cand
+        return est
 
     monkeypatch.setattr(cluster, "_swap_estimates", recording_estimates)
     _assert_sweep_matches_plain_pam(rows, k_max=24)
     # each recorded array holds the non-medoid candidate columns only
     tol = cluster._swap_tolerance(pairwise_distances(rows, rows))
     assert max(int((est <= est.min() + 2.0 * tol).sum()) for est in windows) > 128
+
+
+def test_sweep_equals_plain_pam_on_rows_repeated_three_times():
+    # each accepted swap puts the old medoid in the incoming candidate's
+    # slot, so the candidates fall out of index order; with three copies of
+    # each row, windows hold exact ties that PAM breaks by (position, row
+    # index) order, which the window must be sorted back into (here k = 4)
+    rows = np.repeat(np.random.default_rng(21).uniform(size=(20, 4)), 3, axis=0)
+    _assert_sweep_matches_plain_pam(rows)
 
 
 def test_sweep_equals_plain_pam_with_one_to_three_candidates(monkeypatch):
@@ -479,12 +510,13 @@ def test_sweep_equals_plain_pam_with_one_to_three_candidates(monkeypatch):
     seen = []
     real_estimates = cluster._swap_estimates
 
-    def recording_estimates(dist, meds, *args):
-        est, cand = real_estimates(dist, meds, *args)
-        assert cand.tolist() == np.setdiff1d(np.arange(len(dist)), meds).tolist()
-        assert est.shape == (len(meds), len(cand))
-        seen.append(len(cand))
-        return est, cand
+    def recording_estimates(rows, member, *args):
+        est = real_estimates(rows, member, *args)
+        # k medoid rows and n - k candidate rows: n in all
+        assert est.shape == (len(member), len(rows))
+        assert len(member) + len(rows) == rows.shape[1]
+        seen.append(len(rows))
+        return est
 
     monkeypatch.setattr(cluster, "_swap_estimates", recording_estimates)
     _assert_sweep_matches_plain_pam(rows, k_min=37)
@@ -531,6 +563,8 @@ def _record_passes(mp):
     real_best_swap = cluster._best_swap
 
     def recording_best_swap(*args):
+        # copies: SWAP updates its candidate rows and membership in place
+        args = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
         best = real_best_swap(*args)
         passes.append((args, best))
         return best
@@ -542,11 +576,15 @@ def _record_passes(mp):
 def _check_pass_against_plain_pam(args, best):
     """Assert that one pass picked plain PAM's swap; True when the single-pair
     shortcut fired, whose pair must be the strict unique exact minimum."""
-    dist, meds, pos, d1, d2, cost, tol = args
+    dist, cand, rows, member, pos, d1, d2, cost, tol = args
+    meds = np.setdiff1d(np.arange(len(dist)), cand)
+    assert (rows == dist[cand]).all()
+    assert (member == (pos == np.arange(len(meds))[:, None])).all()
     costs = _plain_swap_costs(dist, meds, pos, d1, d2)
     pick = divmod(int(np.argmin(costs)), costs.shape[1])  # first in row-major order
-    assert best == (pick if costs[pick] < cost else None)
-    est, _ = cluster._swap_estimates(dist, meds, pos, d1, d2)
+    picked = None if best is None else (best[0], int(cand[best[1]]))
+    assert picked == (pick if costs[pick] < cost else None)
+    est = cluster._swap_estimates(rows, member, d1, d2)
     low = est.min()
     if not ((est <= low + 2.0 * tol).sum() == 1 and low < cost - tol):
         return False
@@ -586,7 +624,8 @@ def test_sweep_mss_equals_public_mss_bit_for_bit():
         assert curve.entries[k] == mss(rows, res), k
 
 
-def test_seed7_layer_spaces_match_plain_pam(tmp_path, monkeypatch):
+def _seed7_layer_spaces(tmp_path, monkeypatch, arch):
+    """The separability rows that a seed-7 README prune of `arch` sweeps."""
     from acsp.cli import main
 
     spaces = []
@@ -599,13 +638,26 @@ def test_seed7_layer_spaces_match_plain_pam(tmp_path, monkeypatch):
     data, model = str(tmp_path / "data.acsp"), str(tmp_path / "model.acsp")
     assert main(["gen-data", "--n", "2000", "--classes", "4", "--dims", "2",
                  "--seed", "7", "--out", data]) == 0
-    assert main(["train", "--arch", "mlp:2-64-64-32-4", "--data", data,
+    assert main(["train", "--arch", arch, "--data", data,
                  "--epochs", "60", "--lr", "0.1", "--seed", "7", "--out", model]) == 0
     monkeypatch.setattr(cluster, "sweep_detailed", recording_sweep)
     assert main(["prune", "--model", model, "--data", data, "--degree", "2",
                  "--selection", "weighted", "--seed", "7",
                  "--out", str(tmp_path / "run")]) == 0
+    return spaces
+
+
+def test_seed7_layer_spaces_match_plain_pam(tmp_path, monkeypatch):
+    spaces = _seed7_layer_spaces(tmp_path, monkeypatch, "mlp:2-64-64-32-4")
     assert [rows.shape[0] for rows in spaces] == [64, 64, 32]
+    for rows in spaces:
+        _assert_sweep_matches_plain_pam(rows)
+
+
+def test_seed7_wide_layer_spaces_match_plain_pam(tmp_path, monkeypatch):
+    # n = 96: the most SWAP passes per k, so the most in-place candidate updates
+    spaces = _seed7_layer_spaces(tmp_path, monkeypatch, "mlp:2-96-96-4")
+    assert [rows.shape[0] for rows in spaces] == [96, 96]
     for rows in spaces:
         _assert_sweep_matches_plain_pam(rows)
 
@@ -639,8 +691,9 @@ def test_swap_cap_reports_not_converged(monkeypatch):
     assert len(res.cost_history) == 2
 
 
-def _farthest_from_first_medoid(dist, meds, *_):
-    return 0, int(np.argmax(dist[meds[0]]))
+def _farthest_from_first_medoid(dist, cand, rows, *_):
+    first = np.setdiff1d(np.arange(len(dist)), cand)[0]
+    return 0, int(np.argmax(rows[:, first]))
 
 
 @pytest.mark.parametrize("exit", ["no estimate within tol", "exact step finds no gain",
@@ -662,8 +715,8 @@ def test_curve_equals_plain_mss_at_each_swap_exit(monkeypatch, exit):
     res = results[k]
     assert curve.entries[k] == _plain_mss(rows, res.medoid_indices, res.assignment)
     if exit in ("no estimate within tol", "exact step finds no gain"):
-        (dist, meds, pos, d1, d2, cost, tol), best = passes[-1]
-        low = cluster._swap_estimates(dist, meds, pos, d1, d2)[0].min()
+        (dist, cand, rows, member, pos, d1, d2, cost, tol), best = passes[-1]
+        low = cluster._swap_estimates(rows, member, d1, d2).min()
         assert best is None and (low < cost + tol) == (exit == "exact step finds no gain")
     elif exit == "swap not below the cost":
         assert res.swap_passes == 1 and len(res.cost_history) == 1 and res.converged
