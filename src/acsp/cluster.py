@@ -53,12 +53,13 @@ last pass already holds, handed to `mss` transposed.
 
 MSS scores a clustering in [-inf, 1]:
 
-    a(i)   = distance from point i to its assigned medoid
+    a(i)   = distance from point i to its nearest medoid
     b(i)   = mean distance from i to the other k-1 medoids
     mss(i) = 1 - a(i) / max(b(i), 1e-12)
     MSS    = mean_i mss(i)
 
-With k = n_points every point is its own medoid and MSS is exactly 1.
+A k-medoids partition assigns each point to its nearest medoid, so MSS
+depends on the medoids alone; at k = n_points it is exactly 1.
 """
 
 from __future__ import annotations
@@ -75,11 +76,9 @@ MAX_SWAP_PASSES = 100
 
 @dataclass(eq=False)
 class ClusterResult:
-    k: int
-    medoid_indices: np.ndarray  # sorted row indices
+    medoid_indices: np.ndarray  # sorted row indices, k of them
     assignment: np.ndarray      # per point, the row index of its medoid
-    total_cost: float
-    cost_history: list[float] = field(default_factory=list)  # BUILD cost, then one entry per accepted swap
+    cost_history: list[float] = field(default_factory=list)  # BUILD, then per swap; [-1] = cost
     swap_passes: int = 0        # SWAP passes run, the last one included
     converged: bool = True      # False when SWAP stopped at MAX_SWAP_PASSES
 
@@ -265,7 +264,7 @@ def _swap(dist: np.ndarray, medoids: list[int], build_cost: float,
         meds, (pos, d1, dm), cost = candidate, state, exact
         history.append(float(cost))
     dm[pos, ar] = d1  # a pass that ended the loop set them to inf
-    return ClusterResult(k, meds, meds[pos], float(cost), history, passes, converged), dm
+    return ClusterResult(meds, meds[pos], history, passes, converged), dm
 
 
 def _check_rows(rows: np.ndarray) -> None:
@@ -276,45 +275,40 @@ def _check_rows(rows: np.ndarray) -> None:
         raise NonFiniteValue("rows contain NaN or Inf")
 
 
-def mss(rows: np.ndarray, result: ClusterResult, dist_to_meds: np.ndarray | None = None) -> float:
-    """Mean simplified silhouette of a clustering of the 2-D array `rows`.
+def mss(rows: np.ndarray, medoids: np.ndarray, dist_to_meds: np.ndarray | None = None) -> float:
+    """Mean simplified silhouette of the nearest-medoid clustering of the
+    2-D array `rows` by the rows `medoids`, listed in any order.
 
     `dist_to_meds`, the (n, k) distances from each row to each medoid with
-    the columns in `result.medoid_indices` order, spares recomputing them
-    if the caller holds them; the score is the same. Raises ShapeMismatch
-    unless `rows` is 2-D and `dist_to_meds` (n, k), NonFiniteValue if
-    `rows` holds NaN or Inf, BadK for k < 2 and ValueError unless
-    `medoid_indices` holds k distinct rows, in any order, and every point
-    is assigned to one of them.
+    the columns in `medoids` order, spares recomputing them if the caller
+    holds them; the score is the same. Raises ShapeMismatch unless `rows`
+    is 2-D and `dist_to_meds` (n, k), NonFiniteValue if either holds NaN
+    or Inf, BadK for k < 2 and ValueError unless `medoids` are k distinct
+    rows and each medoid's own entry in `dist_to_meds` is 0.
     """
     _check_rows(rows)
     n = rows.shape[0]
-    k = result.k
+    k = len(medoids)
     if k < 2:
         raise BadK(f"mss needs k >= 2, got {k}")
-    meds = result.medoid_indices
     # bincount raises ValueError on a negative row; a row beyond the rows
     # lengthens the counts and a repeated one counts twice
-    counts = np.bincount(meds, minlength=n)
-    if len(meds) != k or len(counts) != n or counts.max() > 1:
+    counts = np.bincount(medoids, minlength=n)
+    if len(counts) != n or counts.max() > 1:
         raise ValueError(f"need {k} distinct medoid rows in [0, {n})")
-    assignment = result.assignment
-    if len(assignment) != n or assignment.min() < 0 or assignment.max() >= n:
-        raise ValueError("clustering does not match the rows")
-    where = np.full(n, -1)  # row -> medoid position, -1 off the medoids
-    where[meds] = np.arange(k)
-    pos = where[assignment]
-    if pos.min() < 0:
-        raise ValueError("clustering does not match the rows")
     if dist_to_meds is None:
-        dist_to_meds = pairwise_distances(rows, rows[meds])
+        dist_to_meds = pairwise_distances(rows, rows[medoids])
     elif dist_to_meds.shape != (n, k):
         raise ShapeMismatch(f"mss needs an ({n}, {k}) medoid distance block, "
                             f"got shape {dist_to_meds.shape}")
+    elif not np.isfinite(dist_to_meds).all():
+        raise NonFiniteValue("medoid distance block contains NaN or Inf")
+    elif dist_to_meds[medoids, np.arange(k)].any():
+        raise ValueError("medoid distance block is not in medoid order")
+    # exact on any layout, and fastest on SWAP's F-ordered block as passed
+    a = dist_to_meds.min(axis=1)
     # contiguous, so each row sums in the same order as a fresh block
-    dist_to_meds = np.ascontiguousarray(dist_to_meds)
-    a = dist_to_meds[np.arange(n), pos]
-    b = (dist_to_meds.sum(axis=1) - a) / (k - 1)
+    b = (np.ascontiguousarray(dist_to_meds).sum(axis=1) - a) / (k - 1)
     return float(np.mean(1.0 - a / np.maximum(b, B_FLOOR)))
 
 
@@ -341,5 +335,5 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     entries = {}
     for k in ks:
         results[k], dm = _swap(dist, order[:k], costs[k - 1], tol, ar)
-        entries[k] = mss(rows, results[k], dm.T)
+        entries[k] = mss(rows, results[k].medoid_indices, dm.T)
     return MssCurve(entries), results

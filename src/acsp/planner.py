@@ -3,8 +3,8 @@
 Layers are processed front to back over the prunable layers of the model
 (everything parametric but the output layer), and every layer after the
 first sees the network as already pruned and fine-tuned up to that point.
-A layer with too few components to sweep keeps all its components and
-records a warning instead of failing the run.
+A layer with fewer than 2 components cannot be clustered: it keeps all
+its components and records a warning instead of failing the run.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cluster, knee, sepspace, toynet
-from .errors import BadParams, BadRange, NotPrunableLayer
+from .errors import BadParams, NotPrunableLayer
 from .rng import derive_seed
 from .tensio import SELECTION_MODES, PlanEntry, PruningPlan
 
 DEFAULT_FT_LR_SCALE = 0.1  # fine-tune lr defaults to a tenth of the training lr
 
 
-@dataclass
+@dataclass(frozen=True)
 class PruneConfig:
     knee_degree: int = 2
     selection: str = "weighted"      # "weighted" or "regular"
@@ -107,7 +107,7 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
     """Prune one layer and fine-tune the result.
 
     Returns (model, LayerReport). The incoming model is never mutated.
-    When the layer keeps all components (no knee, or a degenerate abort)
+    When the layer keeps all components (no knee, or too few to cluster)
     the model passes through unchanged and no fine-tuning runs: there is
     nothing for the rest of the network to adjust to.
     """
@@ -118,7 +118,9 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
     flops_before = toynet.count_flops(model).total
     n_comp = model.n_components(layer_id)
     curve = knee_result = entry = warning = None
-    try:
+    if n_comp < 2:
+        warning = "fewer than 2 components, too few to cluster"
+    else:
         acts = toynet.capture_activations(model, ds, layer_id,
                                           pre_activation=config.pre_activation)
         space = sepspace.build_space(acts)
@@ -129,8 +131,6 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
         entry = PlanEntry(layer_id, n_comp, kept, len(kept), config.selection,
                           config.knee_degree, mss_curve_ref=f"mss_layer{layer_id}.csv",
                           knee=knee_result.to_dict() if knee_result is not None else None)
-    except BadRange as exc:  # degenerate layer; anything else is bad input
-        warning = f"{type(exc).__name__}: {exc}"
     if entry is not None and entry.k_selected < n_comp:
         pruned = toynet.apply_prune(model, PruningPlan([entry]))
         trainable = None
@@ -175,8 +175,8 @@ def prune_model(model: toynet.ToyModel, ds, config: PruneConfig | None = None):
 def build_plan(reports: list[LayerReport]) -> PruningPlan:
     """The plan entries of every layer that completed analysis.
 
-    Aborted layers (those carrying a warning) have no entry: with no curve
-    and no selection there is no decision to replay. Keep-all layers that
-    simply found no knee stay in the plan as explicit no-ops.
+    Layers too narrow to cluster (those carrying a warning) have no entry:
+    with no curve and no selection there is no decision to replay. Keep-all
+    layers that simply found no knee stay in the plan as explicit no-ops.
     """
     return PruningPlan([r.entry for r in reports if r.entry is not None])

@@ -49,9 +49,14 @@ SELECTION_MODES = ("regular", "weighted")
 # ---------------------------------------------------------------- types
 
 def _check_labels(labels, n: int) -> np.ndarray:
-    """Labels as int64: one per sample, all >= 0, and every class id below
-    the maximum present at least twice, since the separability statistics
-    downstream need a variance per class."""
+    """Labels as int64: one per sample, whole numbers, all >= 0, and every
+    class id below the maximum present at least twice, since the
+    separability statistics downstream need a variance per class."""
+    labels = np.asarray(labels)
+    # a cast to int64 would cut 1.5 to 1 and warn on NaN, Inf or 1e20
+    if labels.dtype.kind == "f" and not ((np.floor(labels) == labels)
+                                         & (np.abs(labels) < 2.0**63)).all():
+        raise InvalidDataset("class ids must be whole numbers in the int64 range")
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise InvalidDataset("labels must be a vector with one entry per sample")

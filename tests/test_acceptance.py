@@ -19,7 +19,7 @@ import pytest
 
 from acsp import sepspace, toynet
 from acsp.cli import main
-from acsp.cluster import ClusterResult, MssCurve, mss, sweep_detailed
+from acsp.cluster import MssCurve, mss, sweep_detailed
 from acsp.knee import find_knee
 from acsp.tensio import ActivationTensor, PlanEntry, PruningPlan
 
@@ -191,7 +191,7 @@ def test_criterion_03_kmedoids_matches_exhaustive_search():
             best = min(
                 dist[:, list(combo)].min(axis=1).sum()
                 for combo in itertools.combinations(range(n), k))
-            got = sweep_detailed(rows, k, k)[1][k].total_cost
+            got = sweep_detailed(rows, k, k)[1][k].cost_history[-1]
             assert got >= best - 1e-9, f"trial {trial}: cost below optimum"
             if got > best + 1e-9:
                 misses += 1
@@ -211,25 +211,21 @@ def test_criterion_04_mss_properties():
         for _ in range(30):
             n = int(gen.integers(3, 10))
             rows = gen.normal(size=(n, 2))
-            assert mss(rows, sweep_detailed(rows, n, n)[1][n]) == 1.0
+            assert mss(rows, sweep_detailed(rows, n, n)[1][n].medoid_indices) == 1.0
 
         # four collinear points, medoids at the extremes:
         # per-point scores (1, 1 - 1/10, 1, 1 - 1/10), mean 0.95
         rows = np.array([[0.0], [1.0], [10.0], [11.0]])
-        hand = ClusterResult(2, np.array([0, 3]), np.array([0, 0, 3, 3]), 2.0)
-        assert abs(mss(rows, hand) - 0.95) <= 1e-12
+        assert abs(mss(rows, np.array([0, 3])) - 0.95) <= 1e-12
 
         for trial in range(100):
             n = int(gen.integers(4, 10))
             rows = gen.normal(size=(n, 2))
             k = int(gen.integers(2, min(n, 5) + 1))
-            res = sweep_detailed(rows, k, k)[1][k]
-            before = mss(rows, res)
-            dup = int(res.medoid_indices[gen.integers(len(res.medoid_indices))])
-            extended = ClusterResult(res.k, res.medoid_indices,
-                                     np.append(res.assignment, dup),
-                                     res.total_cost, res.cost_history)
-            after = mss(np.vstack([rows, rows[dup]]), extended)
+            meds = sweep_detailed(rows, k, k)[1][k].medoid_indices
+            before = mss(rows, meds)
+            dup = int(meds[gen.integers(len(meds))])
+            after = mss(np.vstack([rows, rows[dup]]), meds)
             assert after >= before - 1e-12, f"trial {trial}: {after} < {before}"
         info["identity_checks"] = 30
         info["monotonicity_checks"] = 100

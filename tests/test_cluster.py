@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acsp import cluster
-from acsp.cluster import ClusterResult, mss, pairwise_distances, sweep_detailed
+from acsp.cluster import mss, pairwise_distances, sweep_detailed
 from acsp.errors import BadK, BadRange, NonFiniteValue, ShapeMismatch
 from acsp.sepspace import _JM_SUP
 
@@ -27,7 +27,7 @@ def test_one_dimensional_hand_example():
     rows = _cols([0.0, 1.0, 2.0, 10.0, 11.0, 12.0])
     res = _sweep_at(rows, 2)
     assert list(res.medoid_indices) == [1, 4]  # values 1 and 11
-    assert res.total_cost == pytest.approx(4.0, abs=0)
+    assert res.cost_history[-1] == pytest.approx(4.0, abs=0)
     assert res.cost_history == [5.0, 4.0]
 
 
@@ -42,7 +42,7 @@ def test_assignment_points_to_medoid_rows():
 def test_k_equals_n_costs_zero():
     rows = np.random.default_rng(0).normal(size=(7, 3))
     res = _sweep_at(rows, 7)
-    assert res.total_cost == 0.0
+    assert res.cost_history[-1] == 0.0
     np.testing.assert_array_equal(res.medoid_indices, np.arange(7))
     np.testing.assert_array_equal(res.assignment, np.arange(7))
 
@@ -51,7 +51,7 @@ def test_duplicate_rows_tie_break_to_lowest_index():
     rows = _cols([0.0, 0.0, 0.0, 5.0, 5.0])
     res = _sweep_at(rows, 2)
     assert list(res.medoid_indices) == [0, 3]
-    assert res.total_cost == 0.0
+    assert res.cost_history[-1] == 0.0
 
 
 def test_bad_k():
@@ -83,12 +83,12 @@ def test_matches_exhaustive_minimum_on_small_instances():
         k = int(gen.integers(2, 4))
         k = min(k, n)
         rows = gen.normal(size=(n, d))
-        res = _sweep_at(rows, k)
+        cost = _sweep_at(rows, k).cost_history[-1]
         target = _exhaustive_cost(pairwise_distances(rows, rows), k)
-        assert res.total_cost >= target - 1e-12
-        if res.total_cost > target + 1e-12:
-            assert res.total_cost <= 1.05 * target, f"trial {trial}: {res.total_cost} vs {target}"
-            misses.append((trial, res.total_cost, target))
+        assert cost >= target - 1e-12
+        if cost > target + 1e-12:
+            assert cost <= 1.05 * target, f"trial {trial}: {cost} vs {target}"
+            misses.append((trial, cost, target))
     assert len(misses) <= 2, misses
 
 
@@ -99,7 +99,8 @@ def test_cost_history_strictly_decreasing():
         res = _sweep_at(rows, 3)
         hist = res.cost_history
         assert all(b < a for a, b in zip(hist, hist[1:]))
-        assert res.total_cost == pytest.approx(hist[-1], abs=1e-12)
+        nearest = pairwise_distances(rows, rows[res.medoid_indices]).min(axis=1)
+        assert hist[-1] == pytest.approx(nearest.sum(), abs=1e-12)
 
 
 def test_row_permutation_preserves_cost():
@@ -108,7 +109,7 @@ def test_row_permutation_preserves_cost():
     base = _sweep_at(rows, 3)
     perm = gen.permutation(10)
     permuted = _sweep_at(rows[perm], 3)
-    assert permuted.total_cost == pytest.approx(base.total_cost, rel=1e-12)
+    assert permuted.cost_history[-1] == pytest.approx(base.cost_history[-1], rel=1e-12)
 
 
 def test_deterministic_across_calls():
@@ -124,7 +125,7 @@ def test_deterministic_across_calls():
 def test_mss_is_one_at_k_equals_n():
     rows = np.random.default_rng(2).normal(size=(9, 3))
     res = _sweep_at(rows, 9)
-    assert mss(rows, res) == 1.0
+    assert mss(rows, res.medoid_indices) == 1.0
 
 
 def test_mss_four_point_hand_example():
@@ -132,8 +133,7 @@ def test_mss_four_point_hand_example():
     # a = (0, 1, 1, 0); b = (11, 10, 10, 11)
     # MSS = mean(1, 1 - 1/10, 1, 1 - 1/10) = 0.95
     rows = _cols([0.0, 1.0, 10.0, 11.0])
-    res = ClusterResult(2, np.array([0, 3]), np.array([0, 0, 3, 3]), 2.0)
-    assert mss(rows, res) == pytest.approx(0.95, abs=1e-12)
+    assert mss(rows, np.array([0, 3])) == pytest.approx(0.95, abs=1e-12)
 
 
 def test_mss_never_exceeds_one():
@@ -142,16 +142,16 @@ def test_mss_never_exceeds_one():
         n = int(gen.integers(4, 12))
         rows = gen.normal(size=(n, 2))
         k = int(gen.integers(2, n + 1))
-        assert mss(rows, _sweep_at(rows, k)) <= 1.0 + 1e-15
+        assert mss(rows, _sweep_at(rows, k).medoid_indices) <= 1.0 + 1e-15
 
 
 def test_mss_equals_one_iff_every_point_on_a_medoid():
     rows = _cols([0.0, 0.0, 5.0, 5.0, 5.0])
     res = _sweep_at(rows, 2)
-    assert mss(rows, res) == 1.0
+    assert mss(rows, res.medoid_indices) == 1.0
     spread = _cols([0.0, 0.4, 5.0, 5.0, 5.0])
     res2 = _sweep_at(spread, 2)
-    assert mss(spread, res2) < 1.0
+    assert mss(spread, res2.medoid_indices) < 1.0
 
 
 def test_duplicating_a_medoid_row_never_decreases_mss():
@@ -160,54 +160,62 @@ def test_duplicating_a_medoid_row_never_decreases_mss():
         n = int(gen.integers(4, 10))
         rows = gen.normal(size=(n, 2))
         k = int(gen.integers(2, min(n, 5) + 1))
-        res = _sweep_at(rows, k)
-        before = mss(rows, res)
-        dup = int(res.medoid_indices[gen.integers(len(res.medoid_indices))])
+        meds = _sweep_at(rows, k).medoid_indices
+        before = mss(rows, meds)
+        dup = int(meds[gen.integers(len(meds))])
         rows2 = np.vstack([rows, rows[dup]])
-        res2 = ClusterResult(
-            res.k,
-            res.medoid_indices,
-            np.append(res.assignment, dup),
-            res.total_cost,
-            res.cost_history,
-        )
-        assert mss(rows2, res2) >= before - 1e-12
+        assert mss(rows2, meds) >= before - 1e-12
 
 
 def test_mss_ignores_medoid_listing_order():
     rows = _cols([0.0, 1.0, 10.0, 11.0])
-    fwd = ClusterResult(2, np.array([0, 3]), np.array([0, 0, 3, 3]), 2.0)
-    rev = ClusterResult(2, np.array([3, 0]), np.array([0, 0, 3, 3]), 2.0)
-    assert mss(rows, fwd) == mss(rows, rev)
+    assert mss(rows, np.array([0, 3])) == mss(rows, np.array([3, 0]))
 
 
-def test_mss_rejects_assignment_to_a_non_medoid():
+@pytest.mark.parametrize("meds", [[0, 7], [0, 0]],
+                         ids=["medoid beyond the rows", "repeated medoid"])
+def test_mss_rejects_medoids_that_do_not_match_k(meds):
+    # unchecked, the first raises IndexError and the second returns 0.25
     rows = _cols([0.0, 1.0, 10.0, 11.0])
-    for stray in (1, 2, 7):  # below, between and above the medoid rows
-        bad = ClusterResult(2, np.array([0, 3]), np.array([0, stray, 3, 3]), 2.0)
-        with pytest.raises(ValueError):
-            mss(rows, bad)
-
-
-@pytest.mark.parametrize("k, meds, assignment",
-                         [(3, [0, 3], [0, 0, 3, 3]), (2, [0, 7], [0, 0, 3, 3]),
-                          (2, [0, 0], [0, 0, 0, 0])],
-                         ids=["k above the medoid count", "medoid beyond the rows",
-                              "repeated medoid"])
-def test_mss_rejects_medoids_that_do_not_match_k(k, meds, assignment):
-    # unchecked, the first scores with k - 1 = 2 and returns 0.9 (the k = 2
-    # score is 0.95), the second raises IndexError and the last returns 0.25
-    rows = _cols([0.0, 1.0, 10.0, 11.0])
-    bad = ClusterResult(k, np.array(meds), np.array(assignment), 2.0)
     with pytest.raises(ValueError):
-        mss(rows, bad)
+        mss(rows, np.array(meds))
 
 
 def test_mss_rejects_k_below_two():
     rows = _cols([0.0, 1.0, 2.0])
-    bad = ClusterResult(1, np.array([0]), np.zeros(3, dtype=np.int64), 3.0)
     with pytest.raises(BadK):
-        mss(rows, bad)
+        mss(rows, np.array([0]))
+
+
+def test_sweep_assigns_each_point_to_a_nearest_medoid():
+    # mss scores a clustering from its medoids alone, taking a(i) as the least
+    # medoid distance; that is the sweep's own a(i) only if every point is
+    # assigned to a nearest medoid, ties and repeated rows included
+    gen = np.random.default_rng(9)
+    base = gen.uniform(0.0, 2.0, size=(20, 4))
+    base[gen.uniform(size=base.shape) < 0.6] = _JM_SUP
+    rows = np.repeat(base, 3, axis=0)
+    dist = pairwise_distances(rows, rows)
+    for k, res in sweep_detailed(rows)[1].items():
+        nearest = dist[res.medoid_indices].min(axis=0)
+        assert (dist[res.assignment, np.arange(len(rows))] == nearest).all(), k
+
+
+@pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteValue), (np.inf, NonFiniteValue),
+                                        (-np.inf, NonFiniteValue), ("swap", ValueError)],
+                         ids=["nan cell", "inf cell", "-inf cell", "columns out of medoid order"])
+def test_mss_refuses_a_bad_medoid_block(bad, error):
+    # unchecked, these scored nan, 0.975, -2.5e11 and -5.5e12 with no error;
+    # the clustering's own score is 0.95
+    rows = _cols([0.0, 1.0, 10.0, 11.0])
+    meds = np.array([0, 3])
+    block = pairwise_distances(rows, rows[meds])
+    if bad == "swap":
+        block = block[:, ::-1]
+    else:
+        block[1, 1] = bad
+    with pytest.raises(error):
+        mss(rows, meds, block)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -216,7 +224,7 @@ def test_mss_refuses_non_finite_rows(bad):
     res = _sweep_at(rows, 2)
     rows[3, 1] = bad
     with pytest.raises(NonFiniteValue):
-        mss(rows, res)
+        mss(rows, res.medoid_indices)
 
 
 @pytest.mark.parametrize("reshape", [lambda r: r[:, 0], lambda r: r[:, :, None]],
@@ -225,7 +233,7 @@ def test_mss_refuses_rows_that_are_not_2d(reshape):
     rows = np.random.default_rng(6).normal(size=(5, 2))
     res = _sweep_at(rows, 2)
     with pytest.raises(ShapeMismatch):
-        mss(reshape(rows), res)
+        mss(reshape(rows), res.medoid_indices)
 
 
 @pytest.mark.parametrize("block", [lambda r, m: pairwise_distances(r, r),
@@ -235,7 +243,7 @@ def test_mss_refuses_a_medoid_block_of_the_wrong_shape(block):
     rows = np.random.default_rng(6).normal(size=(5, 2))
     res = _sweep_at(rows, 2)
     with pytest.raises(ShapeMismatch):
-        mss(rows, res, block(rows, res.medoid_indices))
+        mss(rows, res.medoid_indices, block(rows, res.medoid_indices))
 
 
 @given(st.integers(0, 10_000))
@@ -244,7 +252,7 @@ def test_mss_at_full_k_property(seed):
     gen = np.random.default_rng(seed)
     n = int(gen.integers(3, 10))
     rows = gen.normal(size=(n, int(gen.integers(1, 4))))
-    assert mss(rows, _sweep_at(rows, n)) == 1.0
+    assert mss(rows, _sweep_at(rows, n).medoid_indices) == 1.0
 
 
 # ----------------------------------------------------------------- sweep
@@ -296,7 +304,7 @@ def test_sweep_detailed_results_match_direct_calls():
     for k in curve.ks():
         direct = _sweep_at(rows, int(k))
         np.testing.assert_array_equal(results[int(k)].medoid_indices, direct.medoid_indices)
-        assert curve.entries[int(k)] == pytest.approx(mss(rows, direct), abs=0)
+        assert curve.entries[int(k)] == pytest.approx(mss(rows, direct.medoid_indices), abs=0)
 
 
 def test_sweep_is_deterministic():
@@ -406,7 +414,7 @@ def _assert_sweep_matches_plain_pam(rows, k_min=2, k_max=None, stride=1):
         for res in (results[k], _sweep_at(rows, k)):
             assert res.medoid_indices.tolist() == meds.tolist(), k
             assert res.assignment.tolist() == assignment.tolist(), k
-            assert res.total_cost == cost, k
+            assert res.cost_history[-1] == cost, k
             assert res.cost_history == history, k
         assert curve.entries[k] == _plain_mss(rows, meds, assignment), k
     assert sorted(curve.entries) == sorted(results)
@@ -539,7 +547,7 @@ def test_repeated_rows_leave_a_medoid_without_points():
     rows = _cols([0.0, 0.0, 0.0, 1.0, 5.0, 5.0, 9.0])
     _assert_sweep_matches_plain_pam(rows)
     res = _sweep_at(rows, 5)
-    assert len(set(res.assignment.tolist())) < res.k
+    assert len(set(res.assignment.tolist())) < len(res.medoid_indices)
 
 
 @given(st.integers(2, 300), st.integers(0, 2**32 - 1))
@@ -621,7 +629,7 @@ def test_sweep_mss_equals_public_mss_bit_for_bit():
     rows = np.random.default_rng(1).normal(size=(64, 6))
     curve, results = sweep_detailed(rows)
     for k, res in results.items():
-        assert curve.entries[k] == mss(rows, res), k
+        assert curve.entries[k] == mss(rows, res.medoid_indices), k
 
 
 def _seed7_layer_spaces(tmp_path, monkeypatch, arch):

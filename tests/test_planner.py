@@ -1,5 +1,6 @@
 """Pipeline orchestration: selection, per-layer loop, plans, reports."""
 
+import dataclasses
 import functools
 import os
 import tempfile
@@ -68,9 +69,7 @@ def test_compose_regular_keeps_medoids():
 
 
 def test_compose_weighted_picks_heaviest_member():
-    res = cluster.ClusterResult(
-        2, np.array([0, 2]), np.array([0, 0, 2, 2]), 0.0
-    )
+    res = cluster.ClusterResult(np.array([0, 2]), np.array([0, 0, 2, 2]))
     norms = np.array([1.0, 5.0, 2.0, 2.0])  # tie in second cluster
     assert compose(res, "weighted", norms) == [1, 2]  # first max wins the tie
 
@@ -78,7 +77,7 @@ def test_compose_weighted_picks_heaviest_member():
 def test_compose_weighted_medoid_without_points_keeps_itself():
     # rows 0 and 1 are identical, so every tie, row 1's own included, goes
     # to medoid 0 and medoid 1 owns no point
-    res = cluster.ClusterResult(2, np.array([0, 1]), np.array([0, 0, 0]), 0.0)
+    res = cluster.ClusterResult(np.array([0, 1]), np.array([0, 0, 0]))
     assert compose(res, "weighted", np.array([1.0, 5.0, 2.0])) == [1, 2]
 
 
@@ -91,7 +90,7 @@ def test_compose_same_k_both_modes():
 
 
 def test_compose_rejects_unknown_mode():
-    res = cluster.ClusterResult(2, np.array([0, 1]), np.array([0, 1]), 0.0)
+    res = cluster.ClusterResult(np.array([0, 1]), np.array([0, 1]))
     with pytest.raises(BadParams):
         compose(res, "best", np.zeros(2))
 
@@ -118,6 +117,15 @@ def test_config_rejects_fields_the_cli_cannot_set_badly(field, value):
     # argparse already refuses negative --ft-epochs
     with pytest.raises(BadParams):
         PruneConfig(**{field: value})
+
+
+def test_config_fields_cannot_be_assigned():
+    # a field set after validation would skip it: stride 0 used to reach the
+    # sweep and be caught there as a degenerate layer, keeping every layer
+    cfg = PruneConfig(ft_lr=0.01)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.stride = 0
+    assert cfg.stride == 1
 
 
 def test_ft_lr_defaults_to_tenth_of_training_lr():
@@ -193,7 +201,7 @@ def test_prune_layer_degenerate_sweep_warns_and_keeps_all():
     model = from_arch("mlp:3-1-2", seed=11)
     cfg = planner._resolve_ft_lr(PruneConfig(seed=5), model)
     out, report = prune_layer(model, ds, 0, cfg)
-    assert report.warning is not None and "BadRange" in report.warning
+    assert report.warning == "fewer than 2 components, too few to cluster"
     assert report.entry is None and report.k_selected == 1
     np.testing.assert_array_equal(out.layers[0].w, model.layers[0].w)
 

@@ -51,6 +51,19 @@ def test_dataset_rejects_negative_label():
         LabeledDataset(np.ones((4, 2), np.float32), np.array([0, 0, -1, -1]))
 
 
+@pytest.mark.parametrize("bad", [0.2, np.nan, np.inf])
+def test_dataset_rejects_a_label_that_is_not_a_finite_whole_number(bad):
+    # unchecked, 0.2 is cut to class 0 and NaN or Inf warns in the cast
+    with pytest.raises(InvalidDataset):
+        LabeledDataset(np.zeros((4, 2)), [bad, 0.0, 1.0, 1.0])
+
+
+def test_dataset_accepts_whole_float_labels():
+    ds = LabeledDataset(np.zeros((4, 2)), [0.0, 1.0, 0.0, 1.0])
+    assert ds.labels.dtype == np.int64
+    np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1])
+
+
 def test_activation_rejects_rectangular_patch():
     values = np.ones((4, 3, 2, 3), np.float32)
     with pytest.raises(InvalidDataset):
