@@ -88,7 +88,9 @@ def _format_summary(args, reports, base_acc, pruned_acc, base_flops, pruned_flop
         "totals",
         f"  flops_before={base_flops}",
         f"  flops_after={pruned_flops}",
-        f"  speedup={base_flops / pruned_flops:.4f}",
+        # prune keeps at least two components a layer, so no FLOPs after
+        # means none before
+        f"  speedup={base_flops / pruned_flops if pruned_flops else 1.0:.4f}",
         f"  base_accuracy_pct={100.0 * base_acc:.4f}",
         f"  pruned_accuracy_pct={100.0 * pruned_acc:.4f}",
         f"  delta_accuracy_pct={100.0 * (pruned_acc - base_acc):.4f}",

@@ -6,7 +6,7 @@ deterministic and need no seed.
 
 Greedy BUILD is nested: BUILD(k+1) is BUILD(k) plus one medoid. A sweep
 therefore runs BUILD once up to its largest k and takes the first k picks
-for each k, with the BUILD cost recorded after each pick.
+for each k.
 
 Each SWAP pass finds PAM's best (medoid, candidate) exchange without
 scoring all k x n exchanges exactly. Following FastPAM1 (Schubert and
@@ -122,21 +122,18 @@ def _build(dist: np.ndarray, k_max: int):
     """Greedy BUILD up to k_max medoids: start from the most central point,
     then add the candidate with the largest cost reduction.
 
-    Returns the pick order and the BUILD cost after each pick; BUILD(k) is
-    `sorted(order[:k])` with cost `costs[k - 1]`.
+    Returns the pick order; BUILD(k) is `sorted(order[:k])`.
     """
     totals = dist.sum(axis=1)
     order = [int(np.argmin(totals))]
     dmin = dist[order[0]].copy()
-    costs = [float(dmin.sum())]
     while len(order) < k_max:
         gains = np.maximum(dmin[:, None] - dist, 0.0).sum(axis=0)
         gains[order] = -1.0
         best = int(np.argmax(gains))
         order.append(best)
         dmin = np.minimum(dmin, dist[best])
-        costs.append(float(dmin.sum()))
-    return order, costs
+    return order
 
 
 def _swap_tolerance(dist: np.ndarray) -> float:
@@ -215,8 +212,8 @@ def _best_swap(dist, cand, rows, member, pos, d1, d2, cost, tol):
     return (int(mi[best]), int(col[best])) if exact[best] < cost else None
 
 
-def _swap(dist: np.ndarray, medoids: list[int], build_cost: float,
-          tol: float, ar: np.ndarray) -> tuple[ClusterResult, np.ndarray]:
+def _swap(dist: np.ndarray, medoids: list[int], tol: float,
+          ar: np.ndarray) -> tuple[ClusterResult, np.ndarray]:
     """SWAP passes from a BUILD medoid set: apply the single best strictly
     improving exchange per pass; stop when none improves.
 
@@ -231,7 +228,7 @@ def _swap(dist: np.ndarray, medoids: list[int], build_cost: float,
     meds = np.array(sorted(medoids))
     pos, d1, dm = _assign(dist, meds, ar)
     cost = d1.sum()
-    history = [build_cost]
+    history = [float(cost)]
     passes = 0
     converged = k == n
     cand = np.delete(ar, meds)
@@ -328,12 +325,12 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
                        f"got [{k_min}, {k_max}] stride {stride}")
     dist = pairwise_distances(rows, rows)
     ks = range(k_min, k_max + 1, stride)
-    order, costs = _build(dist, ks[-1])
+    order = _build(dist, ks[-1])
     tol = _swap_tolerance(dist)
     ar = np.arange(n)
     results = {}
     entries = {}
     for k in ks:
-        results[k], dm = _swap(dist, order[:k], costs[k - 1], tol, ar)
+        results[k], dm = _swap(dist, order[:k], tol, ar)
         entries[k] = mss(rows, results[k].medoid_indices, dm.T)
     return MssCurve(entries), results

@@ -62,6 +62,10 @@ def _check_labels(labels, n: int) -> np.ndarray:
         raise InvalidDataset("labels must be a vector with one entry per sample")
     if int(labels.min()) < 0:
         raise InvalidDataset("class ids must be non-negative")
+    # every id up to the maximum occurs twice, so a valid maximum is below
+    # n / 2; checked first, no id can size bincount's array beyond n
+    if int(labels.max()) >= n:
+        raise InvalidDataset(f"class id {int(labels.max())} is not below the sample count {n}")
     counts = np.bincount(labels)
     if (counts < 2).any():
         bad = int(np.flatnonzero(counts < 2)[0])
@@ -363,20 +367,33 @@ def write_plan(plan: PruningPlan, path: str) -> None:
         fh.write(plan_to_json(plan))
 
 
+def _is_int(val) -> bool:
+    return type(val) is int  # a JSON integer: not a bool, float or string
+
+
 def _entry_from_doc(doc: dict) -> PlanEntry:
+    """One entry from its JSON object; a mistyped field is refused, not coerced."""
     try:
-        return PlanEntry(
-            layer_id=int(doc["layer_id"]),
-            n_components=int(doc["n_components"]),
-            kept_indices=[int(i) for i in doc["kept_indices"]],
-            k_selected=int(doc["k_selected"]),
-            selection_mode=doc["selection_mode"],
-            knee_degree=int(doc["knee_degree"]),
-            mss_curve_ref=doc.get("mss_curve_ref"),
-            knee=doc.get("knee"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        e = PlanEntry(**{name: doc[name] for name in (
+            "layer_id", "n_components", "kept_indices", "k_selected",
+            "selection_mode", "knee_degree")},
+            mss_curve_ref=doc.get("mss_curve_ref"), knee=doc.get("knee"))
+    except (KeyError, TypeError) as exc:
         raise MalformedPlan(f"bad plan entry: {exc}") from exc
+    typed = {
+        "layer_id": _is_int(e.layer_id),
+        "n_components": _is_int(e.n_components),
+        "kept_indices": type(e.kept_indices) is list and all(map(_is_int, e.kept_indices)),
+        "k_selected": _is_int(e.k_selected),
+        "selection_mode": type(e.selection_mode) is str,
+        "knee_degree": _is_int(e.knee_degree),
+        "mss_curve_ref": e.mss_curve_ref is None or type(e.mss_curve_ref) is str,
+        "knee": e.knee is None or type(e.knee) is dict,
+    }
+    bad = [name for name, ok in typed.items() if not ok]
+    if bad:
+        raise MalformedPlan(f"bad plan entry: mistyped {', '.join(bad)}")
+    return e
 
 
 def read_plan(path: str) -> PruningPlan:

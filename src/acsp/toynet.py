@@ -38,8 +38,9 @@ class _Layer:
     """What every layer kind shares.
 
     A kind names its integer container fields in FIELDS, in constructor
-    order; a parametric kind's constructor takes `w` and `b` after them,
-    `w` shaped by its `weight_shape(*fields)`.
+    order; a parametric kind's first field is its input width, and its
+    constructor takes `w` and `b` after them, `w` shaped by its
+    `weight_shape(*fields)`.
     `out_shape` maps a per-sample input shape to the output shape, raising
     ShapeMismatch when the kind cannot take that input.
     """
@@ -80,12 +81,6 @@ class Linear(_Layer):
     @staticmethod
     def weight_shape(n_in: int, n_out: int) -> tuple:
         return (n_out, n_in)
-
-    @classmethod
-    def init(cls, n_in: int, n_out: int, rng: np.random.Generator) -> "Linear":
-        bound = 1.0 / math.sqrt(n_in)
-        w = rng.uniform(-bound, bound, size=(n_out, n_in))
-        return cls(n_in, n_out, w, np.zeros(n_out))
 
     @property
     def n_in(self) -> int:
@@ -131,13 +126,6 @@ class Conv(_Layer):
     @staticmethod
     def weight_shape(c_in, c_out, kernel, stride, pad) -> tuple:
         return (c_out, c_in, kernel, kernel)
-
-    @classmethod
-    def init(cls, c_in, c_out, kernel, stride, pad, rng: np.random.Generator) -> "Conv":
-        fan_in = c_in * kernel * kernel
-        bound = 1.0 / math.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(c_out, c_in, kernel, kernel))
-        return cls(c_in, c_out, kernel, stride, pad, w, np.zeros(c_out))
 
     @property
     def c_in(self) -> int:
@@ -433,13 +421,12 @@ def stratified_subset(labels: np.ndarray, fraction: float, rng: np.random.Genera
 
 
 def finetune(model: ToyModel, ds: LabeledDataset, fraction: float, epochs: int,
-             lr: float, seed: int, batch_size: int = 64,
-             trainable: set[int] | None = None) -> ToyModel:
+             lr: float, seed: int, trainable: set[int] | None = None) -> ToyModel:
     """Train on a seeded stratified subset; fraction = 1 reduces to `train`."""
     idx = stratified_subset(ds.labels, fraction,
                             np.random.default_rng(derive_seed(seed, "subset")))
     sub = LabeledDataset(ds.samples[idx], ds.labels[idx])
-    return train(model, sub, epochs, lr, seed, batch_size=batch_size, trainable=trainable)
+    return train(model, sub, epochs, lr, seed, trainable=trainable)
 
 
 # ------------------------------------------------------------- capture
@@ -555,91 +542,83 @@ def parse_arch(spec: str):
     """Parse an architecture string into (input_shape, layer builders).
 
     Grammar:
-      mlp:IN-H1-...-OUT               linear stack, ReLU between layers
+      mlp:IN-H1-...-OUT               linear stage only
       cnn:CxHxW-<conv|pool>...-f-...  conv stage, one flatten, linear stage
-    Conv tokens are c<out>k<kernel> with optional s<stride> (default 1) and
-    p<pad> (default kernel // 2); pool tokens are p<size>.
-    """
-    if spec.startswith("mlp:"):
-        dims = [_int_token(tok, off) for tok, off in _tokens(spec[4:], 4)]
-        if len(dims) < 2:
-            raise ParseError("mlp needs at least input and output sizes", len(spec))
-        builders = []
-        for i in range(len(dims) - 1):
-            builders.append(("linear", dims[i], dims[i + 1]))
-            if i < len(dims) - 2:
-                builders.append(("relu",))
-        return (dims[0],), builders
-    if not spec.startswith("cnn:"):
-        raise ParseError("expected 'mlp:' or 'cnn:' prefix", 0)
+    The linear stage lists widths, with a ReLU between layers. Conv tokens
+    are c<out>k<kernel> with optional s<stride> (default 1) and p<pad>
+    (default kernel // 2), each followed by a ReLU; pool tokens are p<size>.
 
-    toks = list(_tokens(spec[4:], 4))
-    if not toks or toks[0][0] == "":
-        raise ParseError("cnn needs a CxHxW input shape", toks[0][1] if toks else 4)
-    m = _SHAPE_TOKEN.match(toks[0][0])
-    if not m:
-        raise ParseError(f"bad input shape {toks[0][0]!r}, expected CxHxW", toks[0][1])
-    c, h, w = (int(g) for g in m.groups())
-    if min(c, h, w) < 1:
-        raise ParseError("input dimensions must be >= 1", toks[0][1])
-    if h != w:
-        raise ParseError("input maps must be square", toks[0][1])
-    builders = []
-    seen_flatten = False
-    linear_sizes = []
-    for tok, off in toks[1:]:
-        if tok == "f":
-            if seen_flatten:
+    A builder is a layer kind, then its fields after the input width, which
+    `from_arch` takes from the shape flowing in: ("linear", n_out), ("conv",
+    c_out, kernel, stride, pad), ("avgpool", size), ("relu",), ("flatten",).
+    """
+    cnn = spec.startswith("cnn:")
+    if not cnn and not spec.startswith("mlp:"):
+        raise ParseError("expected 'mlp:' or 'cnn:' prefix", 0)
+    (head, off), *toks = _tokens(spec[4:], 4)
+    if not cnn:
+        input_shape = (_int_token(head, off),)
+    elif head == "":
+        raise ParseError("cnn needs a CxHxW input shape", off)
+    elif not (m := _SHAPE_TOKEN.match(head)):
+        raise ParseError(f"bad input shape {head!r}, expected CxHxW", off)
+    else:
+        input_shape = tuple(int(g) for g in m.groups())
+        if min(input_shape) < 1:
+            raise ParseError("input dimensions must be >= 1", off)
+        if input_shape[1] != input_shape[2]:
+            raise ParseError("input maps must be square", off)
+    builders, widths = [], []
+    linear_stage = not cnn  # an mlp spec starts where a cnn spec's 'f' leads
+    for tok, off in toks:
+        if cnn and tok == "f":
+            if linear_stage:
                 raise ParseError("only one flatten allowed", off)
-            seen_flatten = True
+            linear_stage = True
             builders.append(("flatten",))
-            continue
-        if seen_flatten:
-            linear_sizes.append((_int_token(tok, off), off))
-            continue
-        cm = _CONV_TOKEN.match(tok)
-        if cm:
-            out, k = int(cm.group(1)), int(cm.group(2))
-            stride = int(cm.group(3)) if cm.group(3) else 1
-            pad = int(cm.group(4)) if cm.group(4) else k // 2
+        elif linear_stage:
+            widths.append(_int_token(tok, off))
+        elif cm := _CONV_TOKEN.match(tok):
+            out, k, stride = int(cm[1]), int(cm[2]), int(cm[3] or 1)
+            pad = int(cm[4]) if cm[4] else k // 2
             if min(out, k, stride) < 1:
                 raise ParseError("conv sizes must be >= 1", off)
-            builders.append(("conv", out, k, stride, pad))
-            builders.append(("relu",))
-            continue
-        pm = _POOL_TOKEN.match(tok)
-        if pm:
+            builders += [("conv", out, k, stride, pad), ("relu",)]
+        elif pm := _POOL_TOKEN.match(tok):
             builders.append(("avgpool", _int_token(pm.group(1), off)))
-            continue
-        raise ParseError(f"unrecognized token {tok!r}", off)
-    if not seen_flatten:
+        else:
+            raise ParseError(f"unrecognized token {tok!r}", off)
+    if not linear_stage:
         raise ParseError("cnn spec needs an 'f' flatten token", len(spec))
-    if not linear_sizes:
-        raise ParseError("cnn spec needs at least one linear size after 'f'", len(spec))
-    for i, (size, _) in enumerate(linear_sizes):
-        builders.append(("linear", None, size))
-        if i < len(linear_sizes) - 1:
+    if not widths:
+        raise ParseError("cnn spec needs at least one linear size after 'f'" if cnn
+                         else "mlp needs at least input and output sizes", len(spec))
+    for i, width in enumerate(widths):
+        if i:
             builders.append(("relu",))
-    return (c, h, w), builders
+        builders.append(("linear", width))
+    return input_shape, builders
 
 
 def from_arch(spec: str, seed: int) -> ToyModel:
     """Build and initialize a model from an architecture string.
 
-    Weights draw from uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases
-    start at zero.
+    A parametric layer's fields are the input width, then its builder's.
+    Weights draw from uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), with fan_in
+    = prod(weight_shape[1:]); biases start at zero.
     """
     input_shape, builders = parse_arch(spec)
     rng = np.random.default_rng(seed)
     layers = []
     cur = input_shape
-    for kind, *args in builders:
-        if kind == "linear":
-            layer = Linear.init(math.prod(cur), args[1], rng)
-        elif kind == "conv":
-            layer = Conv.init(cur[0], *args, rng)
-        else:
-            layer = LAYER_TYPES[kind](*args)
-        layers.append(layer)
-        cur = layer.out_shape(cur)
+    for kind, *fields in builders:
+        cls = LAYER_TYPES[kind]
+        params = ()
+        if cls.parametric:
+            fields = (cur[0], *fields)  # a linear layer only sees 1-D shapes
+            shape = cls.weight_shape(*fields)
+            bound = 1.0 / math.sqrt(math.prod(shape[1:]))
+            params = (rng.uniform(-bound, bound, size=shape), np.zeros(shape[0]))
+        layers.append(cls(*fields, *params))
+        cur = layers[-1].out_shape(cur)
     return ToyModel(layers, input_shape, rng_seed=seed)

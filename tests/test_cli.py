@@ -296,6 +296,18 @@ def test_prune_survives_a_medoid_without_points(tmp_path, capsys):
         [l.w.shape for l in pruned.layers if l.parametric]
 
 
+@pytest.mark.parametrize("layers", [[], [toynet.ReLU()]])
+def test_prune_passes_a_model_without_weights_through(tmp_path, capsys, layers):
+    # no FLOPs before or after: the summary reports no speedup, not a division by 0
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, n=60, classes=2, seed=5)
+    tensio.write_model(toynet.ToyModel(layers, (2,)), model_path)
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert "flops_after=0" in out and "speedup=1.0000" in out
+
+
 def test_prune_regular_selection_flag(tmp_path, capsys, trained):
     data_path, model_path = trained
     out_dir = str(tmp_path / "out")

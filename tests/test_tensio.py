@@ -1,6 +1,8 @@
 """Container round-trips and corruption handling."""
 
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +58,19 @@ def test_dataset_rejects_a_label_that_is_not_a_finite_whole_number(bad):
     # unchecked, 0.2 is cut to class 0 and NaN or Inf warns in the cast
     with pytest.raises(InvalidDataset):
         LabeledDataset(np.zeros((4, 2)), [bad, 0.0, 1.0, 1.0])
+
+
+def test_dataset_refuses_a_class_id_beyond_the_sample_count_in_small_memory():
+    # counting classes would size an array by the largest id: about 160 MB here
+    labels = np.array([0, 0, 1, 10**7])
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidDataset, match="not below the sample count"):
+            LabeledDataset(np.zeros((4, 2)), labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dataset_accepts_whole_float_labels():
@@ -302,8 +317,8 @@ def test_plan_rejects_wrong_format_tag(tmp_path):
 def test_plan_rejects_missing_keys(tmp_path):
     path = str(tmp_path / "plan.json")
     with open(path, "w") as fh:
-        fh.write('{"format": "acsp-plan/1", "entries": [{"layer_id": 2}]}')
-    with pytest.raises(MalformedPlan):
+        fh.write('{"format": "acsp-plan/1", "layers": [{"layer_id": 2}]}')
+    with pytest.raises(MalformedPlan, match="bad plan entry"):
         tensio.read_plan(path)
 
 
@@ -322,6 +337,28 @@ def test_plan_entry_validation(mutate):
     mutate(entry)
     with pytest.raises(MalformedPlan):
         entry.validate()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("kept_indices", "035"),  # a string of digits, once read as [0, 3, 5]
+        ("kept_indices", [0, 3.0, 5]),
+        ("n_components", 8.99),
+        ("layer_id", True),
+        ("k_selected", "3"),
+        ("selection_mode", 1),
+        ("knee", [1, 2]),
+        ("mss_curve_ref", 5),
+    ],
+)
+def test_plan_rejects_mistyped_fields(tmp_path, field, value):
+    doc = json.loads(tensio.plan_to_json(_plan()))
+    doc["layers"][0][field] = value
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedPlan, match="mistyped " + field):
+        tensio.read_plan(str(path))
 
 
 def test_plan_rejects_duplicate_layer():

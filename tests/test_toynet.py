@@ -501,7 +501,7 @@ def test_flops_respect_stride():
 def test_parse_mlp():
     shape, layers = parse_arch("mlp:2-16-2")
     assert shape == (2,)
-    assert layers == [("linear", 2, 16), ("relu",), ("linear", 16, 2)]
+    assert layers == [("linear", 16), ("relu",), ("linear", 2)]  # widths after the input
 
 
 def test_parse_cnn_tokens():
@@ -510,7 +510,7 @@ def test_parse_cnn_tokens():
     assert layers[0] == ("conv", 4, 3, 2, 1)  # c_out, kernel, stride, pad
     assert ("avgpool", 2) in layers
     assert ("flatten",) in layers
-    assert layers[-1] == ("linear", None, 3)  # widths resolved at build time
+    assert layers[-1] == ("linear", 3)  # input width resolved at build time
 
 
 def test_parse_conv_defaults():
@@ -535,6 +535,13 @@ def test_wide_model_prunable_ids():
         ("cnn:1x8x8-c4k3-f", 16),
         ("cnn:8x8-c4k3-f-2", 4),
         ("mlp:2", 5),
+        ("cnn:1x8x8-zz", 10),
+        ("cnn:1x8x8-f-x-f", 12),
+        ("mlp:2-f-3", 6),
+        ("cnn:1x8x8-f-2-f-3", 14),
+        ("cnn:1x8x8-c4k3-f-", 17),
+        ("cnn:1x8x8-p0-f-2", 10),
+        ("cnn:1x8x9-f-2", 4),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
