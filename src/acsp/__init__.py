@@ -11,7 +11,7 @@ from .cluster import ClusterResult, MssCurve, mss, sweep_detailed
 from .data import make_blobs, make_rings
 from .errors import AcspError
 from .knee import KneeResult, find_knee, select_k
-from .planner import LayerReport, PruneConfig, build_plan, compose, prune_layer, prune_model
+from .planner import LayerReport, PruneConfig, compose, prune_layer, prune_model
 from .sepspace import SeparabilityMatrix, build_space
 from .tensio import (
     ActivationTensor,

@@ -11,6 +11,7 @@ with identical flags write byte-identical files. Failures exit with status
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -57,19 +58,20 @@ def cmd_train(args) -> None:
     print(f"wrote {args.out}")
 
 
-def _format_summary(args, reports, base_acc, pruned_acc, base_flops, pruned_flops) -> str:
-    ft_lr = args.ft_lr if args.ft_lr is not None else "auto"
+def _format_summary(args, config, reports, base_acc, pruned_acc, base_flops,
+                    pruned_flops) -> str:
+    ft_lr = config.ft_lr if config.ft_lr is not None else "auto"
     lines = [
         "pruning summary",
         "===============",
         "",
         "config",
         f"  model={args.model} data={args.data} out={args.out}",
-        f"  degree={args.degree} selection={args.selection} stride={args.stride}",
-        f"  ft_fraction={args.ft_fraction} ft_epochs={args.ft_epochs} ft_lr={ft_lr}",
-        f"  seed={args.seed} svg={str(args.svg).lower()} "
-        f"pre_activation={str(args.pre_activation).lower()} "
-        f"freeze_upstream={str(args.freeze_upstream).lower()}",
+        f"  degree={config.knee_degree} selection={config.selection} stride={config.stride}",
+        f"  ft_fraction={config.ft_fraction} ft_epochs={config.ft_epochs} ft_lr={ft_lr}",
+        f"  seed={config.seed} svg={str(args.svg).lower()} "
+        f"pre_activation={str(config.pre_activation).lower()} "
+        f"freeze_upstream={str(config.freeze_upstream).lower()}",
         "",
         "layers",
         "  layer  n_comp  k_sel  flops_before  flops_after  note",
@@ -149,17 +151,8 @@ def _write_curve_svg(layer_id, curve, knee_k, path: str) -> None:
 def cmd_prune(args) -> None:
     model = tensio.read_model(args.model)
     ds = tensio.read_dataset(args.data)
-    config = planner.PruneConfig(
-        knee_degree=args.degree,
-        selection=args.selection,
-        stride=args.stride,
-        ft_fraction=args.ft_fraction,
-        ft_epochs=args.ft_epochs,
-        ft_lr=args.ft_lr,
-        seed=args.seed,
-        pre_activation=args.pre_activation,
-        freeze_upstream=args.freeze_upstream,
-    )
+    config = planner.PruneConfig(**{f.name: getattr(args, f.name)
+                                    for f in dataclasses.fields(planner.PruneConfig)})
     base_acc = toynet.accuracy(model, ds)
     base_flops = toynet.count_flops(model).total
     pruned, reports = planner.prune_model(model, ds, config)
@@ -169,7 +162,10 @@ def cmd_prune(args) -> None:
     os.makedirs(args.out, exist_ok=True)
     tensio.write_model(pruned, os.path.join(args.out, "pruned_model.acsp"))
     plan_path = args.plan or os.path.join(args.out, "plan.json")
-    tensio.write_plan(planner.build_plan(reports), plan_path)
+    # a layer too narrow to sweep has no decision to replay; a keep-all
+    # layer that found no knee stays in the plan as an explicit no-op
+    tensio.write_plan(tensio.PruningPlan([r.entry for r in reports if r.entry is not None]),
+                      plan_path)
     for r in reports:
         if r.entry is None:
             continue
@@ -179,7 +175,7 @@ def cmd_prune(args) -> None:
             knee_k = r.knee.k_prime if r.knee is not None else None
             _write_curve_svg(r.layer_id, r.mss_curve, knee_k,
                              os.path.splitext(csv_path)[0] + ".svg")
-    summary = _format_summary(args, reports, base_acc, pruned_acc,
+    summary = _format_summary(args, config, reports, base_acc, pruned_acc,
                               base_flops, pruned_flops)
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
@@ -237,18 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("prune", help="prune a trained model layer by layer")
+    defaults = planner.PruneConfig()
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--plan", default=None, help="plan path (default <out>/plan.json)")
-    p.add_argument("--degree", type=int, default=2, help="knee fit degree")
-    p.add_argument("--selection", choices=tensio.SELECTION_MODES, default="weighted")
-    p.add_argument("--stride", type=int, default=1, help="sweep stride over k")
-    p.add_argument("--ft-fraction", type=float, default=0.25)
-    p.add_argument("--ft-epochs", type=_nonneg_int, default=2)
-    p.add_argument("--ft-lr", type=float, default=None,
-                   help="fine-tune lr (default 0.1 x the model's training lr)")
-    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--degree", dest="knee_degree", metavar="DEGREE", type=int,
+                   default=defaults.knee_degree, help="knee fit degree, at least 2")
+    p.add_argument("--selection", choices=tensio.SELECTION_MODES, default=defaults.selection)
+    p.add_argument("--stride", type=int, default=defaults.stride, help="sweep stride over k")
+    p.add_argument("--ft-fraction", type=float, default=defaults.ft_fraction)
+    p.add_argument("--ft-epochs", type=_nonneg_int, default=defaults.ft_epochs)
+    p.add_argument("--ft-lr", type=float, default=defaults.ft_lr,
+                   help=f"fine-tune lr (default {planner.DEFAULT_FT_LR_SCALE} x the model's "
+                   "training lr)")
+    p.add_argument("--seed", type=_nonneg_int, default=defaults.seed)
     p.add_argument("--svg", action="store_true", help="also plot each mss curve")
     p.add_argument("--pre-activation", action="store_true",
                    help="capture activations before the following ReLU")

@@ -33,8 +33,8 @@ class KneeResult:
 
     def to_dict(self) -> dict:
         return {
-            "k_prime": self.k_prime,
-            "degree": self.degree,
+            "k_prime": None if self.k_prime is None else int(self.k_prime),
+            "degree": int(self.degree),
             "fitted_coeffs": [float(c) for c in self.fitted_coeffs],
             "difference_curve": [float(d) for d in self.difference_curve],
             "curvature_at_knee": self.curvature_at_knee,

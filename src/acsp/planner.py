@@ -36,8 +36,9 @@ class PruneConfig:
     def __post_init__(self):
         if self.selection not in SELECTION_MODES:
             raise BadParams(f"selection must be one of {SELECTION_MODES}")
-        if self.knee_degree < 1:
-            raise BadParams(f"knee degree must be >= 1, got {self.knee_degree}")
+        # a line's min-max normalized fit is the normalized x axis: no knee
+        if self.knee_degree < 2:
+            raise BadParams(f"knee degree must be >= 2, got {self.knee_degree}")
         if self.stride < 1:
             raise BadParams(f"stride must be >= 1, got {self.stride}")
         if not 0.0 < self.ft_fraction <= 1.0:
@@ -171,12 +172,3 @@ def prune_model(model: toynet.ToyModel, ds, config: PruneConfig | None = None):
         reports.append(report)
     return current, reports
 
-
-def build_plan(reports: list[LayerReport]) -> PruningPlan:
-    """The plan entries of every layer that completed analysis.
-
-    Layers too narrow to cluster (those carrying a warning) have no entry:
-    with no curve and no selection there is no decision to replay. Keep-all
-    layers that simply found no knee stay in the plan as explicit no-ops.
-    """
-    return PruningPlan([r.entry for r in reports if r.entry is not None])

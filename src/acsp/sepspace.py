@@ -45,13 +45,7 @@ def class_pairs(num_classes: int) -> list[tuple[int, int]]:
 class SeparabilityMatrix:
     """Rows are components; columns are p*p pixels per canonical class pair."""
 
-    num_classes: int
-    patch: int
     values: np.ndarray  # float64, [n_components, p*p * n_pairs]
-
-    @property
-    def pair_order(self) -> list[tuple[int, int]]:
-        return class_pairs(self.num_classes)
 
 
 def build_space(act: ActivationTensor) -> SeparabilityMatrix:
@@ -85,4 +79,4 @@ def build_space(act: ActivationTensor) -> SeparabilityMatrix:
         # below zero when va == vb
         jm = np.minimum(2.0 * (1.0 - np.exp(-np.maximum(bh, 0.0))), _JM_SUP)
         out[:, i * block : (i + 1) * block] = jm.reshape(n_comp, block)
-    return SeparabilityMatrix(num_classes, p, out)
+    return SeparabilityMatrix(out)

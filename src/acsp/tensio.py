@@ -13,7 +13,8 @@ files on any platform. Downstream numerics run in float64; files are the
 only place precision is reduced.
 
 Pruning plans are JSON text instead of binary: they are the artifact a
-human audits after a run.
+human audits after a run. A plan and each of its entries are frozen and
+check themselves when built, so any plan that exists is valid.
 """
 
 from __future__ import annotations
@@ -130,9 +131,18 @@ class ActivationTensor:
         return self.values.shape[2]
 
 
-@dataclass
+def _is_int(val) -> bool:
+    # a Python or numpy integer, not a bool; JSON only ever yields Python ints
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
+@dataclass(frozen=True)
 class PlanEntry:
-    """One layer's pruning decision, in the original component numbering."""
+    """One layer's pruning decision, in the original component numbering.
+
+    Checked when built, types first, so no entry that exists is malformed.
+    The freeze is shallow: `kept_indices` stays a list.
+    """
 
     layer_id: int
     n_components: int
@@ -143,7 +153,20 @@ class PlanEntry:
     mss_curve_ref: str | None = None
     knee: dict | None = None  # knee-finder provenance, free form
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        typed = {
+            "layer_id": _is_int(self.layer_id),
+            "n_components": _is_int(self.n_components),
+            "kept_indices": type(self.kept_indices) is list and all(map(_is_int, self.kept_indices)),
+            "k_selected": _is_int(self.k_selected),
+            "selection_mode": type(self.selection_mode) is str,
+            "knee_degree": _is_int(self.knee_degree),
+            "mss_curve_ref": self.mss_curve_ref is None or type(self.mss_curve_ref) is str,
+            "knee": self.knee is None or type(self.knee) is dict,
+        }
+        bad = [name for name, ok in typed.items() if not ok]
+        if bad:
+            raise MalformedPlan(f"bad plan entry: mistyped {', '.join(bad)}")
         ks = self.kept_indices
         if self.k_selected != len(ks):
             raise MalformedPlan(
@@ -162,20 +185,21 @@ class PlanEntry:
             )
         if self.selection_mode not in SELECTION_MODES:
             raise MalformedPlan(f"layer {self.layer_id}: unknown selection mode {self.selection_mode!r}")
+        # 1, not 2: the prune refuses degree 1, but plans recording it still read
         if self.knee_degree < 1:
             raise MalformedPlan(f"layer {self.layer_id}: knee_degree must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PruningPlan:
-    """Ordered pruning decisions; an empty entry list is a valid no-op."""
+    """Ordered pruning decisions, at most one per layer; an empty entry list
+    is a valid no-op."""
 
     entries: list[PlanEntry] = field(default_factory=list)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         seen = set()
         for entry in self.entries:
-            entry.validate()
             if entry.layer_id in seen:
                 raise MalformedPlan(f"duplicate entry for layer {entry.layer_id}")
             seen.add(entry.layer_id)
@@ -342,17 +366,16 @@ def read_model(path: str):
 # ------------------------------------------------------------------ plans
 
 def plan_to_json(plan: PruningPlan) -> str:
-    plan.validate()
     doc = {
         "format": PLAN_FORMAT,
         "layers": [
             {
-                "layer_id": e.layer_id,
-                "n_components": e.n_components,
+                "layer_id": int(e.layer_id),
+                "n_components": int(e.n_components),
                 "kept_indices": list(map(int, e.kept_indices)),
-                "k_selected": e.k_selected,
+                "k_selected": int(e.k_selected),
                 "selection_mode": e.selection_mode,
-                "knee_degree": e.knee_degree,
+                "knee_degree": int(e.knee_degree),
                 "mss_curve_ref": e.mss_curve_ref,
                 "knee": e.knee,
             }
@@ -367,47 +390,27 @@ def write_plan(plan: PruningPlan, path: str) -> None:
         fh.write(plan_to_json(plan))
 
 
-def _is_int(val) -> bool:
-    return type(val) is int  # a JSON integer: not a bool, float or string
-
-
 def _entry_from_doc(doc: dict) -> PlanEntry:
-    """One entry from its JSON object; a mistyped field is refused, not coerced."""
+    """One entry from its JSON object; the entry checks its own fields."""
     try:
-        e = PlanEntry(**{name: doc[name] for name in (
+        return PlanEntry(**{name: doc[name] for name in (
             "layer_id", "n_components", "kept_indices", "k_selected",
             "selection_mode", "knee_degree")},
             mss_curve_ref=doc.get("mss_curve_ref"), knee=doc.get("knee"))
     except (KeyError, TypeError) as exc:
         raise MalformedPlan(f"bad plan entry: {exc}") from exc
-    typed = {
-        "layer_id": _is_int(e.layer_id),
-        "n_components": _is_int(e.n_components),
-        "kept_indices": type(e.kept_indices) is list and all(map(_is_int, e.kept_indices)),
-        "k_selected": _is_int(e.k_selected),
-        "selection_mode": type(e.selection_mode) is str,
-        "knee_degree": _is_int(e.knee_degree),
-        "mss_curve_ref": e.mss_curve_ref is None or type(e.mss_curve_ref) is str,
-        "knee": e.knee is None or type(e.knee) is dict,
-    }
-    bad = [name for name, ok in typed.items() if not ok]
-    if bad:
-        raise MalformedPlan(f"bad plan entry: mistyped {', '.join(bad)}")
-    return e
 
 
 def read_plan(path: str) -> PruningPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedPlan(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
         raise MalformedPlan(f"{path}: missing or unknown plan format marker")
     layers = doc.get("layers")
     if not isinstance(layers, list):
         raise MalformedPlan(f"{path}: 'layers' must be a list")
-    plan = PruningPlan([_entry_from_doc(d) for d in layers])
-    plan.validate()
-    return plan
+    return PruningPlan([_entry_from_doc(d) for d in layers])

@@ -463,7 +463,6 @@ def apply_prune(model: ToyModel, plan: PruningPlan) -> ToyModel:
     contiguous block of columns under row-major [channel][row][col] order.
     The network output shape never changes.
     """
-    plan.validate()
     out = model.copy()
     shapes = layer_shapes(model)  # widths before surgery
     prunable = set(model.prunable_ids())

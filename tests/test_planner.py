@@ -13,7 +13,6 @@ from acsp import cluster, data, planner, toynet
 from acsp.errors import BadParams, NotPrunableLayer, ShapeMismatch
 from acsp.planner import (
     PruneConfig,
-    build_plan,
     component_norms,
     compose,
     prune_layer,
@@ -267,12 +266,16 @@ def test_prune_model_accuracy_survives_on_easy_data():
 
 # ------------------------------------------------------- plans & reports
 
+def _build_plan(reports):
+    """The plan `acsp prune` writes: the entry of every layer that has one."""
+    return PruningPlan([r.entry for r in reports if r.entry is not None])
+
+
 def test_build_plan_round_trips_through_apply(tmp_path):
     ds, trained = _trained_blob_setup(seed=8)
     cfg = PruneConfig(seed=11, ft_epochs=0)  # no tuning: surgery only
     pruned, reports = prune_model(trained, ds, cfg)
-    plan = build_plan(reports)
-    plan.validate()
+    plan = _build_plan(reports)
     replayed = apply_prune(trained, plan)
     for a, b in zip(replayed.layers, pruned.layers):
         if hasattr(a, "w"):
@@ -288,7 +291,7 @@ def test_plan_json_replays_to_the_pruned_model(a, b, classes, seed):
     pruned, reports = prune_model(trained, ds, PruneConfig(seed=seed, ft_epochs=0))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "plan.json")
-        write_plan(build_plan(reports), path)
+        write_plan(_build_plan(reports), path)
         replayed = apply_prune(trained, read_plan(path))
     assert [l.kind for l in replayed.layers] == [l.kind for l in pruned.layers]
     for r, p in zip(replayed.layers, pruned.layers):
@@ -328,7 +331,7 @@ def test_build_plan_skips_warned_layers():
     model = from_arch("mlp:3-1-2", seed=13)
     _, reports = prune_model(model, ds, PruneConfig(seed=12))
     assert any(r.warning for r in reports)
-    plan = build_plan(reports)
+    plan = _build_plan(reports)
     assert plan.entries == []
 
 
@@ -338,19 +341,31 @@ def test_build_plan_holds_the_entries_the_reports_carry():
     model = from_arch("mlp:3-1-4-2", seed=13)
     _, reports = prune_model(model, ds, PruneConfig(seed=12))
     assert reports[0].entry is None and reports[1].entry is not None
-    plan = build_plan(reports)
+    plan = _build_plan(reports)
     assert len(plan.entries) == 1 and plan.entries[0] is reports[1].entry
 
 
 def test_build_plan_carries_curve_refs_and_knee():
     ds, trained = _trained_blob_setup(seed=9)
     pruned, reports = prune_model(trained, ds, PruneConfig(seed=13))
-    plan = build_plan(reports)
+    plan = _build_plan(reports)
     pruned_entries = [r for r in reports if r.warning is None and r.k_selected < r.n_components]
     assert len(plan.entries) == len(pruned_entries)
     for entry in plan.entries:
         assert entry.mss_curve_ref == f"mss_layer{entry.layer_id}.csv"
         assert entry.knee is not None and entry.knee["degree"] == 2
+
+
+def test_numpy_integer_layer_id_and_degree_write_a_json_plan(tmp_path):
+    ds, trained = _trained_blob_setup(seed=8)
+    cfg = PruneConfig(knee_degree=np.int64(2), seed=11, ft_epochs=0)
+    _, report = prune_layer(trained, ds, np.int64(0), cfg)
+    path = str(tmp_path / "plan.json")
+    write_plan(PruningPlan([report.entry]), path)
+    back = read_plan(path).entries[0]
+    assert type(back.layer_id) is int and type(back.knee["degree"]) is int
+    assert (back.layer_id, back.knee_degree, back.kept_indices) == (
+        0, 2, report.entry.kept_indices)
 
 
 def test_speedup_is_ratio_of_totals():

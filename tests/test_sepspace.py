@@ -133,7 +133,7 @@ def test_linear_patch_is_single_column_per_pair():
     act = _tensor(12, 4, 1, 3, 0)
     space = build_space(act)
     assert space.values.shape == (4, 3)
-    assert space.pair_order == [(0, 1), (0, 2), (1, 2)]
+    assert class_pairs(3) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_sample_permutation_invariance_is_exact():

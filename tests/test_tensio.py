@@ -1,5 +1,6 @@
 """Container round-trips and corruption handling."""
 
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -325,18 +326,73 @@ def test_plan_rejects_missing_keys(tmp_path):
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda e: setattr(e, "k_selected", 2),            # count mismatch
-        lambda e: setattr(e, "kept_indices", [3, 0, 5]),  # not increasing
-        lambda e: setattr(e, "kept_indices", [0, 3, 9]),  # out of range
-        lambda e: setattr(e, "selection_mode", "best"),   # unknown mode
-        lambda e: setattr(e, "knee_degree", 0),
+        lambda e: dataclasses.replace(e, k_selected=2),            # count mismatch
+        lambda e: dataclasses.replace(e, kept_indices=[3, 0, 5]),  # not increasing
+        lambda e: dataclasses.replace(e, kept_indices=[0, 3, 9]),  # out of range
+        lambda e: dataclasses.replace(e, selection_mode="best"),   # unknown mode
+        lambda e: dataclasses.replace(e, knee_degree=0),
     ],
 )
 def test_plan_entry_validation(mutate):
     entry = PlanEntry(2, 8, [0, 3, 5], 3, "weighted", 2)
-    mutate(entry)
-    with pytest.raises(MalformedPlan):
-        entry.validate()
+    with pytest.raises(MalformedPlan, match="layer 2: "):
+        mutate(entry)
+
+
+def test_plan_of_degree_one_still_reads(tmp_path):
+    # the prune refuses degree 1, but plans that record it stay readable
+    doc = json.loads(tensio.plan_to_json(_plan()))
+    doc["layers"][0]["knee_degree"] = 1
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    assert tensio.read_plan(str(path)).entries[0].knee_degree == 1
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("layer_id", True),
+        ("layer_id", np.bool_(True)),
+        ("n_components", 8.0),
+        ("k_selected", "3"),
+        ("kept_indices", (0, 3, 5)),
+        ("kept_indices", [0, 3, 5.0]),
+        ("knee_degree", 2.0),
+        ("selection_mode", b"weighted"),
+    ],
+)
+def test_plan_entry_built_in_python_rejects_mistyped_fields(field, value):
+    entry = PlanEntry(2, 8, [0, 3, 5], 3, "weighted", 2)
+    with pytest.raises(MalformedPlan, match="bad plan entry: mistyped " + field):
+        dataclasses.replace(entry, **{field: value})
+
+
+def test_plan_fields_cannot_be_assigned():
+    entry = PlanEntry(2, 8, [0, 3, 5], 3, "weighted", 2)
+    plan = PruningPlan([entry])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.k_selected = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.entries = [entry, entry]
+    assert entry.k_selected == 3 and plan.entries == [entry]
+
+
+def test_plan_of_numpy_integers_writes_json_integers(tmp_path):
+    i = np.int64
+    entry = PlanEntry(i(2), np.int32(8), [i(0), i(3), i(5)], i(3), "weighted", np.uint8(2))
+    path = str(tmp_path / "plan.json")
+    tensio.write_plan(PruningPlan([entry]), path)
+    same = PruningPlan([PlanEntry(2, 8, [0, 3, 5], 3, "weighted", 2)])
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == tensio.plan_to_json(same)
+    assert tensio.read_plan(path) == same
+
+
+def test_plan_rejects_non_utf8_text(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(MalformedPlan, match="not valid JSON"):
+        tensio.read_plan(str(path))
 
 
 @pytest.mark.parametrize(
@@ -363,5 +419,5 @@ def test_plan_rejects_mistyped_fields(tmp_path, field, value):
 
 def test_plan_rejects_duplicate_layer():
     entry = PlanEntry(2, 8, [0, 3], 2, "regular", 2)
-    with pytest.raises(MalformedPlan):
-        PruningPlan([entry, entry]).validate()
+    with pytest.raises(MalformedPlan, match="duplicate entry for layer 2"):
+        PruningPlan([entry, entry])
