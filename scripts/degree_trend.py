@@ -10,14 +10,27 @@ import argparse
 
 import numpy as np
 
-from acsp import planner, tensio, toynet
+from acsp import knee, planner, tensio, toynet
+from acsp.errors import BadParams
+
+
+def _degrees(text: str) -> list[int]:
+    """Comma-separated fit degrees, each one the knee finder accepts."""
+    try:
+        degrees = [int(d) for d in text.split(",")]
+        for degree in degrees:
+            knee.check_degree(degree)
+    except (ValueError, BadParams) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return degrees
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--model", required=True)
     ap.add_argument("--data", required=True)
-    ap.add_argument("--degrees", default="2,3,4,5")
+    ap.add_argument("--degrees", type=_degrees, default="2,3,4,5",
+                    help=f"comma-separated fit degrees, each at least {knee.MIN_DEGREE}")
     ap.add_argument("--selection", default="weighted", choices=tensio.SELECTION_MODES)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
@@ -29,7 +42,7 @@ def main():
     print(f"dense: flops={base_flops} accuracy={base_acc:.4f}")
     print(f"{'degree':>6} {'flops':>8} {'remaining':>9} {'accuracy':>8} {'drop_pts':>8}")
 
-    for degree in (int(d) for d in args.degrees.split(",")):
+    for degree in args.degrees:
         cfg = planner.PruneConfig(knee_degree=degree, selection=args.selection,
                                   seed=args.seed)
         pruned, reports = planner.prune_model(model, ds, cfg)

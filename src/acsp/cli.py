@@ -15,7 +15,7 @@ import dataclasses
 import os
 import sys
 
-from . import data, planner, tensio, toynet
+from . import data, knee, planner, tensio, toynet
 from .errors import AcspError, BadParams
 from .rng import derive_seed
 
@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--plan", default=None, help="plan path (default <out>/plan.json)")
     p.add_argument("--degree", dest="knee_degree", metavar="DEGREE", type=int,
-                   default=defaults.knee_degree, help="knee fit degree, at least 2")
+                   default=defaults.knee_degree,
+                   help=f"knee fit degree, at least {knee.MIN_DEGREE}")
     p.add_argument("--selection", choices=tensio.SELECTION_MODES, default=defaults.selection)
     p.add_argument("--stride", type=int, default=defaults.stride, help="sweep stride over k")
     p.add_argument("--ft-fraction", type=float, default=defaults.ft_fraction)

@@ -72,6 +72,7 @@ from .errors import BadK, BadRange, NonFiniteValue, ShapeMismatch
 
 B_FLOOR = 1e-12
 MAX_SWAP_PASSES = 100
+BLOCK_ELEMENTS = 4 << 20  # cap on pairwise_distances' (rows, targets, d) temporary
 
 
 @dataclass(eq=False)
@@ -99,10 +100,23 @@ class MssCurve:
             fh.write("\n".join(lines) + "\n")
 
 
-def pairwise_distances(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each row to each target; pass `rows, rows` for the full matrix."""
+def _block_distances(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     diff = rows[:, None, :] - targets[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    diff *= diff
+    return np.sqrt(diff.sum(axis=2))
+
+
+def pairwise_distances(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row to each target; pass `rows, rows` for the full matrix.
+
+    Runs over blocks of rows so that each (b, n_targets, d) difference array
+    holds at most BLOCK_ELEMENTS values (one row at least). Each entry sums
+    its own d squares along the last axis, whatever the block, so the
+    result does not depend on the blocking.
+    """
+    step = max(1, BLOCK_ELEMENTS // max(1, targets.size))
+    return np.concatenate([_block_distances(rows[start : start + step], targets)
+                           for start in range(0, len(rows), step)])
 
 
 def _assign(dist: np.ndarray, medoids: np.ndarray, ar: np.ndarray):

@@ -57,10 +57,6 @@ class BadRange(AcspError):
     """Sweep bounds or stride are invalid."""
 
 
-class Underdetermined(AcspError):
-    """Polynomial fit has fewer distinct points than coefficients."""
-
-
 class TooFewPoints(AcspError):
     """Curve is too short for knee detection at the requested degree."""
 

@@ -5,6 +5,8 @@ min-max normalized to [0, 1], and the knee is the swept k maximizing the
 difference between the normalized fitted curve and the normalized x axis.
 A knee only counts when that maximum clears SENSITIVITY times the mean
 x spacing; otherwise the result is "no knee" and callers keep everything.
+The fit degree must be at least MIN_DEGREE: a fitted line, min-max
+normalized, is the normalized x axis itself and never shows a knee.
 """
 
 from __future__ import annotations
@@ -15,10 +17,19 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .cluster import MssCurve
-from .errors import TooFewPoints, Underdetermined
+from .errors import BadParams, TooFewPoints
+from .tensio import is_int
 
 SENSITIVITY = 1.0
 FLAT_EPS = 1e-9  # curves with a smaller raw score range are treated as flat
+MIN_DEGREE = 2
+
+
+def check_degree(degree) -> None:
+    """Raise BadParams unless `degree` is an integer (Python or numpy, not a
+    bool) of at least MIN_DEGREE."""
+    if not (is_int(degree) and degree >= MIN_DEGREE):
+        raise BadParams(f"knee degree must be an integer >= {MIN_DEGREE}, got {degree!r}")
 
 
 @dataclass(eq=False)
@@ -56,12 +67,11 @@ def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
     (raw score range below FLAT_EPS) never produce a knee: min-max scaling
     would only amplify noise.
     """
+    check_degree(degree)
     ks = curve.ks().astype(np.float64)
     ys = curve.scores()
     if len(ks) < degree + 2:
         raise TooFewPoints(f"need at least {degree + 2} points for degree {degree}, got {len(ks)}")
-    if degree < 1:
-        raise Underdetermined("degree must be >= 1")
     coeffs = npoly.polyfit(ks, ys, degree)
     if float(ys.max() - ys.min()) <= FLAT_EPS:
         return KneeResult(None, degree, coeffs, np.zeros(len(ks)))

@@ -36,9 +36,7 @@ class PruneConfig:
     def __post_init__(self):
         if self.selection not in SELECTION_MODES:
             raise BadParams(f"selection must be one of {SELECTION_MODES}")
-        # a line's min-max normalized fit is the normalized x axis: no knee
-        if self.knee_degree < 2:
-            raise BadParams(f"knee degree must be >= 2, got {self.knee_degree}")
+        knee.check_degree(self.knee_degree)
         if self.stride < 1:
             raise BadParams(f"stride must be >= 1, got {self.stride}")
         if not 0.0 < self.ft_fraction <= 1.0:

@@ -13,8 +13,9 @@ files on any platform. Downstream numerics run in float64; files are the
 only place precision is reduced.
 
 Pruning plans are JSON text instead of binary: they are the artifact a
-human audits after a run. A plan and each of its entries are frozen and
-check themselves when built, so any plan that exists is valid.
+human audits after a run. A plan and each of its entries are frozen, hold
+their sequences as tuples, and check themselves when built, so any plan
+that exists is valid and stays so.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,7 +132,7 @@ class ActivationTensor:
         return self.values.shape[2]
 
 
-def _is_int(val) -> bool:
+def is_int(val) -> bool:
     # a Python or numpy integer, not a bool; JSON only ever yields Python ints
     return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
 
@@ -141,12 +142,13 @@ class PlanEntry:
     """One layer's pruning decision, in the original component numbering.
 
     Checked when built, types first, so no entry that exists is malformed.
-    The freeze is shallow: `kept_indices` stays a list.
+    `kept_indices` takes a list or a tuple of integers and is stored as a
+    tuple, so the entry is frozen all the way down.
     """
 
     layer_id: int
     n_components: int
-    kept_indices: list[int]
+    kept_indices: tuple[int, ...]
     k_selected: int
     selection_mode: str
     knee_degree: int
@@ -155,19 +157,21 @@ class PlanEntry:
 
     def __post_init__(self):
         typed = {
-            "layer_id": _is_int(self.layer_id),
-            "n_components": _is_int(self.n_components),
-            "kept_indices": type(self.kept_indices) is list and all(map(_is_int, self.kept_indices)),
-            "k_selected": _is_int(self.k_selected),
+            "layer_id": is_int(self.layer_id),
+            "n_components": is_int(self.n_components),
+            "kept_indices": (type(self.kept_indices) in (list, tuple)
+                             and all(map(is_int, self.kept_indices))),
+            "k_selected": is_int(self.k_selected),
             "selection_mode": type(self.selection_mode) is str,
-            "knee_degree": _is_int(self.knee_degree),
+            "knee_degree": is_int(self.knee_degree),
             "mss_curve_ref": self.mss_curve_ref is None or type(self.mss_curve_ref) is str,
             "knee": self.knee is None or type(self.knee) is dict,
         }
         bad = [name for name, ok in typed.items() if not ok]
         if bad:
             raise MalformedPlan(f"bad plan entry: mistyped {', '.join(bad)}")
-        ks = self.kept_indices
+        ks = tuple(self.kept_indices)
+        object.__setattr__(self, "kept_indices", ks)
         if self.k_selected != len(ks):
             raise MalformedPlan(
                 f"layer {self.layer_id}: k_selected={self.k_selected} "
@@ -185,21 +189,31 @@ class PlanEntry:
             )
         if self.selection_mode not in SELECTION_MODES:
             raise MalformedPlan(f"layer {self.layer_id}: unknown selection mode {self.selection_mode!r}")
-        # 1, not 2: the prune refuses degree 1, but plans recording it still read
+        # 1, not knee.MIN_DEGREE: the prune refuses degree 1, but plans recording it still read
         if self.knee_degree < 1:
             raise MalformedPlan(f"layer {self.layer_id}: knee_degree must be >= 1")
 
 
 @dataclass(frozen=True)
 class PruningPlan:
-    """Ordered pruning decisions, at most one per layer; an empty entry list
-    is a valid no-op."""
+    """Ordered pruning decisions, at most one per layer; an empty plan is a
+    valid no-op.
 
-    entries: list[PlanEntry] = field(default_factory=list)
+    `entries` takes any iterable of `PlanEntry` and is stored as a tuple.
+    """
+
+    entries: tuple[PlanEntry, ...] = ()
 
     def __post_init__(self):
+        try:
+            entries = tuple(self.entries)
+        except TypeError as exc:
+            raise MalformedPlan(f"plan entries must be iterable: {exc}") from exc
+        object.__setattr__(self, "entries", entries)
         seen = set()
-        for entry in self.entries:
+        for entry in entries:
+            if not isinstance(entry, PlanEntry):
+                raise MalformedPlan(f"plan entry is a {type(entry).__name__}, not a PlanEntry")
             if entry.layer_id in seen:
                 raise MalformedPlan(f"duplicate entry for layer {entry.layer_id}")
             seen.add(entry.layer_id)

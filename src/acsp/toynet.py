@@ -101,8 +101,9 @@ class Linear(_Layer):
         self.out_shape(x.shape[1:])
         return x @ self.w.T + self.b, x
 
-    def backward(self, gy, x):
-        return gy @ self.w, {"w": gy.T @ x, "b": gy.sum(axis=0)}
+    def backward(self, gy, x, input_grad=True):
+        """(input gradient or None when not `input_grad`, parameter gradients)."""
+        return gy @ self.w if input_grad else None, {"w": gy.T @ x, "b": gy.sum(axis=0)}
 
 
 class Conv(_Layer):
@@ -160,10 +161,13 @@ class Conv(_Layer):
         y = np.einsum("ncxyij,ocij->noxy", win, self.w, optimize=True)
         return y + self.b[None, :, None, None], (win, xp.shape, x.shape)
 
-    def backward(self, gy, cache):
+    def backward(self, gy, cache, input_grad=True):
+        """(input gradient or None when not `input_grad`, parameter gradients)."""
         win, xp_shape, x_shape = cache
         dw = np.einsum("ncxyij,noxy->ocij", win, gy, optimize=True)
         db = gy.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None, {"w": dw, "b": db}
         gxp = np.zeros(xp_shape)
         ho, wo = gy.shape[2], gy.shape[3]
         s, k = self.stride, self.kernel
@@ -328,9 +332,13 @@ def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray):
         caches.append(cache)
     loss, g = softmax_xent(h, np.asarray(labels))
     grads: list = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
-        g, pg = model.layers[i].backward(g, caches[i])
-        grads[i] = pg
+    # nothing reads the input gradient of the first layer with parameters,
+    # so the backward pass stops there without computing it
+    first = min(model.parametric_ids(), default=len(model.layers))
+    for i in range(len(model.layers) - 1, first, -1):
+        g, grads[i] = model.layers[i].backward(g, caches[i])
+    if first < len(model.layers):
+        grads[first] = model.layers[first].backward(g, caches[first], input_grad=False)[1]
     return loss, grads
 
 

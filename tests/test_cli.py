@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -442,3 +443,16 @@ def test_identical_flags_produce_identical_bytes(tmp_path, capsys, monkeypatch):
     assert sorted(outputs["one"]) == sorted(outputs["two"])
     for fname, blob in outputs["one"].items():
         assert blob == outputs["two"][fname], f"{fname} differs between runs"
+
+
+@pytest.mark.parametrize("degrees", ["1", "x", "2,1", "2,,3"])
+def test_degree_trend_refuses_bad_degrees_before_reading_a_model(monkeypatch, capsys, degrees):
+    # neither file exists: the list is checked first, as a usage error
+    script = Path(__file__).resolve().parents[1] / "scripts" / "degree_trend.py"
+    monkeypatch.setattr("sys.argv", [str(script), "--model", "missing.acsp",
+                                     "--data", "missing.acsp", "--degrees", degrees])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: argument --degrees" in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 """PAM partitioning and MSS scoring against hand values and exhaustive search."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -541,6 +542,37 @@ def test_pairwise_distances_exactly_symmetric_with_zero_diagonal(n, d, seed):
     dist = pairwise_distances(rows, rows)
     assert (dist == dist.T).all()
     assert (np.diag(dist) == 0.0).all()
+
+
+def _broadcast_distances(rows, targets):
+    """The unblocked form: one (n_rows, n_targets, d) difference array."""
+    diff = rows[:, None, :] - targets[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+@pytest.mark.parametrize("n,m,d,cap", [(37, 37, 7, 1000), (50, 9, 130, 5000),
+                                       (23, 23, 1, 40), (5, 11, 300, 10)])
+def test_blocked_distances_equal_the_broadcast_form(monkeypatch, n, m, d, cap):
+    # caps of a few rows per block, and one below a single row (10 < 11 * 300)
+    monkeypatch.setattr(cluster, "BLOCK_ELEMENTS", cap)
+    gen = np.random.default_rng(n * d)
+    rows = gen.uniform(0.0, 2.0, size=(n, d))
+    targets = rows[:m] if m <= n else gen.uniform(0.0, 2.0, size=(m, d))
+    assert n > max(1, cap // (m * d))  # several blocks
+    got = pairwise_distances(rows, targets)
+    assert got.shape == (n, m) and (got == _broadcast_distances(rows, targets)).all()
+
+
+def test_distance_matrix_memory_is_bounded():
+    # the broadcast form would hold 48 * 48 * 8192 doubles (151 MB) at once
+    rows = np.random.default_rng(3).uniform(size=(48, 8192))
+    tracemalloc.start()
+    try:
+        pairwise_distances(rows, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cluster.BLOCK_ELEMENTS * 8 + (4 << 20)
 
 
 def test_repeated_rows_leave_a_medoid_without_points():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acsp.cluster import MssCurve
-from acsp.errors import TooFewPoints, Underdetermined
+from acsp.errors import BadParams, TooFewPoints
 from acsp.knee import SENSITIVITY, find_knee, select_k
+from acsp.planner import PruneConfig
 
 
 def _curve(ks, ys):
@@ -48,9 +49,37 @@ def test_polyfit_recovers_exact_quadratic():
 
 def test_polyfit_underdetermined_cases():
     with pytest.raises(TooFewPoints):
-        find_knee(_curve([2, 3], [1.0, 2.0]), degree=1)  # degree + 2 points needed
-    with pytest.raises(Underdetermined):
+        find_knee(_curve([2, 3, 4, 5], [1.0, 2.0, 2.5, 2.7]), degree=3)  # degree + 2 points needed
+    with pytest.raises(BadParams):
         find_knee(_curve([2, 3, 4], [1.0, 2.0, 3.0]), degree=0)  # constant fit
+
+
+# the curve on which a fitted line finds no knee where a parabola finds k = 18
+_GENTLE_KS = np.arange(2, 40)
+_GENTLE = 1.0 - np.exp(-(_GENTLE_KS - 2) / 3.0)
+
+
+def test_degree_below_the_floor_is_refused_not_ignored():
+    curve = _curve(_GENTLE_KS, _GENTLE)
+    assert find_knee(curve, 2).k_prime == 18
+    assert select_k(curve, 40, 2)[0] == 18
+    with pytest.raises(BadParams):
+        find_knee(curve, 1)
+    with pytest.raises(BadParams):
+        select_k(curve, 40, 1)
+    with pytest.raises(BadParams):  # the degree is checked before the length
+        find_knee(_curve([2, 3], [1.0, 2.0]), 1)
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, True, np.bool_(True), "2", None])
+def test_non_integer_degree_is_refused(degree):
+    # polyfit would raise its own TypeError, and a config would carry the
+    # degree into a prune that fails only after sweeping its first layer
+    with pytest.raises(BadParams, match="knee degree"):
+        find_knee(_curve(_GENTLE_KS, _GENTLE), degree)
+    with pytest.raises(BadParams, match="knee degree"):
+        PruneConfig(knee_degree=degree)
+
 
 
 # ------------------------------------------------------------- find_knee

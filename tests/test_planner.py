@@ -178,7 +178,7 @@ def test_prune_layer_flat_curve_keeps_all():
     cfg = planner._resolve_ft_lr(PruneConfig(seed=4), model)
     out, report = prune_layer(model, ds, 0, cfg)
     assert report.k_selected == 6
-    assert report.entry.kept_indices == list(range(6))
+    assert report.entry.kept_indices == tuple(range(6))
     np.testing.assert_array_equal(out.layers[0].w, model.layers[0].w)
 
 
@@ -190,7 +190,7 @@ def test_prune_layer_short_curve_keeps_all_silently():
     cfg = planner._resolve_ft_lr(PruneConfig(seed=5), model)
     out, report = prune_layer(model, ds, 0, cfg)
     assert report.warning is None
-    assert report.entry.kept_indices == [0, 1]
+    assert report.entry.kept_indices == (0, 1)
     np.testing.assert_array_equal(out.layers[0].w, model.layers[0].w)
 
 
@@ -332,7 +332,7 @@ def test_build_plan_skips_warned_layers():
     _, reports = prune_model(model, ds, PruneConfig(seed=12))
     assert any(r.warning for r in reports)
     plan = _build_plan(reports)
-    assert plan.entries == []
+    assert plan.entries == ()
 
 
 def test_build_plan_holds_the_entries_the_reports_carry():

@@ -282,7 +282,7 @@ def test_plan_round_trip(tmp_path):
     back = tensio.read_plan(path)
     assert len(back.entries) == 2
     first = back.entries[0]
-    assert (first.layer_id, first.kept_indices, first.selection_mode) == (2, [0, 3, 5], "weighted")
+    assert (first.layer_id, first.kept_indices, first.selection_mode) == (2, (0, 3, 5), "weighted")
     assert back.entries[1].knee == {"k_prime": 4}
 
 
@@ -296,7 +296,7 @@ def test_plan_json_is_stable():
 def test_empty_plan_round_trip(tmp_path):
     path = str(tmp_path / "plan.json")
     tensio.write_plan(PruningPlan([]), path)
-    assert tensio.read_plan(path).entries == []
+    assert tensio.read_plan(path).entries == ()
 
 
 def test_plan_rejects_bad_json(tmp_path):
@@ -355,7 +355,7 @@ def test_plan_of_degree_one_still_reads(tmp_path):
         ("layer_id", np.bool_(True)),
         ("n_components", 8.0),
         ("k_selected", "3"),
-        ("kept_indices", (0, 3, 5)),
+        ("kept_indices", np.array([0, 3, 5])),  # a list or a tuple only
         ("kept_indices", [0, 3, 5.0]),
         ("knee_degree", 2.0),
         ("selection_mode", b"weighted"),
@@ -374,7 +374,7 @@ def test_plan_fields_cannot_be_assigned():
         entry.k_selected = 2
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.entries = [entry, entry]
-    assert entry.k_selected == 3 and plan.entries == [entry]
+    assert entry.k_selected == 3 and plan.entries == (entry,)
 
 
 def test_plan_of_numpy_integers_writes_json_integers(tmp_path):
@@ -421,3 +421,29 @@ def test_plan_rejects_duplicate_layer():
     entry = PlanEntry(2, 8, [0, 3], 2, "regular", 2)
     with pytest.raises(MalformedPlan, match="duplicate entry for layer 2"):
         PruningPlan([entry, entry])
+
+
+@pytest.mark.parametrize("entries", [[{"layer_id": 1}], None, 5, ["entry"]])
+def test_plan_refuses_entries_that_are_not_plan_entries(entries):
+    with pytest.raises(MalformedPlan):
+        PruningPlan(entries)
+
+
+def test_plan_is_frozen_all_the_way_down():
+    # a kept index appended to a checked entry once reached apply_prune as
+    # an IndexError; the stored tuple cannot be appended to
+    entry = PlanEntry(0, 6, [0, 2, 4], 3, "regular", 2)
+    plan = PruningPlan([entry])
+    assert entry.kept_indices == (0, 2, 4) and plan.entries == (entry,)
+    with pytest.raises(AttributeError):
+        entry.kept_indices.append(9)
+    pruned = toynet.apply_prune(toynet.from_arch("mlp:3-6-2", seed=1), plan)
+    assert pruned.layers[0].w.shape == (3, 3)
+
+
+def test_plan_json_bytes_do_not_depend_on_the_input_sequence_types():
+    as_lists = PruningPlan([PlanEntry(2, 8, [0, 3, 5], 3, "weighted", 2, "mss_layer2.csv")])
+    as_tuples = PruningPlan((PlanEntry(2, 8, (0, 3, 5), 3, "weighted", 2, "mss_layer2.csv"),))
+    assert as_lists == as_tuples
+    assert tensio.plan_to_json(as_lists) == tensio.plan_to_json(as_tuples)
+    assert '"kept_indices": [\n        0,\n        3,\n        5\n      ],' in tensio.plan_to_json(as_lists)

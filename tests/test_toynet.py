@@ -179,6 +179,40 @@ def test_gradients_cnn_with_pool_and_stride():
     _grad_check(from_arch("cnn:2x6x6-c3k3-p2-c4k3s2-f-5-2", seed=2))
 
 
+def _recording(backward, calls):
+    def wrapper(self, gy, cache, input_grad=True):
+        calls[id(self)] = input_grad
+        return backward(self, gy, cache, input_grad)
+    return wrapper
+
+
+@pytest.mark.parametrize("spec", ["mlp:3-6-4-2", "cnn:2x6x6-c3k3-p2-c4k3s2-f-5-2"])
+def test_backward_skips_only_the_unread_input_gradient(monkeypatch, spec):
+    # the first layer with parameters is asked for no input gradient, and
+    # every parameter gradient equals the full backward pass's bit for bit
+    model = from_arch(spec, seed=2)
+    x = np.random.default_rng(0).normal(size=(6, *model.input_shape))
+    labels = np.arange(6) % 2
+    h, caches = x, []
+    for layer in model.layers:
+        h, cache = layer.forward_cache(h)
+        caches.append(cache)
+    _, g = softmax_xent(h, labels)
+    full = [None] * len(model.layers)
+    for i in reversed(range(len(model.layers))):
+        g, full[i] = model.layers[i].backward(g, caches[i])
+    calls = {}
+    for cls in (toynet.Linear, toynet.Conv):
+        monkeypatch.setattr(cls, "backward", _recording(cls.backward, calls))
+    _, grads = loss_and_grads(model, x, labels)
+    ids = model.parametric_ids()
+    assert calls == {id(model.layers[i]): i != ids[0] for i in ids}
+    for i, layer in enumerate(model.layers):
+        assert (grads[i] is None) == (i not in ids)
+        if i in ids:
+            assert (grads[i]["w"] == full[i]["w"]).all() and (grads[i]["b"] == full[i]["b"]).all()
+
+
 # -------------------------------------------------------------- training
 
 def test_train_zero_epochs_returns_copy():
