@@ -69,6 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadK, BadRange, NonFiniteValue, ShapeMismatch
+from .tensio import is_int
 
 B_FLOOR = 1e-12
 MAX_SWAP_PASSES = 100
@@ -328,14 +329,15 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
 
     The pairwise distance matrix and one BUILD run are shared by every k.
     Returns (curve, {k: ClusterResult}). Raises ShapeMismatch unless `rows`
-    is 2-D and NonFiniteValue if it holds NaN or Inf.
+    is 2-D, NonFiniteValue if it holds NaN or Inf, and BadRange unless the
+    bounds are integers (not bools) in range.
     """
     _check_rows(rows)
     n = rows.shape[0]
     if k_max is None:
         k_max = n
-    if not (2 <= k_min <= k_max <= n) or stride < 1:
-        raise BadRange(f"need 2 <= k_min <= k_max <= {n} and stride >= 1, "
+    if not (all(map(is_int, (k_min, k_max, stride))) and 2 <= k_min <= k_max <= n and stride >= 1):
+        raise BadRange(f"need integers 2 <= k_min <= k_max <= {n} and stride >= 1, "
                        f"got [{k_min}, {k_max}] stride {stride}")
     dist = pairwise_distances(rows, rows)
     ks = range(k_min, k_max + 1, stride)

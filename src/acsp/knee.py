@@ -105,6 +105,4 @@ def select_k(curve: MssCurve, n_components: int,
         result = find_knee(curve, degree)
     except TooFewPoints:
         return n_components, None
-    if result.k_prime is None:
-        return n_components, result
-    return result.k_prime, result
+    return (n_components if result.k_prime is None else result.k_prime), result

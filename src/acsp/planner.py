@@ -16,9 +16,14 @@ import numpy as np
 from . import cluster, knee, sepspace, toynet
 from .errors import BadParams, NotPrunableLayer
 from .rng import derive_seed
-from .tensio import SELECTION_MODES, PlanEntry, PruningPlan
+from .tensio import SELECTION_MODES, PlanEntry, PruningPlan, is_int
 
 DEFAULT_FT_LR_SCALE = 0.1  # fine-tune lr defaults to a tenth of the training lr
+
+
+def _is_real(val) -> bool:
+    # a Python or numpy integer or float, not a bool
+    return is_int(val) or isinstance(val, (float, np.floating))
 
 
 @dataclass(frozen=True)
@@ -37,14 +42,20 @@ class PruneConfig:
         if self.selection not in SELECTION_MODES:
             raise BadParams(f"selection must be one of {SELECTION_MODES}")
         knee.check_degree(self.knee_degree)
-        if self.stride < 1:
-            raise BadParams(f"stride must be >= 1, got {self.stride}")
-        if not 0.0 < self.ft_fraction <= 1.0:
-            raise BadParams(f"fine-tune fraction must lie in (0, 1], got {self.ft_fraction}")
-        if self.ft_epochs < 0:
-            raise BadParams(f"fine-tune epochs must be >= 0, got {self.ft_epochs}")
-        if self.ft_lr is not None and not self.ft_lr > 0.0:
-            raise BadParams(f"fine-tune lr must be > 0, got {self.ft_lr}")
+        rules = {  # field: (whether it holds, what the field must be)
+            "stride": (is_int(self.stride) and self.stride >= 1, "an integer >= 1"),
+            "ft_fraction": (_is_real(self.ft_fraction) and 0.0 < self.ft_fraction <= 1.0,
+                            "a real number in (0, 1]"),
+            "ft_epochs": (is_int(self.ft_epochs) and self.ft_epochs >= 0, "an integer >= 0"),
+            "ft_lr": (self.ft_lr is None or _is_real(self.ft_lr) and self.ft_lr > 0.0,
+                      "None or a real number > 0"),
+            "seed": (is_int(self.seed), "an integer"),
+            "pre_activation": (isinstance(self.pre_activation, (bool, np.bool_)), "a bool"),
+            "freeze_upstream": (isinstance(self.freeze_upstream, (bool, np.bool_)), "a bool"),
+        }
+        for name, (holds, need) in rules.items():
+            if not holds:
+                raise BadParams(f"{name} must be {need}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -111,47 +122,32 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
     nothing for the rest of the network to adjust to.
     """
     config = _resolve_ft_lr(config or PruneConfig(), model)
-    if layer_id not in model.prunable_ids():
-        raise NotPrunableLayer(
-            f"layer {layer_id} is not prunable; prunable ids: {model.prunable_ids()}")
+    if layer_id not in (prunable := model.prunable_ids()):
+        raise NotPrunableLayer(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
     flops_before = toynet.count_flops(model).total
-    n_comp = model.n_components(layer_id)
-    curve = knee_result = entry = warning = None
+    n_comp = model.layers[layer_id].n_components
     if n_comp < 2:
-        warning = "fewer than 2 components, too few to cluster"
-    else:
-        acts = toynet.capture_activations(model, ds, layer_id,
-                                          pre_activation=config.pre_activation)
-        space = sepspace.build_space(acts)
-        curve, results = cluster.sweep_detailed(space.values, stride=config.stride)
-        k_selected, knee_result = knee.select_k(curve, n_comp, config.knee_degree)
-        kept = (compose(results[k_selected], config.selection, component_norms(model, layer_id))
-                if k_selected < n_comp else list(range(n_comp)))
-        entry = PlanEntry(layer_id, n_comp, kept, len(kept), config.selection,
-                          config.knee_degree, mss_curve_ref=f"mss_layer{layer_id}.csv",
-                          knee=knee_result.to_dict() if knee_result is not None else None)
-    if entry is not None and entry.k_selected < n_comp:
-        pruned = toynet.apply_prune(model, PruningPlan([entry]))
-        trainable = None
-        if config.freeze_upstream:
-            trainable = {i for i in range(layer_id, len(model.layers))}
-        out = toynet.finetune(pruned, ds, config.ft_fraction, config.ft_epochs,
-                              config.ft_lr, derive_seed(config.seed, f"finetune{layer_id}"),
-                              trainable=trainable)
-    else:
+        return model.copy(), LayerReport(layer_id, n_comp, n_comp, None, None, None,
+                                         flops_before, flops_before,
+                                         "fewer than 2 components, too few to cluster")
+    acts = toynet.capture_activations(model, ds, layer_id, pre_activation=config.pre_activation)
+    space = sepspace.build_space(acts)
+    curve, results = cluster.sweep_detailed(space.values, stride=config.stride)
+    k_selected, knee_result = knee.select_k(curve, n_comp, config.knee_degree)
+    kept = (compose(results[k_selected], config.selection, component_norms(model, layer_id))
+            if k_selected < n_comp else list(range(n_comp)))
+    entry = PlanEntry(layer_id, n_comp, kept, k_selected, config.selection,
+                      config.knee_degree, mss_curve_ref=f"mss_layer{layer_id}.csv",
+                      knee=knee_result.to_dict() if knee_result is not None else None)
+    if k_selected == n_comp:
         out = model.copy()
-    report = LayerReport(
-        layer_id=layer_id,
-        n_components=n_comp,
-        k_selected=entry.k_selected if entry is not None else n_comp,
-        mss_curve=curve,
-        knee=knee_result,
-        entry=entry,
-        flops_before=flops_before,
-        flops_after=toynet.count_flops(out).total,
-        warning=warning,
-    )
-    return out, report
+    else:
+        out = toynet.finetune(toynet.apply_prune(model, PruningPlan([entry])), ds,
+                              config.ft_fraction, config.ft_epochs, config.ft_lr,
+                              derive_seed(config.seed, f"finetune{layer_id}"),
+                              trainable_from=layer_id if config.freeze_upstream else 0)
+    return out, LayerReport(layer_id, n_comp, k_selected, curve, knee_result, entry,
+                            flops_before, toynet.count_flops(out).total)
 
 
 def prune_model(model: toynet.ToyModel, ds, config: PruneConfig | None = None):

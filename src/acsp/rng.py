@@ -12,7 +12,7 @@ import numpy as np
 
 
 def derive_seed(seed: int, name: str) -> int:
-    """Child seed for the named sub-stream of `seed`."""
-    entropy = [seed % (1 << 63), zlib.crc32(name.encode("utf-8"))]
+    """Child seed for the named sub-stream of `seed`, a Python or numpy integer."""
+    entropy = [int(seed) % (1 << 63), zlib.crc32(name.encode("utf-8"))]
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 

@@ -143,7 +143,8 @@ class PlanEntry:
 
     Checked when built, types first, so no entry that exists is malformed.
     `kept_indices` takes a list or a tuple of integers and is stored as a
-    tuple, so the entry is frozen all the way down.
+    tuple, so the entry is frozen all the way down. `knee` must be writable
+    as JSON, and the entry keeps its own copy, read back from that JSON.
     """
 
     layer_id: int
@@ -172,6 +173,8 @@ class PlanEntry:
             raise MalformedPlan(f"bad plan entry: mistyped {', '.join(bad)}")
         ks = tuple(self.kept_indices)
         object.__setattr__(self, "kept_indices", ks)
+        if self.knee is not None:
+            object.__setattr__(self, "knee", json.loads(_dump_json(self.knee)))
         if self.k_selected != len(ks):
             raise MalformedPlan(
                 f"layer {self.layer_id}: k_selected={self.k_selected} "
@@ -379,6 +382,13 @@ def read_model(path: str):
 
 # ------------------------------------------------------------------ plans
 
+def _dump_json(doc, indent: int | None = None) -> str:
+    try:
+        return json.dumps(doc, indent=indent, sort_keys=True)
+    except (TypeError, ValueError) as exc:  # ValueError: a circular reference
+        raise MalformedPlan(f"plan is not writable as JSON: {exc}") from exc
+
+
 def plan_to_json(plan: PruningPlan) -> str:
     doc = {
         "format": PLAN_FORMAT,
@@ -396,7 +406,7 @@ def plan_to_json(plan: PruningPlan) -> str:
             for e in plan.entries
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _dump_json(doc, indent=2) + "\n"
 
 
 def write_plan(plan: PruningPlan, path: str) -> None:

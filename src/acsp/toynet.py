@@ -66,6 +66,14 @@ class _Layer:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cache(x)[0]
 
+    def _set_params(self, w, b, fields: tuple) -> None:
+        """Store `w` and `b` as float64, or raise ShapeMismatch unless they fit `fields`."""
+        self.w = np.asarray(w, dtype=np.float64)
+        self.b = np.asarray(b, dtype=np.float64)
+        shape = self.weight_shape(*fields)
+        if self.w.shape != shape or self.b.shape != shape[:1]:
+            raise ShapeMismatch(f"{self.kind} weights {self.w.shape} do not match {shape}")
+
 
 class Linear(_Layer):
     kind = "linear"
@@ -73,10 +81,7 @@ class Linear(_Layer):
     FIELDS = ("n_in", "n_out")
 
     def __init__(self, n_in: int, n_out: int, w: np.ndarray, b: np.ndarray):
-        self.w = np.asarray(w, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
-        if self.w.shape != self.weight_shape(n_in, n_out) or self.b.shape != (n_out,):
-            raise ShapeMismatch(f"linear weights {self.w.shape} do not match ({n_out}, {n_in})")
+        self._set_params(w, b, (n_in, n_out))
 
     @staticmethod
     def weight_shape(n_in: int, n_out: int) -> tuple:
@@ -116,11 +121,7 @@ class Conv(_Layer):
     def __init__(self, c_in, c_out, kernel, stride, pad, w, b):
         self.stride = stride
         self.pad = pad
-        self.w = np.asarray(w, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
-        shape = self.weight_shape(c_in, c_out, kernel, stride, pad)
-        if self.w.shape != shape or self.b.shape != (c_out,):
-            raise ShapeMismatch(f"conv weights {self.w.shape} do not match {shape}")
+        self._set_params(w, b, (c_in, c_out, kernel, stride, pad))
         if stride < 1 or pad < 0 or kernel < 1:
             raise BadParams("conv needs kernel >= 1, stride >= 1, pad >= 0")
 
@@ -264,14 +265,7 @@ class ToyModel:
 
     def prunable_ids(self) -> list[int]:
         """Every parametric layer except the last, whose outputs are the logits."""
-        ids = self.parametric_ids()
-        return ids[:-1]
-
-    def n_components(self, layer_id: int) -> int:
-        layer = self.layers[layer_id]
-        if not layer.parametric:
-            raise NotPrunableLayer(f"layer {layer_id} ({layer.kind}) has no components")
-        return layer.n_components
+        return self.parametric_ids()[:-1]
 
 
 def layer_shapes(model: ToyModel) -> list[tuple[tuple, tuple]]:
@@ -303,6 +297,12 @@ def forward(model: ToyModel, x: np.ndarray) -> np.ndarray:
     return _run_layers(model, x)
 
 
+def _run_chunked(model: ToyModel, ds: LabeledDataset, stop: int | None = None) -> np.ndarray:
+    """`_run_layers` over the whole dataset, in chunks of _CAPTURE_CHUNK samples."""
+    return np.concatenate([_run_layers(model, ds.samples[start : start + _CAPTURE_CHUNK], stop)
+                           for start in range(0, ds.n_samples, _CAPTURE_CHUNK)])
+
+
 def check_class_ids(model: ToyModel, ds: LabeledDataset) -> None:
     """Raise ShapeMismatch unless every class id of `ds` has a logit in `model`."""
     shape = layer_shapes(model)[-1][1] if model.layers else model.input_shape
@@ -323,8 +323,8 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     return loss, grad / n
 
 
-def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray):
-    """Cross-entropy loss and per-layer parameter gradients for one batch."""
+def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray, trainable_from: int = 0):
+    """Cross-entropy loss and per-layer parameter gradients (None below `trainable_from`)."""
     h = np.asarray(x, dtype=np.float64)
     caches = []
     for layer in model.layers:
@@ -332,9 +332,9 @@ def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray):
         caches.append(cache)
     loss, g = softmax_xent(h, np.asarray(labels))
     grads: list = [None] * len(model.layers)
-    # nothing reads the input gradient of the first layer with parameters,
-    # so the backward pass stops there without computing it
-    first = min(model.parametric_ids(), default=len(model.layers))
+    # nothing reads the input gradient of the first layer that learns, so
+    # the backward pass stops there without computing it
+    first = next((i for i in model.parametric_ids() if i >= trainable_from), len(model.layers))
     for i in range(len(model.layers) - 1, first, -1):
         g, grads[i] = model.layers[i].backward(g, caches[i])
     if first < len(model.layers):
@@ -343,9 +343,7 @@ def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray):
 
 
 def accuracy(model: ToyModel, ds: LabeledDataset) -> float:
-    logits = np.concatenate([_run_layers(model, ds.samples[start : start + _CAPTURE_CHUNK])
-                             for start in range(0, ds.n_samples, _CAPTURE_CHUNK)])
-    return float((logits.argmax(axis=1) == ds.labels).mean())
+    return float((_run_chunked(model, ds).argmax(axis=1) == ds.labels).mean())
 
 
 def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
@@ -355,11 +353,10 @@ def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
 
 
 def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int,
-          batch_size: int = 64, trainable: set[int] | None = None,
-          on_epoch=None) -> ToyModel:
+          batch_size: int = 64, trainable_from: int = 0, on_epoch=None) -> ToyModel:
     """SGD on shuffled mini-batches; returns a new model, input untouched.
 
-    `trainable` restricts updates to the given layer ids (None = all).
+    Only layers with id >= `trainable_from` are updated (0 = all).
     Raises ShapeMismatch up front when a class id has no logit, and
     Divergence when the epoch loss or any weight goes non-finite.
     """
@@ -380,13 +377,12 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch_size):
                 idx = perm[start : start + batch_size]
-                loss, grads = loss_and_grads(out, x[idx], y[idx])
+                loss, grads = loss_and_grads(out, x[idx], y[idx], trainable_from)
                 total += loss * len(idx)
-                for lid, (layer, pg) in enumerate(zip(out.layers, grads)):
-                    if pg is None or (trainable is not None and lid not in trainable):
-                        continue
-                    layer.w -= lr * pg["w"]
-                    layer.b -= lr * pg["b"]
+                for layer, pg in zip(out.layers, grads):
+                    if pg is not None:
+                        layer.w -= lr * pg["w"]
+                        layer.b -= lr * pg["b"]
         epoch_loss = total / n
         if not math.isfinite(epoch_loss) or not _weights_finite(out):
             raise Divergence(f"non-finite state at epoch {epoch + 1} (lr={lr})")
@@ -429,12 +425,12 @@ def stratified_subset(labels: np.ndarray, fraction: float, rng: np.random.Genera
 
 
 def finetune(model: ToyModel, ds: LabeledDataset, fraction: float, epochs: int,
-             lr: float, seed: int, trainable: set[int] | None = None) -> ToyModel:
+             lr: float, seed: int, trainable_from: int = 0) -> ToyModel:
     """Train on a seeded stratified subset; fraction = 1 reduces to `train`."""
     idx = stratified_subset(ds.labels, fraction,
                             np.random.default_rng(derive_seed(seed, "subset")))
     sub = LabeledDataset(ds.samples[idx], ds.labels[idx])
-    return train(model, sub, epochs, lr, seed, trainable=trainable)
+    return train(model, sub, epochs, lr, seed, trainable_from=trainable_from)
 
 
 # ------------------------------------------------------------- capture
@@ -446,15 +442,12 @@ def capture_activations(model: ToyModel, ds: LabeledDataset, layer_id: int,
     By default the maps are taken after the ReLU that follows the layer,
     because that is what the next layer consumes; `pre_activation` skips it.
     """
-    prunable = model.prunable_ids()
-    if layer_id not in prunable:
+    if layer_id not in (prunable := model.prunable_ids()):
         raise NotPrunableLayer(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
-    take_relu = (not pre_activation
-                 and layer_id + 1 < len(model.layers)
-                 and isinstance(model.layers[layer_id + 1], ReLU))
+    # a prunable layer is never the last: the output layer follows it
+    take_relu = not pre_activation and isinstance(model.layers[layer_id + 1], ReLU)
     stop = layer_id + 2 if take_relu else layer_id + 1
-    values = np.concatenate([_run_layers(model, ds.samples[start : start + _CAPTURE_CHUNK], stop)
-                             for start in range(0, ds.n_samples, _CAPTURE_CHUNK)])
+    values = _run_chunked(model, ds, stop)
     if values.ndim == 2:
         values = values[:, :, None, None]
     return ActivationTensor(values, ds.labels)

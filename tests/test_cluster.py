@@ -283,6 +283,18 @@ def test_sweep_bad_range():
         sweep_detailed(rows, stride=0)
 
 
+@pytest.mark.parametrize("bounds", [
+    {"stride": 2.0}, {"k_min": 2.5}, {"k_max": 6.0}, {"k_max": 5.0}, {"k_min": True},
+    {"stride": "1"},
+])
+def test_sweep_refuses_non_integer_bounds(bounds):
+    # range() once raised a bare TypeError for these
+    rows = np.random.default_rng(6).normal(size=(5, 2))
+    with pytest.raises(BadRange, match="integers"):
+        sweep_detailed(rows, **bounds)
+    assert sweep_detailed(rows, np.int64(2), np.int32(4), np.int8(2))[0].ks().tolist() == [2, 4]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sweep_refuses_non_finite_rows(bad):
     rows = np.random.default_rng(6).normal(size=(5, 2))

@@ -118,6 +118,38 @@ def test_config_rejects_fields_the_cli_cannot_set_badly(field, value):
         PruneConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("stride", 2.0), ("stride", True), ("stride", "2"),
+    ("ft_epochs", 1.5), ("ft_epochs", np.float64(2.0)),
+    ("seed", 1.5), ("seed", "7"),
+    ("ft_fraction", "0.5"), ("ft_fraction", True), ("ft_fraction", None),
+    ("ft_lr", "0.1"), ("ft_lr", np.bool_(True)),
+    ("pre_activation", 1), ("pre_activation", "yes"), ("freeze_upstream", None),
+])
+def test_config_refuses_mistyped_fields(field, value):
+    # each of these built a config that ended mid-run in a bare TypeError,
+    # or ran with a float where the sweep and the training loop count
+    with pytest.raises(BadParams, match=f"^{field} must be"):
+        PruneConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("stride", np.int64(2)), ("ft_epochs", np.int32(1)), ("seed", np.uint8(3)),
+    ("ft_fraction", 1), ("ft_fraction", np.float32(0.5)), ("ft_lr", 1),
+    ("pre_activation", np.bool_(True)),
+])
+def test_config_takes_numpy_numbers(field, value):
+    assert getattr(PruneConfig(**{field: value}), field) == value
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.int32(-2), np.uint8(3)])
+def test_numpy_integer_seed_derives_the_python_seeds_streams(seed):
+    # a config takes numpy integer seeds; `%` on one once overflowed mid-prune
+    from acsp.rng import derive_seed
+
+    assert derive_seed(seed, "finetune2") == derive_seed(int(seed), "finetune2")
+
+
 def test_config_fields_cannot_be_assigned():
     # a field set after validation would skip it: stride 0 used to reach the
     # sweep and be caught there as a degenerate layer, keeping every layer
@@ -218,8 +250,15 @@ def test_prune_layer_freeze_upstream():
     ds, trained = _trained_blob_setup(seed=4)
     cfg = planner._resolve_ft_lr(PruneConfig(seed=6, freeze_upstream=True), trained)
     out, report = prune_layer(trained, ds, 2, cfg)
-    if report.k_selected < report.n_components:
-        np.testing.assert_array_equal(out.layers[0].w, trained.layers[0].w)
+    assert report.k_selected < report.n_components  # the layer was cut and fine-tuned
+    for before, after in zip(trained.layers[:2], out.layers[:2]):
+        if before.parametric:
+            assert before.w.tobytes() == after.w.tobytes()
+            assert before.b.tobytes() == after.b.tobytes()
+    # fine-tuning moved every layer from the cut on, away from the cut alone
+    cut = apply_prune(trained, PruningPlan([report.entry]))
+    for i in trained.parametric_ids()[1:]:
+        assert (cut.layers[i].w != out.layers[i].w).any()
 
 
 def test_prune_model_runs_front_to_back():

@@ -447,3 +447,30 @@ def test_plan_json_bytes_do_not_depend_on_the_input_sequence_types():
     assert as_lists == as_tuples
     assert tensio.plan_to_json(as_lists) == tensio.plan_to_json(as_tuples)
     assert '"kept_indices": [\n        0,\n        3,\n        5\n      ],' in tensio.plan_to_json(as_lists)
+
+
+def test_plan_entry_keeps_its_own_json_copy_of_the_knee():
+    # a value added to the knee after the entry was built once ended the
+    # plan write in a bare TypeError
+    knee = {"k_prime": 3, "difference_curve": (0.0, 0.5)}
+    entry = PlanEntry(0, 6, [0, 2, 4], 3, "regular", 2, knee=knee)
+    knee["x"] = object()
+    assert entry.knee == {"k_prime": 3, "difference_curve": [0.0, 0.5]}
+    assert '"difference_curve": [\n          0.0,\n          0.5\n        ]' in \
+        tensio.plan_to_json(PruningPlan([entry]))
+    entry.knee["x"] = object()  # the copy is the entry's own dict
+    with pytest.raises(MalformedPlan, match="not writable as JSON"):
+        tensio.plan_to_json(PruningPlan([entry]))
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), np.int64(3), {"inner": {"s": {1}}}])
+def test_plan_entry_refuses_a_knee_that_is_not_json(value):
+    with pytest.raises(MalformedPlan, match="not writable as JSON"):
+        PlanEntry(0, 6, [0, 2, 4], 3, "regular", 2, knee={"k_prime": value})
+
+
+def test_plan_entry_refuses_a_circular_knee():
+    knee = {"k_prime": 3}
+    knee["self"] = knee
+    with pytest.raises(MalformedPlan, match="not writable as JSON"):
+        PlanEntry(0, 6, [0, 2, 4], 3, "regular", 2, knee=knee)

@@ -104,6 +104,20 @@ def test_layer_shapes_propagation():
     assert shapes[-1][1] == (3,)
 
 
+@pytest.mark.parametrize("make, fields, w_shape, b_shape", [
+    (Linear, (5, 4), (4, 5), (5,)),
+    (Linear, (5, 4), (5, 4), (4,)),
+    (Conv, (2, 3, 3, 1, 1), (3, 2, 3, 3), (2,)),
+    (Conv, (2, 3, 3, 1, 1), (3, 2, 3, 2), (3,)),
+])
+def test_layer_refuses_weights_or_bias_of_the_wrong_shape(make, fields, w_shape, b_shape):
+    with pytest.raises(ShapeMismatch, match=f"{make.kind} weights"):
+        make(*fields, np.zeros(w_shape), np.zeros(b_shape))
+    layer = make(*fields, np.zeros(make.weight_shape(*fields), np.float32),
+                 np.zeros(make.weight_shape(*fields)[0], np.int64))
+    assert layer.w.dtype == layer.b.dtype == np.float64
+
+
 def test_layer_shapes_rejects_bad_stack():
     layer = Linear(5, 4, np.zeros((4, 5)), np.zeros(4))
     model = ToyModel.__new__(ToyModel)
@@ -204,13 +218,23 @@ def test_backward_skips_only_the_unread_input_gradient(monkeypatch, spec):
     calls = {}
     for cls in (toynet.Linear, toynet.Conv):
         monkeypatch.setattr(cls, "backward", _recording(cls.backward, calls))
-    _, grads = loss_and_grads(model, x, labels)
     ids = model.parametric_ids()
-    assert calls == {id(model.layers[i]): i != ids[0] for i in ids}
-    for i, layer in enumerate(model.layers):
-        assert (grads[i] is None) == (i not in ids)
-        if i in ids:
-            assert (grads[i]["w"] == full[i]["w"]).all() and (grads[i]["b"] == full[i]["b"]).all()
+    # with `trainable_from`, the pass stops at the first layer at or after
+    # it, and the layers below it get no gradient
+    for cut in (None, 1, ids[1] + 1):
+        calls.clear()
+        if cut is None:
+            _, grads = loss_and_grads(model, x, labels)
+            learning = ids
+        else:
+            _, grads = loss_and_grads(model, x, labels, trainable_from=cut)
+            learning = [i for i in ids if i >= cut]
+        assert calls == {id(model.layers[i]): i != learning[0] for i in learning}
+        for i, layer in enumerate(model.layers):
+            assert (grads[i] is None) == (i not in learning)
+            if i in learning:
+                assert (grads[i]["w"] == full[i]["w"]).all()
+                assert (grads[i]["b"] == full[i]["b"]).all()
 
 
 # -------------------------------------------------------------- training
@@ -275,7 +299,7 @@ def test_train_respects_trainable_subset():
     ds = data.make_blobs(200, 2, (2,), seed=4)
     model = from_arch("mlp:2-8-8-2", seed=8)
     frozen_w = model.layers[0].w.copy()
-    out = train(model, ds, epochs=2, lr=0.1, seed=0, trainable={2, 4})
+    out = train(model, ds, epochs=2, lr=0.1, seed=0, trainable_from=2)
     np.testing.assert_array_equal(out.layers[0].w, frozen_w)
     assert not np.array_equal(out.layers[2].w, model.layers[2].w)
 
@@ -555,8 +579,8 @@ def test_parse_conv_defaults():
 def test_wide_model_prunable_ids():
     model = from_arch("mlp:2-64-64-32-4", seed=30)
     assert model.prunable_ids() == [0, 2, 4]
-    assert model.n_components(0) == 64
-    assert model.n_components(4) == 32
+    assert model.layers[0].n_components == 64
+    assert model.layers[4].n_components == 32
 
 
 @pytest.mark.parametrize(
