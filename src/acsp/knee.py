@@ -11,7 +11,7 @@ normalized, is the normalized x axis itself and never shows a knee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -43,13 +43,8 @@ class KneeResult:
     curvature_at_knee: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "k_prime": None if self.k_prime is None else int(self.k_prime),
-            "degree": int(self.degree),
-            "fitted_coeffs": [float(c) for c in self.fitted_coeffs],
-            "difference_curve": [float(d) for d in self.difference_curve],
-            "curvature_at_knee": self.curvature_at_knee,
-        }
+        """The fields by name, numpy numbers and arrays as Python ones."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
 
 def _curvature(coeffs: np.ndarray, x: float) -> float:

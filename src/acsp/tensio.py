@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -142,9 +142,11 @@ class PlanEntry:
     """One layer's pruning decision, in the original component numbering.
 
     Checked when built, types first, so no entry that exists is malformed.
-    `kept_indices` takes a list or a tuple of integers and is stored as a
+    Integer fields take Python or numpy integers and are stored as Python
+    ints; `kept_indices` takes a list or a tuple of them and is stored as a
     tuple, so the entry is frozen all the way down. `knee` must be writable
     as JSON, and the entry keeps its own copy, read back from that JSON.
+    The fields are the keys of the entry's object in `plan.json`.
     """
 
     layer_id: int
@@ -171,7 +173,10 @@ class PlanEntry:
         bad = [name for name, ok in typed.items() if not ok]
         if bad:
             raise MalformedPlan(f"bad plan entry: mistyped {', '.join(bad)}")
-        ks = tuple(self.kept_indices)
+        for field in fields(self):
+            if is_int(value := getattr(self, field.name)):
+                object.__setattr__(self, field.name, int(value))
+        ks = tuple(map(int, self.kept_indices))
         object.__setattr__(self, "kept_indices", ks)
         if self.knee is not None:
             object.__setattr__(self, "knee", json.loads(_dump_json(self.knee)))
@@ -243,9 +248,6 @@ class _Reader:
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
 
     def array(self, dtype: str, count: int) -> np.ndarray:
         nbytes = np.dtype(dtype).itemsize * count
@@ -319,6 +321,7 @@ def read_dataset(path: str) -> LabeledDataset:
 # ----------------------------------------------------------------- models
 
 _MODEL_LAYER_CODES = {"linear": 1, "conv": 2, "relu": 3, "avgpool": 4, "flatten": 5}
+_MODEL_META = struct.Struct("<QId")  # rng_seed, train_epochs, train_lr
 
 
 def write_model(model, path: str) -> None:
@@ -333,7 +336,7 @@ def write_model(model, path: str) -> None:
     """
     blob = bytearray(_header(KIND_MODEL))
     blob += _pack_dims(model.input_shape)
-    blob += struct.pack("<QId", model.rng_seed, model.train_epochs, model.train_lr)
+    blob += _MODEL_META.pack(model.rng_seed, model.train_epochs, model.train_lr)
     blob += struct.pack("<I", len(model.layers))
     payloads = bytearray()
     for layer in model.layers:
@@ -352,9 +355,7 @@ def read_model(path: str):
     by_code = {code: toynet.LAYER_TYPES[kind] for kind, code in _MODEL_LAYER_CODES.items()}
     r = _open(path, KIND_MODEL)
     input_shape = _read_dims(r)
-    rng_seed = r.u64()
-    train_epochs = r.u32()
-    train_lr = r.f64()
+    rng_seed, train_epochs, train_lr = _MODEL_META.unpack(r.take(_MODEL_META.size))
     n_layers = r.u32()
     headers = []
     for _ in range(n_layers):
@@ -390,21 +391,11 @@ def _dump_json(doc, indent: int | None = None) -> str:
 
 
 def plan_to_json(plan: PruningPlan) -> str:
+    """The plan as indented JSON: one object per entry, keyed by its fields."""
     doc = {
         "format": PLAN_FORMAT,
-        "layers": [
-            {
-                "layer_id": int(e.layer_id),
-                "n_components": int(e.n_components),
-                "kept_indices": list(map(int, e.kept_indices)),
-                "k_selected": int(e.k_selected),
-                "selection_mode": e.selection_mode,
-                "knee_degree": int(e.knee_degree),
-                "mss_curve_ref": e.mss_curve_ref,
-                "knee": e.knee,
-            }
-            for e in plan.entries
-        ],
+        "layers": [{f.name: getattr(e, f.name) for f in fields(e)}
+                   for e in plan.entries],
     }
     return _dump_json(doc, indent=2) + "\n"
 
@@ -412,17 +403,6 @@ def plan_to_json(plan: PruningPlan) -> str:
 def write_plan(plan: PruningPlan, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(plan_to_json(plan))
-
-
-def _entry_from_doc(doc: dict) -> PlanEntry:
-    """One entry from its JSON object; the entry checks its own fields."""
-    try:
-        return PlanEntry(**{name: doc[name] for name in (
-            "layer_id", "n_components", "kept_indices", "k_selected",
-            "selection_mode", "knee_degree")},
-            mss_curve_ref=doc.get("mss_curve_ref"), knee=doc.get("knee"))
-    except (KeyError, TypeError) as exc:
-        raise MalformedPlan(f"bad plan entry: {exc}") from exc
 
 
 def read_plan(path: str) -> PruningPlan:
@@ -435,6 +415,12 @@ def read_plan(path: str) -> PruningPlan:
     if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
         raise MalformedPlan(f"{path}: missing or unknown plan format marker")
     layers = doc.get("layers")
-    if not isinstance(layers, list):
-        raise MalformedPlan(f"{path}: 'layers' must be a list")
-    return PruningPlan([_entry_from_doc(d) for d in layers])
+    if not isinstance(layers, list) or not all(isinstance(d, dict) for d in layers):
+        raise MalformedPlan(f"{path}: 'layers' must be a list of objects")
+    entries = []
+    for d in layers:  # each entry checks its own fields
+        missing = [f.name for f in fields(PlanEntry) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise MalformedPlan(f"{path}: bad plan entry: missing {', '.join(missing)}")
+        entries.append(PlanEntry(**{f.name: d[f.name] for f in fields(PlanEntry) if f.name in d}))
+    return PruningPlan(entries)

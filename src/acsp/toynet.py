@@ -71,6 +71,8 @@ class _Layer:
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
         shape = self.weight_shape(*fields)
+        if 0 in shape:
+            raise ShapeMismatch(f"{self.kind} weight shape {shape} has a zero dimension")
         if self.w.shape != shape or self.b.shape != shape[:1]:
             raise ShapeMismatch(f"{self.kind} weights {self.w.shape} do not match {shape}")
 
@@ -254,11 +256,15 @@ class ToyModel:
 
     def __post_init__(self):
         self.input_shape = tuple(int(d) for d in self.input_shape)
-        layer_shapes(self)  # fail fast on an inconsistent stack
+        if len(out := self.output_shape()) != 1:  # fails fast on an inconsistent stack too
+            raise ShapeMismatch(f"model output must be a vector of logits, got {out}")
 
     def copy(self) -> "ToyModel":
         return ToyModel([l.copy() for l in self.layers], self.input_shape,
                         self.rng_seed, self.train_epochs, self.train_lr)
+
+    def output_shape(self) -> tuple:
+        return layer_shapes(self)[-1][1] if self.layers else self.input_shape
 
     def parametric_ids(self) -> list[int]:
         return [i for i, l in enumerate(self.layers) if l.parametric]
@@ -282,8 +288,9 @@ def layer_shapes(model: ToyModel) -> list[tuple[tuple, tuple]]:
     return shapes
 
 
-def _run_layers(model: ToyModel, x: np.ndarray, stop: int | None = None) -> np.ndarray:
-    """Output of `model.layers[:stop]` for one batch, in float64."""
+def forward(model: ToyModel, x: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """Output of `model.layers[:stop]` for a batch in float64, by default the
+    logits; raises ShapeMismatch on a wrong input shape."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != model.input_shape:
         raise ShapeMismatch(f"model expects [n, {model.input_shape}], got {x.shape}")
@@ -292,21 +299,15 @@ def _run_layers(model: ToyModel, x: np.ndarray, stop: int | None = None) -> np.n
     return x
 
 
-def forward(model: ToyModel, x: np.ndarray) -> np.ndarray:
-    """Logits for a batch; raises ShapeMismatch on a wrong input shape."""
-    return _run_layers(model, x)
-
-
 def _run_chunked(model: ToyModel, ds: LabeledDataset, stop: int | None = None) -> np.ndarray:
-    """`_run_layers` over the whole dataset, in chunks of _CAPTURE_CHUNK samples."""
-    return np.concatenate([_run_layers(model, ds.samples[start : start + _CAPTURE_CHUNK], stop)
+    """`forward` over the whole dataset, in chunks of _CAPTURE_CHUNK samples."""
+    return np.concatenate([forward(model, ds.samples[start : start + _CAPTURE_CHUNK], stop)
                            for start in range(0, ds.n_samples, _CAPTURE_CHUNK)])
 
 
 def check_class_ids(model: ToyModel, ds: LabeledDataset) -> None:
     """Raise ShapeMismatch unless every class id of `ds` has a logit in `model`."""
-    shape = layer_shapes(model)[-1][1] if model.layers else model.input_shape
-    if ds.labels.max(initial=0) >= math.prod(shape):
+    if ds.labels.max(initial=0) >= model.output_shape()[0]:
         raise ShapeMismatch("dataset class id exceeds model output width")
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,6 +405,42 @@ def test_eval_rejects_garbage_file(tmp_path, capsys):
     code, _, err = _run(capsys, "eval", "--model", bad, "--data", data_path)
     assert code == 1
     assert re.fullmatch(r'error code=BadMagic message="[^"]*"\n', err)
+
+
+def _write_unbuildable_model(path, kind):
+    """A model file that `from_arch` cannot make: its output is a conv map,
+    or its first linear layer is 0 wide. write_model only reads attributes,
+    so plain namespaces stand in for the layers and the model."""
+    ns = SimpleNamespace
+    if kind == "conv-output":
+        layers = [ns(kind="conv", fields=(1, 4, 3, 2, 1), parametric=True,
+                     w=np.ones((4, 1, 3, 3)), b=np.zeros(4))]
+        input_shape = (1, 8, 8)
+    else:
+        layers = [ns(kind="linear", fields=(2, 0), parametric=True,
+                     w=np.zeros((0, 2)), b=np.zeros(0)),
+                  ns(kind="relu", fields=(), parametric=False),
+                  ns(kind="linear", fields=(0, 3), parametric=True,
+                     w=np.zeros((3, 0)), b=np.zeros(3))]
+        input_shape = (2,)
+    tensio.write_model(ns(layers=layers, input_shape=input_shape, rng_seed=0,
+                          train_epochs=0, train_lr=0.0), path)
+
+
+@pytest.mark.parametrize("command", ["eval", "prune"])
+@pytest.mark.parametrize("kind, dims", [("conv-output", "1x8x8"), ("zero-width", "2")])
+def test_unbuildable_model_gives_one_error_line(tmp_path, capsys, command, kind, dims):
+    # both once ended in a traceback: a broadcast ValueError in accuracy,
+    # and an IndexError counting a 0-wide layer's FLOPs
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, n=60, classes=3, dims=dims)
+    _write_unbuildable_model(model_path, kind)
+    argv = ["--model", model_path, "--data", data_path]
+    if command == "prune":
+        argv += ["--out", str(tmp_path / "out")]
+    code, _, err = _run(capsys, command, *argv)
+    assert code == 1
+    assert re.fullmatch(r'error code=ShapeMismatch message="[^"]*"\n', err)
 
 
 def test_eval_rejects_overflowing_dataset_dims(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Knee detection on polynomial-smoothed curves."""
 
+import dataclasses
+import json
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from acsp.cluster import MssCurve
 from acsp.errors import BadParams, TooFewPoints
-from acsp.knee import SENSITIVITY, find_knee, select_k
+from acsp.knee import SENSITIVITY, KneeResult, find_knee, select_k
 from acsp.planner import PruneConfig
 
 
@@ -176,6 +179,19 @@ def test_difference_curve_and_coeffs_are_recorded():
     assert len(res.difference_curve) == len(ks)
     d = res.to_dict()
     assert d["k_prime"] == res.k_prime and d["degree"] == 3
+
+
+@pytest.mark.parametrize("k_prime", [None, np.int64(7), 7])
+def test_knee_dict_keys_are_its_fields_and_write_as_json(k_prime):
+    res = KneeResult(k_prime, np.int64(3), np.array([0.5, 1.0, -0.25, 0.0]),
+                     np.array([0.0, 0.25, 0.5]), np.float64(-0.125))
+    d = res.to_dict()
+    assert list(d) == [f.name for f in dataclasses.fields(KneeResult)]
+    assert json.loads(json.dumps(d)) == {
+        "k_prime": None if k_prime is None else 7, "degree": 3,
+        "fitted_coeffs": [0.5, 1.0, -0.25, 0.0],
+        "difference_curve": [0.0, 0.25, 0.5], "curvature_at_knee": -0.125}
+    assert type(d["degree"]) is int
 
 
 @given(st.integers(0, 500))

@@ -386,6 +386,10 @@ def test_plan_of_numpy_integers_writes_json_integers(tmp_path):
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == tensio.plan_to_json(same)
     assert tensio.read_plan(path) == same
+    # stored as Python ints when built, and read back as such
+    for e in (entry, tensio.read_plan(path).entries[0]):
+        assert {type(v) for v in (e.layer_id, e.n_components, e.k_selected, e.knee_degree,
+                                  *e.kept_indices)} == {int}
 
 
 def test_plan_rejects_non_utf8_text(tmp_path):
@@ -474,3 +478,30 @@ def test_plan_entry_refuses_a_circular_knee():
     knee["self"] = knee
     with pytest.raises(MalformedPlan, match="not writable as JSON"):
         PlanEntry(0, 6, [0, 2, 4], 3, "regular", 2, knee=knee)
+
+
+def test_written_plan_keys_are_the_plan_entry_fields(tmp_path):
+    path = str(tmp_path / "plan.json")
+    tensio.write_plan(_plan(), path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    names = {f.name for f in dataclasses.fields(PlanEntry)}
+    assert [set(layer) for layer in doc["layers"]] == [names, names]
+
+
+def test_plan_to_json_refuses_a_knee_made_circular_after_the_entry_was_built():
+    # the written dict is shallow: the entry's own knee goes to json.dumps,
+    # which names the fault, where a deep copy of the entry would end in a
+    # bare RecursionError
+    entry = PlanEntry(0, 6, [0, 2, 4], 3, "regular", 2, knee={"k_prime": 3})
+    entry.knee["self"] = entry.knee
+    with pytest.raises(MalformedPlan, match="not writable as JSON"):
+        tensio.plan_to_json(PruningPlan([entry]))
+
+
+@pytest.mark.parametrize("layers", [[5], [["layer_id", 2]], [None]])
+def test_plan_rejects_entries_that_are_not_objects(tmp_path, layers):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"format": "acsp-plan/1", "layers": layers}))
+    with pytest.raises(MalformedPlan, match="must be a list of objects"):
+        tensio.read_plan(str(path))

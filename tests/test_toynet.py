@@ -118,6 +118,41 @@ def test_layer_refuses_weights_or_bias_of_the_wrong_shape(make, fields, w_shape,
     assert layer.w.dtype == layer.b.dtype == np.float64
 
 
+@pytest.mark.parametrize("make, fields", [
+    (Linear, (2, 0)),
+    (Linear, (0, 3)),
+    (Conv, (1, 0, 3, 1, 1)),
+    (Conv, (0, 2, 3, 1, 1)),
+])
+def test_layer_refuses_a_weight_shape_with_a_zero_dimension(make, fields):
+    # a 0-wide linear layer read from a file once ended in an IndexError
+    # when its FLOPs were counted
+    shape = make.weight_shape(*fields)
+    with pytest.raises(ShapeMismatch, match="has a zero dimension"):
+        make(*fields, np.zeros(shape), np.zeros(shape[0]))
+
+
+@pytest.mark.parametrize("layers, input_shape", [
+    ([Conv(1, 4, 3, 1, 1, np.zeros((4, 1, 3, 3)), np.zeros(4))], (1, 4, 4)),
+    ([ReLU()], (1, 4, 4)),
+    ([], (1, 4, 4)),
+])
+def test_model_refuses_an_output_that_is_not_a_vector(layers, input_shape):
+    # a conv map as the output once ended accuracy in a broadcast ValueError
+    with pytest.raises(ShapeMismatch, match="must be a vector of logits"):
+        ToyModel(layers, input_shape)
+
+
+def test_forward_stops_before_the_given_layer():
+    model = from_arch("mlp:3-5-4-2", seed=2)
+    x = np.random.default_rng(0).normal(size=(6, 3))
+    np.testing.assert_array_equal(forward(model, x, stop=1), model.layers[0].forward(x))
+    np.testing.assert_array_equal(forward(model, x, stop=0), x)
+    np.testing.assert_array_equal(forward(model, x, stop=None),
+                                  forward(model, x, stop=len(model.layers)))
+    assert forward(model, x).shape == (6, 2)
+
+
 def test_layer_shapes_rejects_bad_stack():
     layer = Linear(5, 4, np.zeros((4, 5)), np.zeros(4))
     model = ToyModel.__new__(ToyModel)
