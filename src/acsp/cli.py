@@ -45,7 +45,7 @@ def cmd_train(args) -> None:
     toynet.check_train_settings(args.epochs, args.lr, args.batch_size)
     ds = tensio.read_dataset(args.data)
     model = toynet.from_arch(args.arch, derive_seed(args.seed, "init"))
-    toynet.check_class_ids(model, ds)
+    toynet.check_fit(model, ds)
     print("epoch,loss,accuracy")
 
     def log(epoch, loss, acc):
@@ -153,6 +153,7 @@ def cmd_prune(args) -> None:
     ds = tensio.read_dataset(args.data)
     config = planner.PruneConfig(**{f.name: getattr(args, f.name)
                                     for f in dataclasses.fields(planner.PruneConfig)})
+    toynet.check_fit(model, ds)
     base_acc = toynet.accuracy(model, ds)
     base_flops = toynet.count_flops(model).total
     pruned, reports = planner.prune_model(model, ds, config)
@@ -186,7 +187,7 @@ def cmd_prune(args) -> None:
 def cmd_eval(args) -> None:
     model = tensio.read_model(args.model)
     ds = tensio.read_dataset(args.data)
-    toynet.check_class_ids(model, ds)
+    toynet.check_fit(model, ds)
     acc = toynet.accuracy(model, ds)
     flops = toynet.count_flops(model).total
     print(f"accuracy={acc:.6f} flops={flops}")

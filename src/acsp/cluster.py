@@ -48,8 +48,7 @@ wins, does not depend on that order; PAM's first-argmin tie rule does, so
 a window of several pairs is sorted back into PAM's (position, row index)
 order before its exact step.
 
-Each k's MSS is scored from SWAP's final state: the (k, n) block that the
-last pass already holds, handed to `mss` transposed.
+Each k's MSS is scored by `mss` from the sweep's own distance matrix.
 
 MSS scores a clustering in [-inf, 1]:
 
@@ -227,16 +226,13 @@ def _best_swap(dist, cand, rows, member, pos, d1, d2, cost, tol):
     return (int(mi[best]), int(col[best])) if exact[best] < cost else None
 
 
-def _swap(dist: np.ndarray, medoids: list[int], tol: float,
-          ar: np.ndarray) -> tuple[ClusterResult, np.ndarray]:
+def _swap(dist: np.ndarray, medoids: list[int], tol: float, ar: np.ndarray) -> ClusterResult:
     """SWAP passes from a BUILD medoid set: apply the single best strictly
     improving exchange per pass; stop when none improves.
 
     The candidates, their rows of `dist` and the membership are built once
     and updated in place by each accepted swap: the old medoid takes the
-    incoming candidate's slot, so `cand` is not kept sorted. Returns the
-    ClusterResult and the final (k, n) medoid distance block, its rows in
-    `medoid_indices` order.
+    incoming candidate's slot, so `cand` is not kept sorted.
     """
     n = dist.shape[0]
     k = len(medoids)
@@ -275,31 +271,22 @@ def _swap(dist: np.ndarray, medoids: list[int], tol: float,
         member[state[0], ar] = 1.0
         meds, (pos, d1, dm), cost = candidate, state, exact
         history.append(float(cost))
-    dm[pos, ar] = d1  # a pass that ended the loop set them to inf
-    return ClusterResult(meds, meds[pos], history, passes, converged), dm
+    return ClusterResult(meds, meds[pos], history, passes, converged)
 
 
-def _check_rows(rows: np.ndarray) -> None:
-    """Refuse rows that are not 2-D or hold NaN or Inf."""
-    if rows.ndim != 2:
-        raise ShapeMismatch(f"need 2-D rows, got shape {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise NonFiniteValue("rows contain NaN or Inf")
+def mss(dist: np.ndarray, medoids: np.ndarray) -> float:
+    """Mean simplified silhouette of the nearest-medoid clustering under the
+    (n, n) distance matrix `dist` by the rows `medoids`, listed in any order.
 
-
-def mss(rows: np.ndarray, medoids: np.ndarray, dist_to_meds: np.ndarray | None = None) -> float:
-    """Mean simplified silhouette of the nearest-medoid clustering of the
-    2-D array `rows` by the rows `medoids`, listed in any order.
-
-    `dist_to_meds`, the (n, k) distances from each row to each medoid with
-    the columns in `medoids` order, spares recomputing them if the caller
-    holds them; the score is the same. Raises ShapeMismatch unless `rows`
-    is 2-D and `dist_to_meds` (n, k), NonFiniteValue if either holds NaN
-    or Inf, BadK for k < 2 and ValueError unless `medoids` are k distinct
-    rows and each medoid's own entry in `dist_to_meds` is 0.
+    For 2-D rows pass `pairwise_distances(rows, rows)`. Raises ShapeMismatch
+    unless `dist` is square and 2-D, NonFiniteValue if it holds NaN or Inf,
+    BadK for k < 2 and ValueError unless `medoids` are k distinct rows.
     """
-    _check_rows(rows)
-    n = rows.shape[0]
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise ShapeMismatch(f"mss needs a square 2-D distance matrix, got shape {dist.shape}")
+    if not np.isfinite(dist).all():
+        raise NonFiniteValue("distance matrix contains NaN or Inf")
+    n = dist.shape[0]
     k = len(medoids)
     if k < 2:
         raise BadK(f"mss needs k >= 2, got {k}")
@@ -308,16 +295,10 @@ def mss(rows: np.ndarray, medoids: np.ndarray, dist_to_meds: np.ndarray | None =
     counts = np.bincount(medoids, minlength=n)
     if len(counts) != n or counts.max() > 1:
         raise ValueError(f"need {k} distinct medoid rows in [0, {n})")
-    if dist_to_meds is None:
-        dist_to_meds = pairwise_distances(rows, rows[medoids])
-    elif dist_to_meds.shape != (n, k):
-        raise ShapeMismatch(f"mss needs an ({n}, {k}) medoid distance block, "
-                            f"got shape {dist_to_meds.shape}")
-    elif not np.isfinite(dist_to_meds).all():
-        raise NonFiniteValue("medoid distance block contains NaN or Inf")
-    elif dist_to_meds[medoids, np.arange(k)].any():
-        raise ValueError("medoid distance block is not in medoid order")
-    # exact on any layout, and fastest on SWAP's F-ordered block as passed
+    # the (n, k) block as medoid rows, by exact symmetry, in index order
+    # whatever order `medoids` lists; `dist[:, medoids]` sums b in another
+    # order, an ulp off at some k
+    dist_to_meds = dist[np.sort(medoids)].T
     a = dist_to_meds.min(axis=1)
     # contiguous, so each row sums in the same order as a fresh block
     b = (np.ascontiguousarray(dist_to_meds).sum(axis=1) - a) / (k - 1)
@@ -332,7 +313,10 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     is 2-D, NonFiniteValue if it holds NaN or Inf, and BadRange unless the
     bounds are integers (not bools) in range.
     """
-    _check_rows(rows)
+    if rows.ndim != 2:
+        raise ShapeMismatch(f"need 2-D rows, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise NonFiniteValue("rows contain NaN or Inf")
     n = rows.shape[0]
     if k_max is None:
         k_max = n
@@ -347,6 +331,6 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     results = {}
     entries = {}
     for k in ks:
-        results[k], dm = _swap(dist, order[:k], tol, ar)
-        entries[k] = mss(rows, results[k].medoid_indices, dm.T)
+        results[k] = _swap(dist, order[:k], tol, ar)
+        entries[k] = mss(dist, results[k].medoid_indices)
     return MssCurve(entries), results

@@ -47,8 +47,8 @@ class PruneConfig:
             "ft_fraction": (_is_real(self.ft_fraction) and 0.0 < self.ft_fraction <= 1.0,
                             "a real number in (0, 1]"),
             "ft_epochs": (is_int(self.ft_epochs) and self.ft_epochs >= 0, "an integer >= 0"),
-            "ft_lr": (self.ft_lr is None or _is_real(self.ft_lr) and self.ft_lr > 0.0,
-                      "None or a real number > 0"),
+            "ft_lr": (self.ft_lr is None or _is_real(self.ft_lr) and 0.0 < self.ft_lr < np.inf,
+                      "None or a finite real number > 0"),
             "seed": (is_int(self.seed), "an integer"),
             "pre_activation": (isinstance(self.pre_activation, (bool, np.bool_)), "a bool"),
             "freeze_upstream": (isinstance(self.freeze_upstream, (bool, np.bool_)), "a bool"),
@@ -154,11 +154,12 @@ def prune_model(model: toynet.ToyModel, ds, config: PruneConfig | None = None):
     """Run the layer loop over every prunable layer, front to back.
 
     Returns (model, [LayerReport]). A model with no prunable layer is
-    passed through unchanged with an empty report list. A dataset with a
-    class id beyond the model's output width fails before the first layer.
+    passed through unchanged with an empty report list. A dataset that the
+    model cannot read, or with a class id beyond the model's output width,
+    fails before the first layer.
     """
     config = _resolve_ft_lr(config or PruneConfig(), model)
-    toynet.check_class_ids(model, ds)
+    toynet.check_fit(model, ds)
     reports: list[LayerReport] = []
     current = model.copy()
     for layer_id in model.prunable_ids():

@@ -414,13 +414,19 @@ def read_plan(path: str) -> PruningPlan:
         raise MalformedPlan(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
         raise MalformedPlan(f"{path}: missing or unknown plan format marker")
+    # a mistyped optional key would otherwise be dropped without a word
+    if unknown := sorted(doc.keys() - {"format", "layers"}):
+        raise MalformedPlan(f"{path}: unknown plan keys: {', '.join(unknown)}")
     layers = doc.get("layers")
     if not isinstance(layers, list) or not all(isinstance(d, dict) for d in layers):
         raise MalformedPlan(f"{path}: 'layers' must be a list of objects")
+    names = {f.name for f in fields(PlanEntry)}
     entries = []
     for d in layers:  # each entry checks its own fields
         missing = [f.name for f in fields(PlanEntry) if f.default is MISSING and f.name not in d]
         if missing:
             raise MalformedPlan(f"{path}: bad plan entry: missing {', '.join(missing)}")
-        entries.append(PlanEntry(**{f.name: d[f.name] for f in fields(PlanEntry) if f.name in d}))
+        if unknown := sorted(d.keys() - names):
+            raise MalformedPlan(f"{path}: bad plan entry: unknown {', '.join(unknown)}")
+        entries.append(PlanEntry(**d))
     return PruningPlan(entries)

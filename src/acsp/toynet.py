@@ -305,8 +305,12 @@ def _run_chunked(model: ToyModel, ds: LabeledDataset, stop: int | None = None) -
                            for start in range(0, ds.n_samples, _CAPTURE_CHUNK)])
 
 
-def check_class_ids(model: ToyModel, ds: LabeledDataset) -> None:
-    """Raise ShapeMismatch unless every class id of `ds` has a logit in `model`."""
+def check_fit(model: ToyModel, ds: LabeledDataset) -> None:
+    """Raise ShapeMismatch unless `model` reads the samples of `ds` and has a
+    logit for each of its class ids."""
+    if ds.samples.shape[1:] != model.input_shape:
+        raise ShapeMismatch(f"model expects samples of shape {model.input_shape}, "
+                            f"dataset has {ds.samples.shape[1:]}")
     if ds.labels.max(initial=0) >= model.output_shape()[0]:
         raise ShapeMismatch("dataset class id exceeds model output width")
 
@@ -348,9 +352,9 @@ def accuracy(model: ToyModel, ds: LabeledDataset) -> float:
 
 
 def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
-    """Raise BadParams unless epochs >= 0, lr > 0 and batch_size >= 1."""
-    if epochs < 0 or not lr > 0 or batch_size < 1:  # `not >` also rejects nan
-        raise BadParams("need epochs >= 0, lr > 0, batch_size >= 1")
+    """Raise BadParams unless epochs >= 0, lr is finite and > 0, and batch_size >= 1."""
+    if epochs < 0 or not 0.0 < lr < math.inf or batch_size < 1:  # also rejects nan
+        raise BadParams("need epochs >= 0, finite lr > 0, batch_size >= 1")
 
 
 def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int,
@@ -358,11 +362,12 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
     """SGD on shuffled mini-batches; returns a new model, input untouched.
 
     Only layers with id >= `trainable_from` are updated (0 = all).
-    Raises ShapeMismatch up front when a class id has no logit, and
-    Divergence when the epoch loss or any weight goes non-finite.
+    Raises ShapeMismatch up front when the model cannot read the samples or
+    a class id has no logit, and Divergence when the epoch loss or any
+    weight goes non-finite.
     """
     check_train_settings(epochs, lr, batch_size)
-    check_class_ids(model, ds)
+    check_fit(model, ds)
     out = model.copy()
     if epochs == 0:
         return out

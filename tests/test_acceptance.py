@@ -19,7 +19,7 @@ import pytest
 
 from acsp import sepspace, toynet
 from acsp.cli import main
-from acsp.cluster import MssCurve, mss, sweep_detailed
+from acsp.cluster import MssCurve, mss, pairwise_distances, sweep_detailed
 from acsp.knee import find_knee
 from acsp.tensio import ActivationTensor, PlanEntry, PruningPlan
 
@@ -211,21 +211,23 @@ def test_criterion_04_mss_properties():
         for _ in range(30):
             n = int(gen.integers(3, 10))
             rows = gen.normal(size=(n, 2))
-            assert mss(rows, sweep_detailed(rows, n, n)[1][n].medoid_indices) == 1.0
+            meds = sweep_detailed(rows, n, n)[1][n].medoid_indices
+            assert mss(pairwise_distances(rows, rows), meds) == 1.0
 
         # four collinear points, medoids at the extremes:
         # per-point scores (1, 1 - 1/10, 1, 1 - 1/10), mean 0.95
         rows = np.array([[0.0], [1.0], [10.0], [11.0]])
-        assert abs(mss(rows, np.array([0, 3])) - 0.95) <= 1e-12
+        assert abs(mss(pairwise_distances(rows, rows), np.array([0, 3])) - 0.95) <= 1e-12
 
         for trial in range(100):
             n = int(gen.integers(4, 10))
             rows = gen.normal(size=(n, 2))
             k = int(gen.integers(2, min(n, 5) + 1))
             meds = sweep_detailed(rows, k, k)[1][k].medoid_indices
-            before = mss(rows, meds)
+            before = mss(pairwise_distances(rows, rows), meds)
             dup = int(meds[gen.integers(len(meds))])
-            after = mss(np.vstack([rows, rows[dup]]), meds)
+            rows2 = np.vstack([rows, rows[dup]])
+            after = mss(pairwise_distances(rows2, rows2), meds)
             assert after >= before - 1e-12, f"trial {trial}: {after} < {before}"
         info["identity_checks"] = 30
         info["monotonicity_checks"] = 100

@@ -148,6 +148,7 @@ def test_train_bad_arch_offset_in_message(tmp_path, capsys):
     ("--batch-size", "0"),
     ("--lr", "0"),
     ("--lr", "nan"),
+    ("--lr", "inf"),  # once printed the CSV header, then failed with Divergence
 ])
 def test_train_rejects_bad_settings_before_any_output(tmp_path, capsys, flag, value):
     data_path = str(tmp_path / "d.acsp")
@@ -171,6 +172,27 @@ def test_train_rejects_classes_beyond_output_width_before_any_output(tmp_path, c
     assert re.fullmatch(r'error code=ShapeMismatch message="[^"]*"\n', err)
     assert out == ""
     assert not os.path.exists(model_path)
+
+
+@pytest.mark.parametrize("command", ["train --epochs 0", "train --epochs 1", "eval", "prune"])
+def test_a_model_that_cannot_read_the_samples_gives_one_error_line(tmp_path, capsys, command):
+    # train once printed its CSV header first, or with no epochs wrote the
+    # model; eval and prune named the chunk's shape, (256, 2)
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, n=300, classes=3)
+    out_path = str(tmp_path / "out")
+    name, *flags = command.split()
+    if name == "train":
+        argv = ["--arch", "mlp:3-8-3", *flags, "--out", out_path]
+    else:
+        tensio.write_model(toynet.from_arch("mlp:3-8-3", seed=0), model_path)
+        argv = ["--model", model_path] + (["--out", out_path] if name == "prune" else [])
+    code, out, err = _run(capsys, name, "--data", data_path, *argv)
+    assert code == 1
+    assert err == ('error code=ShapeMismatch message="model expects samples of shape (3,), '
+                   'dataset has (2,)"\n')
+    assert out == ""
+    assert not os.path.exists(out_path)
 
 
 # ----------------------------------------------------------------- prune
@@ -325,6 +347,7 @@ def test_prune_regular_selection_flag(tmp_path, capsys, trained):
     ("--ft-fraction", "0"),
     ("--ft-fraction", "1.5"),
     ("--ft-lr", "0"),
+    ("--ft-lr", "inf"),  # once swept layer 0, then failed with Divergence
 ])
 def test_prune_rejects_bad_config_before_any_layer(tmp_path, capsys, trained, flag, value):
     data_path, model_path = trained

@@ -126,7 +126,7 @@ def test_deterministic_across_calls():
 def test_mss_is_one_at_k_equals_n():
     rows = np.random.default_rng(2).normal(size=(9, 3))
     res = _sweep_at(rows, 9)
-    assert mss(rows, res.medoid_indices) == 1.0
+    assert mss(pairwise_distances(rows, rows), res.medoid_indices) == 1.0
 
 
 def test_mss_four_point_hand_example():
@@ -134,7 +134,7 @@ def test_mss_four_point_hand_example():
     # a = (0, 1, 1, 0); b = (11, 10, 10, 11)
     # MSS = mean(1, 1 - 1/10, 1, 1 - 1/10) = 0.95
     rows = _cols([0.0, 1.0, 10.0, 11.0])
-    assert mss(rows, np.array([0, 3])) == pytest.approx(0.95, abs=1e-12)
+    assert mss(pairwise_distances(rows, rows), np.array([0, 3])) == pytest.approx(0.95, abs=1e-12)
 
 
 def test_mss_never_exceeds_one():
@@ -143,16 +143,16 @@ def test_mss_never_exceeds_one():
         n = int(gen.integers(4, 12))
         rows = gen.normal(size=(n, 2))
         k = int(gen.integers(2, n + 1))
-        assert mss(rows, _sweep_at(rows, k).medoid_indices) <= 1.0 + 1e-15
+        assert mss(pairwise_distances(rows, rows), _sweep_at(rows, k).medoid_indices) <= 1.0 + 1e-15
 
 
 def test_mss_equals_one_iff_every_point_on_a_medoid():
     rows = _cols([0.0, 0.0, 5.0, 5.0, 5.0])
     res = _sweep_at(rows, 2)
-    assert mss(rows, res.medoid_indices) == 1.0
+    assert mss(pairwise_distances(rows, rows), res.medoid_indices) == 1.0
     spread = _cols([0.0, 0.4, 5.0, 5.0, 5.0])
     res2 = _sweep_at(spread, 2)
-    assert mss(spread, res2.medoid_indices) < 1.0
+    assert mss(pairwise_distances(spread, spread), res2.medoid_indices) < 1.0
 
 
 def test_duplicating_a_medoid_row_never_decreases_mss():
@@ -162,30 +162,38 @@ def test_duplicating_a_medoid_row_never_decreases_mss():
         rows = gen.normal(size=(n, 2))
         k = int(gen.integers(2, min(n, 5) + 1))
         meds = _sweep_at(rows, k).medoid_indices
-        before = mss(rows, meds)
+        before = mss(pairwise_distances(rows, rows), meds)
         dup = int(meds[gen.integers(len(meds))])
         rows2 = np.vstack([rows, rows[dup]])
-        assert mss(rows2, meds) >= before - 1e-12
+        assert mss(pairwise_distances(rows2, rows2), meds) >= before - 1e-12
 
 
 def test_mss_ignores_medoid_listing_order():
-    rows = _cols([0.0, 1.0, 10.0, 11.0])
-    assert mss(rows, np.array([0, 3])) == mss(rows, np.array([3, 0]))
+    dist = pairwise_distances(*[_cols([0.0, 1.0, 10.0, 11.0])] * 2)
+    assert mss(dist, np.array([0, 3])) == mss(dist, np.array([3, 0]))
+    # with more than two medoids each b(i) sums k distances, which rounds
+    # differently in another order unless the listing is put in index order
+    rows = np.random.default_rng(5).normal(size=(40, 3))
+    dist = pairwise_distances(rows, rows)
+    meds = np.random.default_rng(6).choice(40, 9, replace=False)
+    scores = {mss(dist, perm) for perm in (meds, np.sort(meds), meds[::-1],
+                                           np.random.default_rng(7).permutation(meds))}
+    assert len(scores) == 1
 
 
 @pytest.mark.parametrize("meds", [[0, 7], [0, 0]],
                          ids=["medoid beyond the rows", "repeated medoid"])
 def test_mss_rejects_medoids_that_do_not_match_k(meds):
     # unchecked, the first raises IndexError and the second returns 0.25
-    rows = _cols([0.0, 1.0, 10.0, 11.0])
+    dist = pairwise_distances(*[_cols([0.0, 1.0, 10.0, 11.0])] * 2)
     with pytest.raises(ValueError):
-        mss(rows, np.array(meds))
+        mss(dist, np.array(meds))
 
 
 def test_mss_rejects_k_below_two():
-    rows = _cols([0.0, 1.0, 2.0])
+    dist = pairwise_distances(*[_cols([0.0, 1.0, 2.0])] * 2)
     with pytest.raises(BadK):
-        mss(rows, np.array([0]))
+        mss(dist, np.array([0]))
 
 
 def test_sweep_assigns_each_point_to_a_nearest_medoid():
@@ -202,49 +210,38 @@ def test_sweep_assigns_each_point_to_a_nearest_medoid():
         assert (dist[res.assignment, np.arange(len(rows))] == nearest).all(), k
 
 
-@pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteValue), (np.inf, NonFiniteValue),
-                                        (-np.inf, NonFiniteValue), ("swap", ValueError)],
-                         ids=["nan cell", "inf cell", "-inf cell", "columns out of medoid order"])
-def test_mss_refuses_a_bad_medoid_block(bad, error):
-    # unchecked, these scored nan, 0.975, -2.5e11 and -5.5e12 with no error;
-    # the clustering's own score is 0.95
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan cell", "inf cell", "-inf cell"])
+def test_mss_refuses_a_bad_medoid_block(bad):
+    # a bad cell among the medoid rows of `dist`, the (k, n) block that mss
+    # reads; unchecked, these scored nan, 0.975 and -2.5e11 with no error
     rows = _cols([0.0, 1.0, 10.0, 11.0])
-    meds = np.array([0, 3])
-    block = pairwise_distances(rows, rows[meds])
-    if bad == "swap":
-        block = block[:, ::-1]
-    else:
-        block[1, 1] = bad
-    with pytest.raises(error):
-        mss(rows, meds, block)
+    dist = pairwise_distances(rows, rows)
+    dist[3, 1] = bad
+    with pytest.raises(NonFiniteValue):
+        mss(dist, np.array([0, 3]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_mss_refuses_non_finite_rows(bad):
+    # their distance matrix holds NaN (inf - inf) or Inf
     rows = np.random.default_rng(6).normal(size=(5, 2))
     res = _sweep_at(rows, 2)
     rows[3, 1] = bad
+    with np.errstate(invalid="ignore"):
+        dist = pairwise_distances(rows, rows)
     with pytest.raises(NonFiniteValue):
-        mss(rows, res.medoid_indices)
+        mss(dist, res.medoid_indices)
 
 
-@pytest.mark.parametrize("reshape", [lambda r: r[:, 0], lambda r: r[:, :, None]],
-                         ids=["1-D", "3-D"])
-def test_mss_refuses_rows_that_are_not_2d(reshape):
+@pytest.mark.parametrize("shape", [lambda d, m: d[:, 0], lambda d, m: d[:, :, None],
+                                   lambda d, m: d[m], lambda d, m: d[:, m]],
+                         ids=["1-D", "3-D", "k x n", "n x k"])
+def test_mss_refuses_a_distance_matrix_that_is_not_square_2d(shape):
     rows = np.random.default_rng(6).normal(size=(5, 2))
-    res = _sweep_at(rows, 2)
+    meds = _sweep_at(rows, 2).medoid_indices
     with pytest.raises(ShapeMismatch):
-        mss(reshape(rows), res.medoid_indices)
-
-
-@pytest.mark.parametrize("block", [lambda r, m: pairwise_distances(r, r),
-                                   lambda r, m: pairwise_distances(r[m], r)],
-                         ids=["n x n", "k x n"])
-def test_mss_refuses_a_medoid_block_of_the_wrong_shape(block):
-    rows = np.random.default_rng(6).normal(size=(5, 2))
-    res = _sweep_at(rows, 2)
-    with pytest.raises(ShapeMismatch):
-        mss(rows, res.medoid_indices, block(rows, res.medoid_indices))
+        mss(shape(pairwise_distances(rows, rows), meds), meds)
 
 
 @given(st.integers(0, 10_000))
@@ -253,7 +250,7 @@ def test_mss_at_full_k_property(seed):
     gen = np.random.default_rng(seed)
     n = int(gen.integers(3, 10))
     rows = gen.normal(size=(n, int(gen.integers(1, 4))))
-    assert mss(rows, _sweep_at(rows, n).medoid_indices) == 1.0
+    assert mss(pairwise_distances(rows, rows), _sweep_at(rows, n).medoid_indices) == 1.0
 
 
 # ----------------------------------------------------------------- sweep
@@ -317,7 +314,8 @@ def test_sweep_detailed_results_match_direct_calls():
     for k in curve.ks():
         direct = _sweep_at(rows, int(k))
         np.testing.assert_array_equal(results[int(k)].medoid_indices, direct.medoid_indices)
-        assert curve.entries[int(k)] == pytest.approx(mss(rows, direct.medoid_indices), abs=0)
+        assert curve.entries[int(k)] == pytest.approx(
+            mss(pairwise_distances(rows, rows), direct.medoid_indices), abs=0)
 
 
 def test_sweep_is_deterministic():
@@ -672,8 +670,29 @@ def test_sweep_mss_equals_public_mss_bit_for_bit():
     # most k; the sweep must score from a contiguous copy
     rows = np.random.default_rng(1).normal(size=(64, 6))
     curve, results = sweep_detailed(rows)
+    dist = pairwise_distances(rows, rows)
     for k, res in results.items():
-        assert curve.entries[k] == mss(rows, res.medoid_indices), k
+        assert curve.entries[k] == mss(dist, res.medoid_indices), k
+
+
+def test_sweep_scores_every_k_from_its_one_distance_matrix(monkeypatch):
+    # through the module attribute, once per k, with the (n, n) matrix that
+    # BUILD and SWAP use; no k recomputes distances from the rows
+    rows = np.random.default_rng(11).normal(size=(12, 3))
+    calls = []
+    real_mss = cluster.mss
+
+    def recording_mss(dist, medoids):
+        calls.append((dist, medoids))
+        return real_mss(dist, medoids)
+
+    monkeypatch.setattr(cluster, "mss", recording_mss)
+    curve, results = sweep_detailed(rows, 2, 12, 2)
+    assert [len(m) for _, m in calls] == [2, 4, 6, 8, 10, 12]
+    assert all(dist is calls[0][0] for dist, _ in calls)
+    assert (calls[0][0] == pairwise_distances(rows, rows)).all()
+    for (_, medoids), k in zip(calls, curve.ks()):
+        assert medoids is results[int(k)].medoid_indices
 
 
 def _seed7_layer_spaces(tmp_path, monkeypatch, arch):
@@ -751,8 +770,7 @@ def _farthest_from_first_medoid(dist, cand, rows, *_):
 @pytest.mark.parametrize("exit", ["no estimate within tol", "exact step finds no gain",
                                   "swap not below the cost", "pass cap", "k = n"])
 def test_curve_equals_plain_mss_at_each_swap_exit(monkeypatch, exit):
-    # the sweep scores each k from SWAP's last medoid distance block; a pass
-    # that ends the loop has set each point's own entry to inf
+    # each way SWAP can end leaves the clustering that the curve scores
     rows, k = _needs_a_swap()[0], 3
     passes = _record_passes(monkeypatch)
     if exit == "exact step finds no gain":  # medoid 0 ties with its duplicate row 1

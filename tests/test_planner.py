@@ -133,6 +133,14 @@ def test_config_refuses_mistyped_fields(field, value):
         PruneConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [np.inf, float("inf"), np.nan],
+                         ids=["numpy inf", "float inf", "nan"])
+def test_config_refuses_a_non_finite_ft_lr(value):
+    # an infinite rate once diverged only after the first layer's sweep
+    with pytest.raises(BadParams, match="^ft_lr must be None or a finite real number > 0"):
+        PruneConfig(ft_lr=value)
+
+
 @pytest.mark.parametrize("field, value", [
     ("stride", np.int64(2)), ("ft_epochs", np.int32(1)), ("seed", np.uint8(3)),
     ("ft_fraction", 1), ("ft_fraction", np.float32(0.5)), ("ft_lr", 1),

@@ -499,6 +499,20 @@ def test_plan_to_json_refuses_a_knee_made_circular_after_the_entry_was_built():
         tensio.plan_to_json(PruningPlan([entry]))
 
 
+@pytest.mark.parametrize("where, keys", [
+    ("entry", {"kept_indice": [1], "knees": 3}),
+    ("top level", {"extra": 1}),
+], ids=["entry", "top level"])
+def test_plan_rejects_unknown_keys(tmp_path, where, keys):
+    # a mistyped optional key once read without error and was dropped
+    doc = json.loads(tensio.plan_to_json(_plan()))
+    (doc["layers"][0] if where == "entry" else doc).update(keys)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedPlan, match="unknown .*" + ", ".join(sorted(keys))):
+        tensio.read_plan(str(path))
+
+
 @pytest.mark.parametrize("layers", [[5], [["layer_id", 2]], [None]])
 def test_plan_rejects_entries_that_are_not_objects(tmp_path, layers):
     path = tmp_path / "plan.json"

@@ -310,6 +310,17 @@ def test_train_rejects_bad_params():
         train(model, ds, epochs=-1, lr=0.1, seed=0)
     with pytest.raises(BadParams):
         train(model, ds, epochs=1, lr=0.0, seed=0)
+    for lr in (np.inf, np.nan):
+        with pytest.raises(BadParams, match="finite lr"):
+            train(model, ds, epochs=1, lr=lr, seed=0)
+
+
+def test_train_rejects_samples_of_another_shape():
+    # refused up front, also with no epochs to run
+    model = from_arch("mlp:3-4-3", seed=0)
+    for epochs in (0, 1):
+        with pytest.raises(ShapeMismatch, match=r"expects samples of shape \(3,\), dataset has \(4,\)"):
+            train(model, tiny_dataset(), epochs=epochs, lr=0.1, seed=0)
 
 
 def test_train_rejects_labels_beyond_output_width():
