@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadK, BadRange, NonFiniteValue, ShapeMismatch
+from .errors import BadParams, NonFiniteValue, ShapeMismatch
 from .tensio import is_int
 
 B_FLOOR = 1e-12
@@ -280,21 +280,22 @@ def mss(dist: np.ndarray, medoids: np.ndarray) -> float:
 
     For 2-D rows pass `pairwise_distances(rows, rows)`. Raises ShapeMismatch
     unless `dist` is square and 2-D, NonFiniteValue if it holds NaN or Inf,
-    BadK for k < 2 and ValueError unless `medoids` are k distinct rows.
+    and BadParams unless `medoids` are a 1-D integer array of k >= 2
+    distinct rows in [0, n).
     """
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ShapeMismatch(f"mss needs a square 2-D distance matrix, got shape {dist.shape}")
     if not np.isfinite(dist).all():
         raise NonFiniteValue("distance matrix contains NaN or Inf")
     n = dist.shape[0]
-    k = len(medoids)
-    if k < 2:
-        raise BadK(f"mss needs k >= 2, got {k}")
-    # bincount raises ValueError on a negative row; a row beyond the rows
-    # lengthens the counts and a repeated one counts twice
-    counts = np.bincount(medoids, minlength=n)
-    if len(counts) != n or counts.max() > 1:
-        raise ValueError(f"need {k} distinct medoid rows in [0, {n})")
+    medoids = np.asarray(medoids)
+    k = len(medoids) if medoids.ndim == 1 else 0
+    # once the least row is >= 0, bincount counts a repeated row twice and
+    # lengthens the counts for a row beyond the last
+    if not (k >= 2 and medoids.dtype.kind in "iu" and np.can_cast(medoids.dtype, np.intp)
+            and medoids.min() >= 0 and len(counts := np.bincount(medoids, minlength=n)) == n
+            and counts.max() == 1):
+        raise BadParams(f"mss needs a 1-D integer array of k >= 2 distinct rows in [0, {n})")
     # the (n, k) block as medoid rows, by exact symmetry, in index order
     # whatever order `medoids` lists; `dist[:, medoids]` sums b in another
     # order, an ulp off at some k
@@ -310,7 +311,7 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
 
     The pairwise distance matrix and one BUILD run are shared by every k.
     Returns (curve, {k: ClusterResult}). Raises ShapeMismatch unless `rows`
-    is 2-D, NonFiniteValue if it holds NaN or Inf, and BadRange unless the
+    is 2-D, NonFiniteValue if it holds NaN or Inf, and BadParams unless the
     bounds are integers (not bools) in range.
     """
     if rows.ndim != 2:
@@ -321,8 +322,8 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     if k_max is None:
         k_max = n
     if not (all(map(is_int, (k_min, k_max, stride))) and 2 <= k_min <= k_max <= n and stride >= 1):
-        raise BadRange(f"need integers 2 <= k_min <= k_max <= {n} and stride >= 1, "
-                       f"got [{k_min}, {k_max}] stride {stride}")
+        raise BadParams(f"need integers 2 <= k_min <= k_max <= {n} and stride >= 1, "
+                        f"got [{k_min}, {k_max}] stride {stride}")
     dist = pairwise_distances(rows, rows)
     ks = range(k_min, k_max + 1, stride)
     order = _build(dist, ks[-1])

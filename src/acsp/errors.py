@@ -41,20 +41,8 @@ class ShapeMismatch(AcspError):
     """Tensor shape is incompatible with a layer or model."""
 
 
-class NotPrunableLayer(AcspError):
-    """Operation targets a layer that cannot be pruned."""
-
-
 class Divergence(AcspError):
     """Training produced a non-finite loss or non-finite weights."""
-
-
-class BadK(AcspError):
-    """Requested cluster count is outside [2, n_points]."""
-
-
-class BadRange(AcspError):
-    """Sweep bounds or stride are invalid."""
 
 
 class TooFewPoints(AcspError):
@@ -62,7 +50,7 @@ class TooFewPoints(AcspError):
 
 
 class BadParams(AcspError):
-    """Command or generator parameters are out of range."""
+    """An argument is out of range or of the wrong type."""
 
 
 class ParseError(AcspError):

@@ -14,16 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cluster, knee, sepspace, toynet
-from .errors import BadParams, NotPrunableLayer
+from .errors import BadParams
 from .rng import derive_seed
-from .tensio import SELECTION_MODES, PlanEntry, PruningPlan, is_int
+from .tensio import SELECTION_MODES, PlanEntry, PruningPlan, is_int, is_real
 
 DEFAULT_FT_LR_SCALE = 0.1  # fine-tune lr defaults to a tenth of the training lr
-
-
-def _is_real(val) -> bool:
-    # a Python or numpy integer or float, not a bool
-    return is_int(val) or isinstance(val, (float, np.floating))
 
 
 @dataclass(frozen=True)
@@ -44,10 +39,10 @@ class PruneConfig:
         knee.check_degree(self.knee_degree)
         rules = {  # field: (whether it holds, what the field must be)
             "stride": (is_int(self.stride) and self.stride >= 1, "an integer >= 1"),
-            "ft_fraction": (_is_real(self.ft_fraction) and 0.0 < self.ft_fraction <= 1.0,
+            "ft_fraction": (is_real(self.ft_fraction) and 0.0 < self.ft_fraction <= 1.0,
                             "a real number in (0, 1]"),
             "ft_epochs": (is_int(self.ft_epochs) and self.ft_epochs >= 0, "an integer >= 0"),
-            "ft_lr": (self.ft_lr is None or _is_real(self.ft_lr) and 0.0 < self.ft_lr < np.inf,
+            "ft_lr": (self.ft_lr is None or is_real(self.ft_lr) and 0.0 < self.ft_lr < np.inf,
                       "None or a finite real number > 0"),
             "seed": (is_int(self.seed), "an integer"),
             "pre_activation": (isinstance(self.pre_activation, (bool, np.bool_)), "a bool"),
@@ -75,7 +70,7 @@ def component_norms(model: toynet.ToyModel, layer_id: int) -> np.ndarray:
     """L2 norm of each component's incoming weights (bias excluded)."""
     layer = model.layers[layer_id]
     if not layer.parametric:
-        raise NotPrunableLayer(f"layer {layer_id} ({layer.kind}) has no weights")
+        raise BadParams(f"layer {layer_id} ({layer.kind}) has no weights")
     w = layer.w
     return np.sqrt((w.reshape(w.shape[0], -1) ** 2).sum(axis=1))
 
@@ -123,7 +118,7 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
     """
     config = _resolve_ft_lr(config or PruneConfig(), model)
     if layer_id not in (prunable := model.prunable_ids()):
-        raise NotPrunableLayer(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
+        raise BadParams(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
     flops_before = toynet.count_flops(model).total
     n_comp = model.layers[layer_id].n_components
     if n_comp < 2:

@@ -9,8 +9,10 @@ Binary container layout (all integers little-endian, fixed width):
 
 Tensor values are stored as little-endian float32 in row-major order and
 labels as uint32, so identical in-memory inputs produce byte-identical
-files on any platform. Downstream numerics run in float64; files are the
-only place precision is reduced.
+files on any platform. Downstream numerics run in float64, but files are
+not the only place precision is reduced: `LabeledDataset` holds its
+samples and `ActivationTensor` the captured activations as float32 in
+memory too.
 
 Pruning plans are JSON text instead of binary: they are the artifact a
 human audits after a run. A plan and each of its entries are frozen, hold
@@ -135,6 +137,11 @@ class ActivationTensor:
 def is_int(val) -> bool:
     # a Python or numpy integer, not a bool; JSON only ever yields Python ints
     return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
+def is_real(val) -> bool:
+    # a Python or numpy integer or float, not a bool
+    return is_int(val) or isinstance(val, (float, np.floating))
 
 
 @dataclass(frozen=True)

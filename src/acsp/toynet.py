@@ -18,16 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import data
 from .errors import (
     BadParams,
     Divergence,
     MalformedPlan,
-    NotPrunableLayer,
     ParseError,
     ShapeMismatch,
 )
 from .rng import derive_seed
-from .tensio import ActivationTensor, LabeledDataset, PruningPlan
+from .tensio import ActivationTensor, LabeledDataset, PruningPlan, is_int, is_real
 
 _CAPTURE_CHUNK = 256  # fixed so chunking never depends on the environment
 
@@ -352,8 +352,10 @@ def accuracy(model: ToyModel, ds: LabeledDataset) -> float:
 
 
 def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
-    """Raise BadParams unless epochs >= 0, lr is finite and > 0, and batch_size >= 1."""
-    if epochs < 0 or not 0.0 < lr < math.inf or batch_size < 1:  # also rejects nan
+    """Raise BadParams unless epochs is an integer >= 0, lr a finite real
+    number > 0 and batch_size an integer >= 1; a bool is none of these."""
+    if not (is_int(epochs) and epochs >= 0 and is_real(lr) and 0.0 < lr < math.inf
+            and is_int(batch_size) and batch_size >= 1):  # also rejects nan
         raise BadParams("need epochs >= 0, finite lr > 0, batch_size >= 1")
 
 
@@ -410,7 +412,7 @@ def stratified_subset(labels: np.ndarray, fraction: float, rng: np.random.Genera
     Quotas follow largest-remainder apportionment of the class counts, then
     get bumped so no class drops below two (the dataset invariant).
     """
-    if not 0.0 < fraction <= 1.0:
+    if not (is_real(fraction) and 0.0 < fraction <= 1.0):
         raise BadParams(f"fraction must be in (0, 1], got {fraction}")
     n = len(labels)
     counts = np.bincount(labels)
@@ -447,9 +449,16 @@ def capture_activations(model: ToyModel, ds: LabeledDataset, layer_id: int,
 
     By default the maps are taken after the ReLU that follows the layer,
     because that is what the next layer consumes; `pre_activation` skips it.
+    Raises BadParams unless the layer is prunable and its maps over the
+    dataset hold at most `data.MAX_VALUES` values, checked before any is
+    computed.
     """
     if layer_id not in (prunable := model.prunable_ids()):
-        raise NotPrunableLayer(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
+        raise BadParams(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
+    size = ds.n_samples * math.prod(layer_shapes(model)[layer_id][1])
+    if size > data.MAX_VALUES:
+        raise BadParams(f"layer {layer_id}: n x prod(output shape) = {size} values; "
+                        f"the limit is {data.MAX_VALUES}")
     # a prunable layer is never the last: the output layer follows it
     take_relu = not pre_activation and isinstance(model.layers[layer_id + 1], ReLU)
     stop = layer_id + 2 if take_relu else layer_id + 1
@@ -485,10 +494,8 @@ def apply_prune(model: ToyModel, plan: PruningPlan) -> ToyModel:
         if len(kept) == layer.n_components:
             continue
         j = lid + 1
-        while j < len(out.layers) and not out.layers[j].parametric:
+        while not out.layers[j].parametric:  # the output layer at the latest
             j += 1
-        if j >= len(out.layers):
-            raise MalformedPlan(f"layer {lid}: no parametric layer downstream")
         # each component feeds a block of the next layer's input axis: one
         # channel, one feature, or h*w flattened columns
         block = shapes[j][0][0] // layer.n_components

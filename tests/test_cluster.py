@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from acsp import cluster
 from acsp.cluster import mss, pairwise_distances, sweep_detailed
-from acsp.errors import BadK, BadRange, NonFiniteValue, ShapeMismatch
+from acsp.errors import BadParams, NonFiniteValue, ShapeMismatch
 from acsp.sepspace import _JM_SUP
 
 
@@ -58,9 +58,9 @@ def test_duplicate_rows_tie_break_to_lowest_index():
 def test_bad_k():
     rows = np.zeros((5, 2))
     rows[:, 0] = np.arange(5)
-    with pytest.raises(BadRange):
+    with pytest.raises(BadParams):
         _sweep_at(rows, 1)
-    with pytest.raises(BadRange):
+    with pytest.raises(BadParams):
         _sweep_at(rows, 6)
 
 
@@ -181,19 +181,15 @@ def test_mss_ignores_medoid_listing_order():
     assert len(scores) == 1
 
 
-@pytest.mark.parametrize("meds", [[0, 7], [0, 0]],
-                         ids=["medoid beyond the rows", "repeated medoid"])
+@pytest.mark.parametrize("meds", [[0, 7], [0, 0], [-1, 2], np.array([0.0, 3.0]), [[0, 3]], [0]],
+                         ids=["medoid beyond the rows", "repeated medoid", "negative medoid",
+                              "float medoids", "2-D medoids", "one medoid"])
 def test_mss_rejects_medoids_that_do_not_match_k(meds):
-    # unchecked, the first raises IndexError and the second returns 0.25
+    # unchecked, the first raises IndexError, the second returns 0.25 and
+    # the float pair ends in numpy's own TypeError
     dist = pairwise_distances(*[_cols([0.0, 1.0, 10.0, 11.0])] * 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         mss(dist, np.array(meds))
-
-
-def test_mss_rejects_k_below_two():
-    dist = pairwise_distances(*[_cols([0.0, 1.0, 2.0])] * 2)
-    with pytest.raises(BadK):
-        mss(dist, np.array([0]))
 
 
 def test_sweep_assigns_each_point_to_a_nearest_medoid():
@@ -270,13 +266,13 @@ def test_sweep_stride():
 
 def test_sweep_bad_range():
     rows = np.random.default_rng(6).normal(size=(5, 2))
-    with pytest.raises(BadRange):
+    with pytest.raises(BadParams):
         sweep_detailed(rows, k_min=1)
-    with pytest.raises(BadRange):
+    with pytest.raises(BadParams):
         sweep_detailed(rows, k_min=3, k_max=2)
-    with pytest.raises(BadRange):
+    with pytest.raises(BadParams):
         sweep_detailed(rows, k_max=6)
-    with pytest.raises(BadRange):
+    with pytest.raises(BadParams):
         sweep_detailed(rows, stride=0)
 
 
@@ -287,7 +283,7 @@ def test_sweep_bad_range():
 def test_sweep_refuses_non_integer_bounds(bounds):
     # range() once raised a bare TypeError for these
     rows = np.random.default_rng(6).normal(size=(5, 2))
-    with pytest.raises(BadRange, match="integers"):
+    with pytest.raises(BadParams, match="integers"):
         sweep_detailed(rows, **bounds)
     assert sweep_detailed(rows, np.int64(2), np.int32(4), np.int8(2))[0].ks().tolist() == [2, 4]
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acsp import cluster, data, planner, toynet
-from acsp.errors import BadParams, NotPrunableLayer, ShapeMismatch
+from acsp.errors import BadParams, ShapeMismatch
 from acsp.planner import (
     PruneConfig,
     component_norms,
@@ -56,8 +56,23 @@ def test_component_norms_conv_filters():
 
 def test_component_norms_rejects_relu():
     model = from_arch("mlp:3-3-2", seed=3)
-    with pytest.raises(NotPrunableLayer):
+    with pytest.raises(BadParams):
         component_norms(model, 1)
+
+
+def test_the_sweep_and_the_layer_functions_refuse_bad_arguments_as_badparams():
+    # each once raised a class of its own, BadRange or NotPrunableLayer,
+    # with these messages
+    model = from_arch("mlp:3-3-2", seed=3)
+    ds = tiny_dataset(n=12, num_classes=2, dims=(3,))
+    rows = np.random.default_rng(6).normal(size=(5, 2))
+    with pytest.raises(BadParams, match=r"need integers 2 <= k_min <= k_max <= 5"):
+        cluster.sweep_detailed(rows, k_min=1)
+    with pytest.raises(BadParams, match=r"layer 1 \(relu\) has no weights"):
+        component_norms(model, 1)
+    for call in (toynet.capture_activations, prune_layer):
+        with pytest.raises(BadParams, match=r"layer 2 is not prunable; prunable ids: \[0\]"):
+            call(model, ds, 2)
 
 
 def test_compose_regular_keeps_medoids():
@@ -191,7 +206,7 @@ def test_ft_lr_explicit_wins():
 def test_prune_layer_rejects_output_layer():
     ds, trained = _trained_blob_setup(seed=2, epochs=2)
     cfg = planner._resolve_ft_lr(PruneConfig(), trained)
-    with pytest.raises(NotPrunableLayer):
+    with pytest.raises(BadParams):
         prune_layer(trained, ds, 4, cfg)
 
 

@@ -8,7 +8,6 @@ from acsp.errors import (
     BadParams,
     Divergence,
     MalformedPlan,
-    NotPrunableLayer,
     ParseError,
     ShapeMismatch,
 )
@@ -313,6 +312,12 @@ def test_train_rejects_bad_params():
     for lr in (np.inf, np.nan):
         with pytest.raises(BadParams, match="finite lr"):
             train(model, ds, epochs=1, lr=lr, seed=0)
+    # refused by type: 2.5 epochs or a batch of 2.5 ended in numpy's own
+    # TypeError, and True passed for 1
+    for settings in ({"epochs": 2.5}, {"batch_size": 2.5}, {"epochs": True},
+                     {"batch_size": True}, {"lr": True}, {"lr": "0.1"}):
+        with pytest.raises(BadParams, match="need epochs >= 0"):
+            train(model, ds, seed=0, **{"epochs": 1, "lr": 0.1, **settings})
 
 
 def test_train_rejects_samples_of_another_shape():
@@ -389,6 +394,12 @@ def test_stratified_subset_rejects_bad_fraction():
         stratified_subset(balanced_labels(10, 2), 0.0, np.random.default_rng(0))
     with pytest.raises(BadParams):
         stratified_subset(balanced_labels(10, 2), 1.5, np.random.default_rng(0))
+    for fraction in (True, "0.5"):  # True once passed for 1, "0.5" ended in a TypeError
+        with pytest.raises(BadParams, match="fraction must be in"):
+            stratified_subset(balanced_labels(10, 2), fraction, np.random.default_rng(0))
+    with pytest.raises(BadParams, match="fraction must be in"):
+        finetune(from_arch("mlp:4-4-3", seed=0), tiny_dataset(), fraction=True, epochs=1,
+                 lr=0.1, seed=0)
 
 
 def test_finetune_full_fraction_equals_train():
@@ -450,10 +461,26 @@ def test_capture_chunking_is_invisible():
 def test_capture_rejects_non_prunable_layers():
     ds = tiny_dataset(n=12, num_classes=2, dims=(4,), seed=12)
     model = from_arch("mlp:4-6-2", seed=18)
-    with pytest.raises(NotPrunableLayer):
+    with pytest.raises(BadParams):
         capture_activations(model, ds, 1)  # the relu
-    with pytest.raises(NotPrunableLayer):
+    with pytest.raises(BadParams):
         capture_activations(model, ds, 2)  # the output layer
+
+
+def test_capture_refuses_a_layer_too_large_before_computing_it(monkeypatch):
+    ds = tiny_dataset(n=12, num_classes=2, dims=(4,), seed=12)
+    model = from_arch("mlp:4-6-2", seed=18)  # layer 0: 12 x 6 = 72 values
+    monkeypatch.setattr(data, "MAX_VALUES", 72)
+    assert capture_activations(model, ds, 0).values.shape == (12, 6, 1, 1)
+    monkeypatch.setattr(data, "MAX_VALUES", 71)
+
+    def no_forward(*args):
+        raise AssertionError("a refused layer must not be computed")
+
+    monkeypatch.setattr(toynet, "_run_chunked", no_forward)
+    with pytest.raises(BadParams, match=r"layer 0: n x prod\(output shape\) = 72 values; "
+                                        r"the limit is 71"):
+        capture_activations(model, ds, 0)
 
 
 # --------------------------------------------------------------- surgery
