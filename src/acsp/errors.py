@@ -26,7 +26,7 @@ class WrongKind(AcspError):
 
 
 class NonFiniteValue(AcspError):
-    """A stored or computed tensor contains NaN or Inf."""
+    """A tensor holds NaN or Inf, or a value beyond float32's range."""
 
 
 class InvalidDataset(AcspError):

@@ -7,6 +7,10 @@ A knee only counts when that maximum clears SENSITIVITY times the mean
 x spacing; otherwise the result is "no knee" and callers keep everything.
 The fit degree must be at least MIN_DEGREE: a fitted line, min-max
 normalized, is the normalized x axis itself and never shows a knee.
+At the default degree 2, a concave fit that rises over the whole swept
+range normalizes to x + c*x*(1 - x), so the difference c*x*(1 - x) peaks at
+the middle of the swept k range whatever the data; the knee moves off it
+only when the parabola's vertex falls inside the range.
 """
 
 from __future__ import annotations

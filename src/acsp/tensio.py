@@ -9,10 +9,10 @@ Binary container layout (all integers little-endian, fixed width):
 
 Tensor values are stored as little-endian float32 in row-major order and
 labels as uint32, so identical in-memory inputs produce byte-identical
-files on any platform. Downstream numerics run in float64, but files are
-not the only place precision is reduced: `LabeledDataset` holds its
-samples and `ActivationTensor` the captured activations as float32 in
-memory too.
+files on any platform. Downstream numerics run in float64, but
+`LabeledDataset` samples and `ActivationTensor` values are float32 in
+memory too. Every array held, written or read as float32 passes the one
+cast `_float32`, which refuses NaN, Inf and values beyond float32's range.
 
 Pruning plans are JSON text instead of binary: they are the artifact a
 human audits after a run. A plan and each of its entries are frozen, hold
@@ -52,6 +52,16 @@ SELECTION_MODES = ("regular", "weighted")
 
 # ---------------------------------------------------------------- types
 
+def _float32(values, what: str) -> np.ndarray:
+    """`values` as contiguous little-endian float32, refused unless all are
+    finite after the cast (a value that rounds down to FLT_MAX is kept)."""
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(values, dtype="<f4")
+    if not np.isfinite(out).all():
+        raise NonFiniteValue(f"{what} contain NaN, Inf or a value beyond float32's range")
+    return out
+
+
 def _check_labels(labels, n: int) -> np.ndarray:
     """Labels as int64: one per sample, whole numbers, all >= 0, and every
     class id below the maximum present at least twice, since the
@@ -85,12 +95,10 @@ class LabeledDataset:
     labels: np.ndarray   # int64, [n]
 
     def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.float32)
+        self.samples = _float32(self.samples, "dataset samples")
         if self.samples.ndim < 2 or self.samples.shape[0] == 0:
             raise InvalidDataset("need at least one sample and one feature dimension")
         self.labels = _check_labels(self.labels, self.samples.shape[0])
-        if not np.isfinite(self.samples).all():
-            raise NonFiniteValue("dataset samples contain NaN or Inf")
 
     @property
     def n_samples(self) -> int:
@@ -113,7 +121,7 @@ class ActivationTensor:
     labels: np.ndarray  # int64
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float32)
+        self.values = _float32(self.values, "activation values")
         if self.values.ndim != 4:
             raise InvalidDataset("activation values must be [n, components, p, p]")
         n, _, p, q = self.values.shape
@@ -122,8 +130,6 @@ class ActivationTensor:
         if n == 0 or self.values.shape[1] == 0:
             raise InvalidDataset("activation tensor must be non-empty")
         self.labels = _check_labels(self.labels, n)
-        if not np.isfinite(self.values).all():
-            raise NonFiniteValue("activation values contain NaN or Inf")
 
     @property
     def n_components(self) -> int:
@@ -292,14 +298,6 @@ def _read_dims(r: _Reader) -> tuple[int, ...]:
     return tuple(r.u64() for _ in range(ndim))
 
 
-def _f32_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-
-def _u32_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<u4").tobytes()
-
-
 # ------------------------------------------------------------- datasets
 
 def write_dataset(ds: LabeledDataset, path: str) -> None:
@@ -307,8 +305,8 @@ def write_dataset(ds: LabeledDataset, path: str) -> None:
     blob = bytearray(_header(KIND_DATASET))
     blob += _pack_dims(ds.samples.shape)
     blob += struct.pack("<Q", ds.n_samples)
-    blob += _u32_bytes(ds.labels)
-    blob += _f32_bytes(ds.samples)
+    blob += ds.labels.astype("<u4").tobytes()
+    blob += _float32(ds.samples, "dataset samples").tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -345,13 +343,11 @@ def write_model(model, path: str) -> None:
     blob += _pack_dims(model.input_shape)
     blob += _MODEL_META.pack(model.rng_seed, model.train_epochs, model.train_lr)
     blob += struct.pack("<I", len(model.layers))
-    payloads = bytearray()
     for layer in model.layers:
         header = (_MODEL_LAYER_CODES[layer.kind], *layer.fields)
         blob += struct.pack(f"<{len(header)}I", *header)
-        if layer.parametric:
-            payloads += _f32_bytes(layer.w) + _f32_bytes(layer.b)
-    blob += payloads
+    blob += b"".join(_float32(np.append(layer.w, layer.b), f"{path}: model weights").tobytes()
+                     for layer in model.layers if layer.parametric)
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -376,15 +372,13 @@ def read_model(path: str):
         params = ()
         if cls.parametric:
             shape = cls.weight_shape(*fields)
-            w = r.array("<f4", math.prod(shape)).astype(np.float64).reshape(shape)
-            params = (w, r.array("<f4", shape[0]).astype(np.float64))
+            w, b = (_float32(r.array("<f4", c), f"{path}: model weights").astype(np.float64)
+                    for c in (math.prod(shape), shape[0]))
+            params = (w.reshape(shape), b)
         layers.append(cls(*fields, *params))
     r.done()
     if not math.isfinite(train_lr):
         raise NonFiniteValue(f"{path}: training lr is {train_lr}")
-    for layer in layers:
-        if layer.parametric and not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
-            raise NonFiniteValue(f"{path}: model weights contain NaN or Inf")
     return toynet.ToyModel(layers, input_shape, rng_seed, train_epochs, train_lr)
 
 
@@ -392,8 +386,8 @@ def read_model(path: str):
 
 def _dump_json(doc, indent: int | None = None) -> str:
     try:
-        return json.dumps(doc, indent=indent, sort_keys=True)
-    except (TypeError, ValueError) as exc:  # ValueError: a circular reference
+        return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError) as exc:  # ValueError: a circular reference, NaN or Inf
         raise MalformedPlan(f"plan is not writable as JSON: {exc}") from exc
 
 
@@ -413,10 +407,12 @@ def write_plan(plan: PruningPlan, path: str) -> None:
 
 
 def read_plan(path: str) -> PruningPlan:
+    def refuse_constant(token: str):  # NaN, Infinity and -Infinity are not JSON
+        raise MalformedPlan(f"{path}: not valid JSON ({token} is not a JSON value)")
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), parse_constant=refuse_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedPlan(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:

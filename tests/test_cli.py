@@ -4,12 +4,15 @@ import json
 import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import acsp
 from acsp import tensio, toynet
 from acsp.cli import main
 
@@ -125,6 +128,22 @@ def test_train_logs_epochs_and_writes_model(tmp_path, capsys):
     assert model.train_epochs == 5
     losses = [float(l.split(",")[1]) for l in lines[1:6]]
     assert losses[-1] <= losses[0]
+
+
+def test_train_whose_model_cannot_be_stored_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a weight beyond float32 trains finite in float64 but has no float32 form
+    def train_to_a_huge_weight(model, *args, **kwargs):
+        model.layers[0].w[0, 0] = 1e39
+        return model
+
+    data_path, model_path = str(tmp_path / "d.acsp"), tmp_path / "m.acsp"
+    _gen(capsys, data_path)
+    monkeypatch.setattr(toynet, "train", train_to_a_huge_weight)
+    code, _, err = _run(capsys, "train", "--arch", "mlp:2-8-3", "--data", data_path,
+                        "--epochs", "1", "--out", str(model_path))
+    assert code == 1
+    assert re.fullmatch(r'error code=NonFiniteValue message="[^"\n]*"\n', err)
+    assert not model_path.exists()
 
 
 def test_train_rejects_missing_dataset(tmp_path, capsys):
@@ -329,6 +348,30 @@ def test_prune_passes_a_model_without_weights_through(tmp_path, capsys, layers):
                           "--out", str(tmp_path / "out"))
     assert code == 0, err
     assert "flops_after=0" in out and "speedup=1.0000" in out
+
+
+@pytest.mark.parametrize("warnings_env", [None, "error::RuntimeWarning"])
+def test_prune_of_activations_beyond_float32_gives_one_error_line(tmp_path, capsys,
+                                                                  warnings_env):
+    # the capture's cast once printed an overflow warning before the error
+    # line, or ended in a traceback with warnings as errors; a child
+    # process shows the stderr a user sees
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, n=200, classes=2)
+    model = toynet.from_arch("mlp:2-4-4-2", seed=0)
+    model.layers[0].w[...] = 3e38
+    tensio.write_model(model, model_path)
+    src = str(Path(acsp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    if warnings_env is not None:
+        env["PYTHONWARNINGS"] = warnings_env
+    proc = subprocess.run([sys.executable, "-m", "acsp", "prune", "--model", model_path,
+                           "--data", data_path, "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 1
+    assert re.fullmatch(r'error code=NonFiniteValue message="[^"\n]*"\n', proc.stderr)
 
 
 def test_prune_regular_selection_flag(tmp_path, capsys, trained):

@@ -333,6 +333,25 @@ def test_curve_csv_round_trip(tmp_path):
     assert parsed == curve.entries
 
 
+@pytest.mark.parametrize("g, copies, columns, seed",
+                         [(8, 4, 6, 0), (12, 3, 6, 1), (16, 2, 5, 2), (10, 5, 3, 3)])
+def test_sweep_of_duplicated_rows_finds_the_distinct_count(g, copies, columns, seed):
+    # g distinct rows, each repeated: every point sits on a medoid from k = g
+    # on, and below g no two medoids are copies, since swapping a copy for
+    # an unrepresented row strictly lowers the cost
+    distinct = np.random.default_rng(seed).random((g, columns))
+    rows = np.repeat(distinct, copies, axis=0)
+    curve, results = sweep_detailed(rows)
+    for k, res in results.items():
+        assert res.converged, k
+        if k >= g:
+            assert curve.entries[k] == 1.0, k
+        else:
+            assert curve.entries[k] < 1.0, k
+        if k <= g:
+            assert len(np.unique(rows[res.medoid_indices], axis=0)) == k, k
+
+
 # --------------------------------------------- oracle: the plain PAM sweep
 #
 # The sweep shares one BUILD across k and confirms FastPAM1 swap estimates

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ def test_activation_rejects_rectangular_patch():
         ActivationTensor(values, balanced_labels(4, 2))
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: LabeledDataset(v.reshape(4, 1), balanced_labels(4, 2)),
+    lambda v: ActivationTensor(v.reshape(4, 1, 1, 1), balanced_labels(4, 2)),
+], ids=["dataset", "activations"])
+def test_a_finite_value_beyond_float32_is_refused_without_a_warning(make):
+    # the cast once stored 1e39 as Inf with an "overflow encountered in
+    # cast" RuntimeWarning before the finiteness check refused it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValue, match="beyond float32's range"):
+            make(np.array([0.0, 1.0, 1e39, 2.0]))
+
+
 # ----------------------------------------------------------- round trips
 
 def test_dataset_round_trip(tmp_path):
@@ -142,6 +156,30 @@ def test_model_metadata_round_trip(tmp_path):
     back = tensio.read_model(path)
     assert back.train_epochs == 17
     assert back.train_lr == 0.125
+
+
+def test_write_model_refuses_a_weight_beyond_float32_before_writing(tmp_path):
+    # such a weight was once written as Inf, into a file read_model refuses
+    model = toynet.from_arch("mlp:2-3-2", seed=0)
+    model.layers[0].w[1, 0] = 1e39
+    path = tmp_path / "m.acsp"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValue, match="model weights"):
+            tensio.write_model(model, str(path))
+    assert not path.exists()
+
+
+def test_a_weight_that_rounds_down_to_the_largest_float32_is_kept(tmp_path):
+    # the rule judges the cast's result: this weight is above FLT_MAX in
+    # float64 but rounds to it, so it is stored, not refused
+    flt_max = float(np.finfo(np.float32).max)
+    model = toynet.from_arch("mlp:2-3-2", seed=0)
+    model.layers[2].b[1] = flt_max * (1 + 2**-25)
+    assert model.layers[2].b[1] > flt_max
+    path = str(tmp_path / "m.acsp")
+    tensio.write_model(model, path)
+    assert tensio.read_model(path).layers[2].b[1] == flt_max
 
 
 def test_write_is_byte_deterministic(tmp_path):
@@ -297,6 +335,34 @@ def test_empty_plan_round_trip(tmp_path):
     path = str(tmp_path / "plan.json")
     tensio.write_plan(PruningPlan([]), path)
     assert tensio.read_plan(path).entries == ()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_plan_entry_refuses_a_knee_that_json_cannot_hold(value):
+    # json.dumps once wrote such a knee as the non-JSON token NaN or Infinity
+    with pytest.raises(MalformedPlan, match="not writable as JSON"):
+        PlanEntry(0, 4, [0, 2], 2, "weighted", 2, knee={"x": value})
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_plan_rejects_tokens_that_are_not_json(tmp_path, token):
+    text = tensio.plan_to_json(PruningPlan([PlanEntry(0, 4, [0, 2], 2, "weighted", 2,
+                                                      knee={"x": 0.5})]))
+    assert '"x": 0.5' in text
+    path = tmp_path / "plan.json"
+    path.write_text(text.replace('"x": 0.5', f'"x": {token}'))
+    with pytest.raises(MalformedPlan, match=f"{token} is not a JSON value"):
+        tensio.read_plan(str(path))
+
+
+def test_plan_bytes_are_those_of_plain_json():
+    # refusing NaN and Inf changes no plan that holds neither
+    knee = {"k_prime": 4, "margin": 0.1, "difference_curve": [0.0, 1e-300, 1.5e308]}
+    plan = PruningPlan([PlanEntry(2, 8, [0, 3, 5], 3, "weighted", 2, "mss_layer2.csv", knee)])
+    doc = {"format": tensio.PLAN_FORMAT,
+           "layers": [{f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
+                      for e in plan.entries]}
+    assert tensio.plan_to_json(plan) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_plan_rejects_bad_json(tmp_path):
