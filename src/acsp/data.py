@@ -16,7 +16,10 @@ from .tensio import LabeledDataset
 BLOB_RADIUS = 3.0
 BLOB_STD = 0.6
 RING_WIDTH = 0.5  # annulus [c + 0.25, c + 0.75], so rings never touch
-MAX_VALUES = 2**26  # n x prod(dims) ceiling: 512 MiB per float64 array
+# n x prod(dims) ceiling, for datasets and for one layer's captured maps. A
+# layer's analysis holds its maps once in float32 and one class at a time in
+# float64: 9 bytes per value at its peak on 4 classes, 0.6 GB at the ceiling
+MAX_VALUES = 2**26
 
 
 def _balanced_labels(n: int, num_classes: int) -> np.ndarray:

@@ -59,12 +59,13 @@ def build_space(act: ActivationTensor) -> SeparabilityMatrix:
     """
     labels = act.labels
     num_classes = int(labels.max()) + 1
-    v = act.values.astype(np.float64)
     n_comp, p = act.n_components, act.patch
     means = np.empty((num_classes, n_comp, p, p))
     variances = np.empty_like(means)
     for c in range(num_classes):
-        vc = np.sort(v[labels == c], axis=0)  # sample-order independence
+        # one class at a time in float64, so no float64 copy of the layer exists
+        vc = act.values[labels == c].astype(np.float64)
+        vc.sort(axis=0)  # sample-order independence
         means[c] = vc.mean(axis=0)
         variances[c] = np.maximum(vc.var(axis=0), VAR_FLOOR)
     pairs = class_pairs(num_classes)

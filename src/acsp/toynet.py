@@ -299,10 +299,22 @@ def forward(model: ToyModel, x: np.ndarray, stop: int | None = None) -> np.ndarr
     return x
 
 
-def _run_chunked(model: ToyModel, ds: LabeledDataset, stop: int | None = None) -> np.ndarray:
-    """`forward` over the whole dataset, in chunks of _CAPTURE_CHUNK samples."""
-    return np.concatenate([forward(model, ds.samples[start : start + _CAPTURE_CHUNK], stop)
-                           for start in range(0, ds.n_samples, _CAPTURE_CHUNK)])
+def _run_chunked(model: ToyModel, ds: LabeledDataset, dtype: np.typing.DTypeLike,
+                 stop: int | None = None) -> np.ndarray:
+    """`forward` over the whole dataset, in chunks of _CAPTURE_CHUNK samples,
+    each cast into its rows of one array of `dtype` allocated once.
+
+    A float64 value beyond a narrower dtype's range is stored as Inf without
+    a warning; the caller's finiteness check refuses it.
+    """
+    out = None
+    for start in range(0, ds.n_samples, _CAPTURE_CHUNK):
+        chunk = forward(model, ds.samples[start : start + _CAPTURE_CHUNK], stop)
+        if out is None:
+            out = np.empty((ds.n_samples, *chunk.shape[1:]), dtype)
+        with np.errstate(over="ignore"):
+            out[start : start + len(chunk)] = chunk
+    return out
 
 
 def check_fit(model: ToyModel, ds: LabeledDataset) -> None:
@@ -348,7 +360,7 @@ def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray, trainable
 
 
 def accuracy(model: ToyModel, ds: LabeledDataset) -> float:
-    return float((_run_chunked(model, ds).argmax(axis=1) == ds.labels).mean())
+    return float((_run_chunked(model, ds, np.float64).argmax(axis=1) == ds.labels).mean())
 
 
 def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
@@ -462,7 +474,7 @@ def capture_activations(model: ToyModel, ds: LabeledDataset, layer_id: int,
     # a prunable layer is never the last: the output layer follows it
     take_relu = not pre_activation and isinstance(model.layers[layer_id + 1], ReLU)
     stop = layer_id + 2 if take_relu else layer_id + 1
-    values = _run_chunked(model, ds, stop)
+    values = _run_chunked(model, ds, "<f4", stop)
     if values.ndim == 2:
         values = values[:, :, None, None]
     return ActivationTensor(values, ds.labels)

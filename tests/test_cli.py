@@ -355,7 +355,8 @@ def test_prune_of_activations_beyond_float32_gives_one_error_line(tmp_path, caps
                                                                   warnings_env):
     # the capture's cast once printed an overflow warning before the error
     # line, or ended in a traceback with warnings as errors; a child
-    # process shows the stderr a user sees
+    # process shows the stderr a user sees. The refusal comes before any
+    # output is written
     data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
     _gen(capsys, data_path, n=200, classes=2)
     model = toynet.from_arch("mlp:2-4-4-2", seed=0)
@@ -372,6 +373,7 @@ def test_prune_of_activations_beyond_float32_gives_one_error_line(tmp_path, caps
                           env=env, capture_output=True, text=True, check=False)
     assert proc.returncode == 1
     assert re.fullmatch(r'error code=NonFiniteValue message="[^"\n]*"\n', proc.stderr)
+    assert not (tmp_path / "out").exists()
 
 
 def test_prune_regular_selection_flag(tmp_path, capsys, trained):

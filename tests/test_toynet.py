@@ -1,13 +1,17 @@
 """Network engine: forward/backward, training, capture, surgery, FLOPs, grammar."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from acsp import data, toynet
+from acsp import data, sepspace, toynet
 from acsp.errors import (
     BadParams,
     Divergence,
     MalformedPlan,
+    NonFiniteValue,
     ParseError,
     ShapeMismatch,
 )
@@ -448,14 +452,59 @@ def test_capture_conv_patch_shape():
     assert act.values.shape == (8, 4, 8, 8)
 
 
+_CHUNK_EDGE_N = 2 * toynet._CAPTURE_CHUNK + 3  # two full chunks and a partial one
+
+
 def test_capture_chunking_is_invisible():
-    # more samples than one chunk; captured values must match a single pass
-    ds = tiny_dataset(n=300, num_classes=2, dims=(3,), seed=11)
-    model = from_arch("mlp:3-5-2", seed=17)
-    act = capture_activations(model, ds, 0)
-    h = ds.samples.astype(np.float64)
-    h = model.layers[1].forward(model.layers[0].forward(h))
-    np.testing.assert_array_equal(act.values[:, :, 0, 0], h.astype(np.float32))
+    # each chunk is cast into its own rows; the capture must equal one
+    # unchunked forward pass cast to float32, for linear and conv layers,
+    # after and before the ReLU
+    for arch, dims in (("mlp:3-5-2", (3,)), ("cnn:1x6x6-c3k3-p2-f-2", (1, 6, 6))):
+        ds = tiny_dataset(n=_CHUNK_EDGE_N, num_classes=2, dims=dims, seed=11)
+        model = from_arch(arch, seed=17)
+        for pre_activation, stop in ((False, 2), (True, 1)):
+            act = capture_activations(model, ds, 0, pre_activation=pre_activation)
+            want = forward(model, ds.samples, stop).astype(np.float32)
+            assert act.values.dtype == np.float32
+            np.testing.assert_array_equal(act.values.reshape(want.shape), want)
+
+
+def test_accuracy_chunking_is_invisible():
+    ds = tiny_dataset(n=_CHUNK_EDGE_N, num_classes=3, dims=(4,), seed=12)
+    model = from_arch("mlp:4-6-3", seed=18)
+    logits = np.concatenate([forward(model, ds.samples[start : start + toynet._CAPTURE_CHUNK])
+                             for start in range(0, ds.n_samples, toynet._CAPTURE_CHUNK)])
+    assert accuracy(model, ds) == float((logits.argmax(axis=1) == ds.labels).mean())
+
+
+def test_capture_beyond_float32_is_refused_without_a_warning():
+    # float64 activations past float32's range become Inf in the chunk cast,
+    # with no "overflow encountered in cast" warning, and are then refused
+    ds = tiny_dataset(n=20, num_classes=2, dims=(4,), seed=8)
+    model = from_arch("mlp:4-6-2", seed=14)
+    model.layers[0].w[...] = 1e38
+    assert (forward(model, ds.samples, 2) > np.finfo(np.float32).max).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for pre_activation in (False, True):
+            with pytest.raises(NonFiniteValue, match="beyond float32's range"):
+                capture_activations(model, ds, 0, pre_activation=pre_activation)
+
+
+def test_capture_and_build_space_peak_under_12_bytes_per_value():
+    # the layer is held once in float32 and widened to float64 one class at
+    # a time; a float64 copy of the whole layer alone would be 8 bytes more
+    ds = tiny_dataset(n=8 * toynet._CAPTURE_CHUNK, num_classes=4, dims=(1, 8, 8), seed=13)
+    model = from_arch("cnn:1x8x8-c8k3p1-p2-f-4", seed=19)
+    values = ds.n_samples * 8 * 8 * 8
+    tracemalloc.start()
+    try:
+        space = sepspace.build_space(capture_activations(model, ds, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.values.shape == (8, 64 * 6)
+    assert peak / values < 12.0, f"{peak / values:.1f} bytes per captured value"
 
 
 def test_capture_rejects_non_prunable_layers():
