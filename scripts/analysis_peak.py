@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Peak memory and time of one layer's analysis: capture plus build_space.
 
-Builds an untrained model and a blob dataset that fits it, captures the
-first prunable layer's activations and builds its separability space, then
-prints the values captured, the process's peak RSS, the seconds the two
-steps took and the SHA-256 of the space. Run it in a fresh process, since
+Builds an untrained model (seed 7) and a blob dataset of its input shape,
+captures the first prunable layer's activations and builds its
+separability space, then prints the values captured, the process's peak
+RSS, the seconds the two steps took and the SHA-256 of the space. Run it in a fresh process, since
 peak RSS only ever grows, e.g.
 
     scripts/analysis_peak.py --arch cnn:3x16x16-c128k3p1-p2-f-10 \\
-        --dims 3x16x16 --n 2000 --classes 10
+        --n 2000 --classes 10
 """
 
 import argparse
@@ -21,27 +21,19 @@ import numpy as np
 
 from acsp import data, sepspace, toynet
 
-
-def _dims(text: str) -> tuple[int, ...]:
-    """A feature shape such as 2 or 3x16x16."""
-    parts = text.split("x")
-    if not all(p.isdecimal() and int(p) >= 1 for p in parts):
-        raise argparse.ArgumentTypeError(f"{text!r}: expected forms like '2' or '1x8x8'")
-    return tuple(int(p) for p in parts)
+SEED = 7
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--arch", required=True, help="e.g. cnn:3x16x16-c128k3p1-p2-f-10")
-    ap.add_argument("--dims", type=_dims, required=True, help="sample shape, e.g. 3x16x16")
     ap.add_argument("--n", type=int, required=True, help="sample count")
     ap.add_argument("--classes", type=int, required=True)
-    ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    model = toynet.from_arch(args.arch, seed=args.seed)
-    ds = data.make_blobs(args.n, args.classes, args.dims, seed=args.seed)
+    model = toynet.from_arch(args.arch, seed=SEED)
+    ds = data.make_blobs(args.n, args.classes, model.input_shape, seed=SEED)
     toynet.check_fit(model, ds)
     layer_id = model.prunable_ids()[0]
     values = args.n * math.prod(toynet.layer_shapes(model)[layer_id][1])
