@@ -50,6 +50,23 @@ order before its exact step.
 
 Each k's MSS is scored by `mss` from the sweep's own distance matrix.
 
+Each k's SWAP and MSS read only the distance matrix, the BUILD order and
+the tolerance, so a sweep over SPLIT_MIN_ROWS rows or more, on Linux with
+at least two usable CPUs, forks one child after computing those three: the
+child runs every other k (the second, fourth, ...) and pickles its results
+back through a pipe while the parent runs the rest. Each k runs the same
+float operations in either process and pickling keeps every bit, so the
+curve and the clusterings equal the serial sweep's exactly. On a 2-vCPU VM
+a fork, exit and wait take 2.6-4.4 ms; against the serial sweep the split
+took x1.28-1.54 the time at n <= 48, x0.99-1.15 at n = 64, x1.05 at 80 and
+x0.62-0.71 at 96 (uniform rows and seed-7 layer spaces), hence the
+threshold of 80. The child makes numpy and BLAS calls only and leaves
+through os._exit, so it runs no handler and flushes no inherited buffer;
+OpenBLAS restarts its thread pool through its own fork handlers. If the
+pipe or the fork cannot be made, the sweep runs serially; if the child
+fails, the parent runs the child's k itself, so an error raised by a k is
+raised in the parent as in a serial sweep.
+
 MSS scores a clustering in [-inf, 1]:
 
     a(i)   = distance from point i to its nearest medoid
@@ -63,6 +80,9 @@ depends on the medoids alone; at k = n_points it is exactly 1.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +93,7 @@ from .tensio import is_int
 B_FLOOR = 1e-12
 MAX_SWAP_PASSES = 100
 BLOCK_ELEMENTS = 4 << 20  # cap on pairwise_distances' (rows, targets, d) temporary
+SPLIT_MIN_ROWS = 80  # sweeps over this many rows or more run in two processes
 
 
 @dataclass(eq=False)
@@ -328,10 +349,72 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     ks = range(k_min, k_max + 1, stride)
     order = _build(dist, ks[-1])
     tol = _swap_tolerance(dist)
-    ar = np.arange(n)
-    results = {}
-    entries = {}
+    split = n >= SPLIT_MIN_ROWS and len(ks) >= 2 and _usable_cpus() >= 2
+    done = (_split_sweep if split else _sweep_ks)(dist, order, tol, ks)
+    results = {k: done[k][0] for k in ks}
+    return MssCurve({k: done[k][1] for k in ks}), results
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell (not Linux)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _sweep_ks(dist: np.ndarray, order: list[int], tol: float, ks) -> dict:
+    """{k: (ClusterResult, MSS)} for each k in `ks`, from one shared BUILD order."""
+    ar = np.arange(dist.shape[0])
+    done = {}
     for k in ks:
-        results[k] = _swap(dist, order[:k], tol, ar)
-        entries[k] = mss(dist, results[k].medoid_indices)
-    return MssCurve(entries), results
+        result = _swap(dist, order[:k], tol, ar)
+        done[k] = result, mss(dist, result.medoid_indices)
+    return done
+
+
+def _split_sweep(dist: np.ndarray, order: list[int], tol: float, ks) -> dict:
+    """`_sweep_ks` over `ks` with a forked child taking ks[1::2].
+
+    The child pickles its results into a pipe and leaves only through
+    os._exit. The parent runs ks[0::2], reads the pipe to its end and reaps
+    the child; if its own share raises, it kills and reaps the child first.
+    No child outlives the call. Without a pipe or a fork the whole range
+    runs here; a child that exits non-zero or sends a short pickle has its
+    share run here too.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return _sweep_ks(dist, order, tol, ks)
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return _sweep_ks(dist, order, tol, ks)
+    if pid == 0:
+        status = 1
+        try:
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_sweep_ks(dist, order, tol, ks[1::2]),
+                                        pickle.HIGHEST_PROTOCOL))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        sent = None
+        try:
+            done = _sweep_ks(dist, order, tol, ks[0::2])
+            sent = pipe.read()
+        finally:
+            if sent is None:  # this share raised: the child's results are not wanted
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+    theirs = None
+    if status == 0:
+        try:
+            theirs = pickle.loads(sent)
+        except (EOFError, pickle.UnpicklingError):
+            pass
+    done.update(theirs if theirs is not None else _sweep_ks(dist, order, tol, ks[1::2]))
+    return done

@@ -58,7 +58,12 @@ def make_blobs(n: int, num_classes: int, dims: tuple[int, ...], seed: int) -> La
         centers[:, 0] = BLOB_RADIUS * np.cos(angles)
         centers[:, 1] = BLOB_RADIUS * np.sin(angles)
     rng = np.random.default_rng(seed)
-    samples = centers[labels] + rng.normal(0.0, BLOB_STD, size=(n, flat))
+    samples = rng.normal(0.0, BLOB_STD, size=(n, flat))
+    # the labels run in class order, so each class is one block of rows and
+    # its center is added into the noise in place, without an (n, flat) copy
+    starts = np.searchsorted(labels, np.arange(num_classes + 1))
+    for c in range(num_classes):
+        samples[starts[c] : starts[c + 1]] += centers[c]
     return LabeledDataset(samples.reshape((n, *dims)), labels)
 
 

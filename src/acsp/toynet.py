@@ -385,7 +385,6 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
     out = model.copy()
     if epochs == 0:
         return out
-    x = ds.samples.astype(np.float64)
     y = ds.labels
     n = ds.n_samples
     rng = np.random.default_rng(seed)
@@ -397,7 +396,10 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch_size):
                 idx = perm[start : start + batch_size]
-                loss, grads = loss_and_grads(out, x[idx], y[idx], trainable_from)
+                # widened one batch at a time: a float64 copy of the whole
+                # dataset would hold twice its bytes for the whole run
+                x = ds.samples[idx].astype(np.float64)
+                loss, grads = loss_and_grads(out, x, y[idx], trainable_from)
                 total += loss * len(idx)
                 for layer, pg in zip(out.layers, grads):
                     if pg is not None:

@@ -1,5 +1,9 @@
 """PAM partitioning and MSS scoring against hand values and exhaustive search."""
 
+import errno
+import os
+import pickle
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -746,6 +750,139 @@ def test_seed7_wide_layer_spaces_match_plain_pam(tmp_path, monkeypatch):
     assert [rows.shape[0] for rows in spaces] == [96, 96]
     for rows in spaces:
         _assert_sweep_matches_plain_pam(rows)
+
+
+# ------------------------------------------------- sweep in two processes
+
+def _count_forks(mp):
+    """Patch os.fork through `mp` to count the forks this process makes, and
+    report two usable CPUs, so that a split runs on any host."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    mp.setattr(os, "fork", counting_fork)
+    mp.setattr(cluster, "_usable_cpus", lambda: 2)
+    return forks
+
+
+def _assert_same_sweep(got, want):
+    (curve, results), (want_curve, want_results) = got, want
+    assert list(curve.entries.items()) == list(want_curve.entries.items())
+    assert list(results) == list(want_results)
+    for k, res in results.items():
+        ref = want_results[k]
+        assert res.medoid_indices.dtype == ref.medoid_indices.dtype, k
+        assert res.medoid_indices.tolist() == ref.medoid_indices.tolist(), k
+        assert res.assignment.dtype == ref.assignment.dtype, k
+        assert res.assignment.tolist() == ref.assignment.tolist(), k
+        assert res.cost_history == ref.cost_history, k
+        assert (res.swap_passes, res.converged) == (ref.swap_passes, ref.converged), k
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k_min, k_max, stride", [(2, None, 1), (3, None, 4), (40, 47, 1),
+                                                   (50, 51, 1)])
+def test_split_sweep_equals_the_serial_sweep(monkeypatch, k_min, k_max, stride):
+    n = cluster.SPLIT_MIN_ROWS
+    rows = np.random.default_rng(17).uniform(size=(n, 6))
+    forks = _count_forks(monkeypatch)
+    split = sweep_detailed(rows, k_min, k_max, stride)
+    assert forks == [1]
+    _assert_no_child_left()
+    monkeypatch.setattr(cluster, "SPLIT_MIN_ROWS", n + 1)
+    _assert_same_sweep(split, sweep_detailed(rows, k_min, k_max, stride))
+    assert forks == [1]
+
+
+def test_sweep_splits_only_from_the_row_threshold_with_two_ks(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cluster, "SPLIT_MIN_ROWS", 12)
+    sweep_detailed(np.random.default_rng(3).normal(size=(11, 2)))
+    sweep_detailed(np.random.default_rng(3).normal(size=(12, 2)), 5, 5)
+    assert forks == []
+    sweep_detailed(np.random.default_rng(3).normal(size=(12, 2)), 5, 6)
+    assert forks == [1]
+    monkeypatch.setattr(cluster, "_usable_cpus", lambda: 1)
+    sweep_detailed(np.random.default_rng(3).normal(size=(12, 2)))
+    assert forks == [1]
+
+
+class _Boom(Exception):
+    pass
+
+
+def _os_error(code):
+    def fail(*_):
+        raise OSError(code, os.strerror(code))
+    return fail
+
+
+@pytest.mark.parametrize("fault", ["none", "pipe fails", "fork fails", "child raises",
+                                   "short pickle"])
+def test_split_sweep_recovers_and_leaves_no_child(monkeypatch, capfd, fault):
+    # whichever way the split goes, the results are the serial sweep's, the
+    # child prints nothing and is reaped before the sweep returns
+    rows = np.random.default_rng(8).normal(size=(16, 3))
+    want = sweep_detailed(rows)
+    monkeypatch.setattr(cluster, "SPLIT_MIN_ROWS", 2)
+    forks = _count_forks(monkeypatch)
+    parent = os.getpid()
+    real_dumps = pickle.dumps
+
+    def child_dumps(obj, protocol=None):
+        if os.getpid() == parent:
+            return real_dumps(obj, protocol)
+        if fault == "child raises":
+            raise _Boom("in the child")
+        return real_dumps(obj, protocol)[:-3]
+
+    if fault == "pipe fails":
+        monkeypatch.setattr(os, "pipe", _os_error(errno.EMFILE))
+    elif fault == "fork fails":
+        monkeypatch.setattr(os, "fork", _os_error(errno.EAGAIN))
+    elif fault != "none":
+        monkeypatch.setattr(pickle, "dumps", child_dumps)
+    _assert_same_sweep(sweep_detailed(rows), want)
+    assert forks == ([] if fault in ("pipe fails", "fork fails") else [1])
+    _assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("process", ["parent", "both"])
+def test_split_sweep_raises_in_process_and_leaves_no_child(monkeypatch, capfd, process):
+    # k = 3 is the child's: an error there in both processes re-raises from
+    # the parent's own run of the child's share; an error in the parent's
+    # share (k = 2) kills the child, here stuck in its first k, at once
+    rows = np.random.default_rng(8).normal(size=(16, 3))
+    monkeypatch.setattr(cluster, "SPLIT_MIN_ROWS", 2)
+    forks = _count_forks(monkeypatch)
+    parent = os.getpid()
+    real_mss = cluster.mss
+    bad_k = 2 if process == "parent" else 3
+
+    def failing_mss(dist, medoids):
+        if len(medoids) == bad_k and (process == "both" or os.getpid() == parent):
+            raise _Boom(f"k = {bad_k}")
+        if process == "parent" and len(medoids) == 3 and os.getpid() != parent:
+            time.sleep(30)
+        return real_mss(dist, medoids)
+
+    monkeypatch.setattr(cluster, "mss", failing_mss)
+    start = time.monotonic()
+    with pytest.raises(_Boom, match=f"k = {bad_k}"):
+        sweep_detailed(rows)
+    assert time.monotonic() - start < 10.0
+    assert forks == [1]
+    _assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
 
 
 # ------------------------------------------------------ SWAP pass budget

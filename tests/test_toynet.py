@@ -350,6 +350,22 @@ def test_train_is_deterministic():
             np.testing.assert_array_equal(la.w, lb.w)
 
 
+def test_train_widens_one_batch_at_a_time():
+    # one epoch's peak beyond the float32 dataset is the batch's forward and
+    # backward state, about 7.4 bytes per sample value here; a float64 copy
+    # of the whole dataset held for the run added 8 more (15.4)
+    ds = data.make_blobs(2000, 4, (3, 16, 16), seed=7)
+    model = from_arch("cnn:3x16x16-c16k3p1-p2-f-4", seed=7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(model, ds, epochs=1, lr=0.01, seed=7)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / ds.samples.size < 11.0, f"{peak / ds.samples.size:.1f} bytes per sample value"
+
+
 def test_train_respects_trainable_subset():
     ds = data.make_blobs(200, 2, (2,), seed=4)
     model = from_arch("mlp:2-8-8-2", seed=8)
