@@ -66,7 +66,7 @@ def _format_summary(args, config, reports, base_acc, pruned_acc, base_flops,
         "===============",
         "",
         "config",
-        f"  model={args.model} data={args.data} out={args.out}",
+        f"  model={args.model} data={args.data}",
         f"  degree={config.knee_degree} selection={config.selection} stride={config.stride}",
         f"  ft_fraction={config.ft_fraction} ft_epochs={config.ft_epochs} ft_lr={ft_lr}",
         f"  seed={config.seed} svg={str(args.svg).lower()} "
@@ -149,24 +149,24 @@ def _write_curve_svg(layer_id, curve, knee_k, path: str) -> None:
 
 
 def cmd_prune(args) -> None:
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise BadParams(f"--out {args.out} exists and is not a directory")
     model = tensio.read_model(args.model)
     ds = tensio.read_dataset(args.data)
     config = planner.PruneConfig(**{f.name: getattr(args, f.name)
                                     for f in dataclasses.fields(planner.PruneConfig)})
-    toynet.check_fit(model, ds)
+    pruned, reports = planner.prune_model(model, ds, config)
     base_acc = toynet.accuracy(model, ds)
     base_flops = toynet.count_flops(model).total
-    pruned, reports = planner.prune_model(model, ds, config)
     pruned_acc = toynet.accuracy(pruned, ds)
     pruned_flops = toynet.count_flops(pruned).total
 
     os.makedirs(args.out, exist_ok=True)
     tensio.write_model(pruned, os.path.join(args.out, "pruned_model.acsp"))
-    plan_path = args.plan or os.path.join(args.out, "plan.json")
     # a layer too narrow to sweep has no decision to replay; a keep-all
     # layer that found no knee stays in the plan as an explicit no-op
     tensio.write_plan(tensio.PruningPlan([r.entry for r in reports if r.entry is not None]),
-                      plan_path)
+                      os.path.join(args.out, "plan.json"))
     for r in reports:
         if r.entry is None:
             continue
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--plan", default=None, help="plan path (default <out>/plan.json)")
     p.add_argument("--degree", dest="knee_degree", metavar="DEGREE", type=int,
                    default=defaults.knee_degree,
                    help=f"knee fit degree, at least {knee.MIN_DEGREE}")

@@ -151,10 +151,14 @@ def prune_model(model: toynet.ToyModel, ds, config: PruneConfig | None = None):
     Returns (model, [LayerReport]). A model with no prunable layer is
     passed through unchanged with an empty report list. A dataset that the
     model cannot read, or with a class id beyond the model's output width,
-    fails before the first layer.
+    and a layer to capture whose maps exceed `data.MAX_VALUES`, fail before
+    the first layer.
     """
     config = _resolve_ft_lr(config or PruneConfig(), model)
     toynet.check_fit(model, ds)
+    for layer_id in model.prunable_ids():  # cutting earlier layers keeps its output shape
+        if model.layers[layer_id].n_components >= 2:
+            toynet.check_capture(model, ds, layer_id)
     reports: list[LayerReport] = []
     current = model.copy()
     for layer_id in model.prunable_ids():

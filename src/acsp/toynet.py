@@ -457,22 +457,26 @@ def finetune(model: ToyModel, ds: LabeledDataset, fraction: float, epochs: int,
 
 # ------------------------------------------------------------- capture
 
-def capture_activations(model: ToyModel, ds: LabeledDataset, layer_id: int,
-                        pre_activation: bool = False) -> ActivationTensor:
-    """Component activations of one prunable layer over the whole dataset.
-
-    By default the maps are taken after the ReLU that follows the layer,
-    because that is what the next layer consumes; `pre_activation` skips it.
-    Raises BadParams unless the layer is prunable and its maps over the
-    dataset hold at most `data.MAX_VALUES` values, checked before any is
-    computed.
-    """
+def check_capture(model: ToyModel, ds: LabeledDataset, layer_id: int) -> None:
+    """Raise BadParams unless the layer is prunable and its maps over the
+    dataset hold at most `data.MAX_VALUES` values."""
     if layer_id not in (prunable := model.prunable_ids()):
         raise BadParams(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
     size = ds.n_samples * math.prod(layer_shapes(model)[layer_id][1])
     if size > data.MAX_VALUES:
         raise BadParams(f"layer {layer_id}: n x prod(output shape) = {size} values; "
                         f"the limit is {data.MAX_VALUES}")
+
+
+def capture_activations(model: ToyModel, ds: LabeledDataset, layer_id: int,
+                        pre_activation: bool = False) -> ActivationTensor:
+    """Component activations of one prunable layer over the whole dataset.
+
+    By default the maps are taken after the ReLU that follows the layer,
+    because that is what the next layer consumes; `pre_activation` skips it.
+    `check_capture` runs before any value is computed.
+    """
+    check_capture(model, ds, layer_id)
     # a prunable layer is never the last: the output layer follows it
     take_relu = not pre_activation and isinstance(model.layers[layer_id + 1], ReLU)
     stop = layer_id + 2 if take_relu else layer_id + 1

@@ -266,16 +266,34 @@ def test_prune_summary_matches_eval(tmp_path, capsys, trained):
 
 
 def test_prune_custom_plan_path(tmp_path, capsys, trained):
+    # the plan is always <out>/plan.json, beside the curves it names; a
+    # second path is refused as a usage error before anything is written
     data_path, model_path = trained
     out_dir = str(tmp_path / "out")
     plan_path = str(tmp_path / "elsewhere.json")
-    code, _, _ = _run(capsys, "prune", "--model", model_path, "--data", data_path,
-                      "--out", out_dir, "--plan", plan_path, "--seed", "3")
-    assert code == 0
-    assert os.path.exists(plan_path)
-    assert not os.path.exists(os.path.join(out_dir, "plan.json"))
-    blob = json.loads(Path(plan_path).read_text())
-    assert blob["format"] == "acsp-plan/1"
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", out_dir, "--plan", plan_path, "--seed", "3")
+    assert code == 1 and out == ""
+    assert re.fullmatch(r'error code=BadParams message="[^"\n]*--plan[^"\n]*"\n', err)
+    assert not os.path.exists(out_dir) and not os.path.exists(plan_path)
+
+
+def test_prune_refuses_an_out_that_is_a_file_before_reading_the_model(
+        tmp_path, capsys, monkeypatch, trained):
+    data_path, model_path = trained
+    out_path = tmp_path / "out"
+    out_path.write_bytes(b"not a directory")
+
+    def fail(*args, **kwargs):
+        pytest.fail("prune read past the --out check")
+
+    monkeypatch.setattr("acsp.planner.prune_model", fail)
+    monkeypatch.setattr("acsp.tensio.read_model", fail)
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert re.fullmatch(r'error code=BadParams message="[^"\n]*not a directory"\n', err)
+    assert out_path.read_bytes() == b"not a directory"
 
 
 def test_prune_zero_finetune_epochs(tmp_path, capsys, trained):
@@ -541,13 +559,19 @@ def test_identical_flags_produce_identical_bytes(tmp_path, capsys, monkeypatch):
         for step in ("gen", "train", "prune"):
             assert main(list(flags[step])) == 0
         capsys.readouterr()
-        outputs[name] = {
-            f: (workdir / "run" / f).read_bytes()
-            for f in sorted(os.listdir(workdir / "run"))
-        }
-    assert sorted(outputs["one"]) == sorted(outputs["two"])
-    for fname, blob in outputs["one"].items():
-        assert blob == outputs["two"][fname], f"{fname} differs between runs"
+        outputs[name] = workdir / "run"
+    # the same prune into a differently named directory writes the same bytes
+    moved = list(flags["prune"])
+    moved[moved.index("--out") + 1] = os.path.join("sub", "elsewhere")
+    assert main(moved) == 0
+    capsys.readouterr()
+    outputs["moved"] = tmp_path / "two" / "sub" / "elsewhere"
+    blobs = {name: {f: (run / f).read_bytes() for f in sorted(os.listdir(run))}
+             for name, run in outputs.items()}
+    for name in ("two", "moved"):
+        assert sorted(blobs["one"]) == sorted(blobs[name])
+        for fname, blob in blobs["one"].items():
+            assert blob == blobs[name][fname], f"{fname} differs between one and {name}"
 
 
 @pytest.mark.parametrize("degrees", ["1", "x", "2,1", "2,,3"])

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acsp import cluster
+from acsp import cluster, data, toynet
 from acsp.cluster import mss, pairwise_distances, sweep_detailed
 from acsp.errors import BadParams, NonFiniteValue, ShapeMismatch
-from acsp.sepspace import _JM_SUP
+from acsp.sepspace import _JM_SUP, build_space
 
 
 def _cols(values):
@@ -354,6 +354,27 @@ def test_sweep_of_duplicated_rows_finds_the_distinct_count(g, copies, columns, s
             assert curve.entries[k] < 1.0, k
         if k <= g:
             assert len(np.unique(rows[res.medoid_indices], axis=0)) == k, k
+
+
+def test_sweep_of_a_network_with_duplicated_neurons_finds_the_distinct_count():
+    # each first-layer neuron of a trained mlp:2-8-8-4 repeated 4 times, the
+    # next layer's columns repeated and divided by 4: the same network, whose
+    # layer-0 space holds g = 8 groups of equal rows. BLAS does not promise
+    # bit-equal columns, so MSS reaches 1 only to within a tolerance
+    g, copies = 8, 4
+    ds = data.make_blobs(2000, 4, (2,), 7)
+    model = toynet.train(toynet.from_arch("mlp:2-8-8-4", seed=7), ds, 60, 0.1, 7)
+    wide = model.copy()
+    first, second = wide.layers[0], wide.layers[2]
+    first.w, first.b = np.repeat(first.w, copies, axis=0), np.repeat(first.b, copies)
+    second.w = np.repeat(second.w, copies, axis=1) / copies
+    np.testing.assert_array_equal(toynet.forward(wide, ds.samples).argmax(axis=1),
+                                  toynet.forward(model, ds.samples).argmax(axis=1))
+    curve, results = sweep_detailed(build_space(toynet.capture_activations(wide, ds, 0)).values)
+    assert sorted(results) == list(range(2, g * copies + 1))
+    assert all(curve.entries[k] >= 1.0 - 1e-9 for k in range(g, g * copies + 1))
+    assert curve.entries[g - 1] < 1.0 - 1e-3
+    assert sorted(results[g].medoid_indices // copies) == list(range(g))
 
 
 # --------------------------------------------- oracle: the plain PAM sweep

@@ -319,6 +319,28 @@ def test_prune_model_sequential_semantics(monkeypatch):
     assert widths_at_second[0] == reports[0].k_selected  # layer 0 already cut
 
 
+def test_prune_model_refuses_an_oversized_layer_before_the_first_capture(monkeypatch):
+    # layer 0's maps fit under the limit and layer 2's do not: the refusal
+    # comes before layer 0 is captured, swept and fine-tuned
+    ds = data.make_blobs(40, 2, (1, 8, 8), 3)
+    model = from_arch("cnn:1x8x8-c2k3-c16k3-f-4", seed=0)
+    shapes = toynet.layer_shapes(model)
+    sizes = [ds.n_samples * int(np.prod(shapes[i][1])) for i in model.prunable_ids()]
+    assert model.prunable_ids() == [0, 2] and sizes[0] < sizes[1]
+    monkeypatch.setattr(data, "MAX_VALUES", (sizes[0] + sizes[1]) // 2)
+    calls = []
+    original = toynet.capture_activations
+
+    def spy(model, dataset, layer_id, pre_activation=False):
+        calls.append(layer_id)
+        return original(model, dataset, layer_id, pre_activation)
+
+    monkeypatch.setattr(planner.toynet, "capture_activations", spy)
+    with pytest.raises(BadParams, match=rf"^layer 2: n x prod\(output shape\) = {sizes[1]} "):
+        prune_model(model, ds, PruneConfig())
+    assert calls == []
+
+
 def test_prune_model_accuracy_survives_on_easy_data():
     ds, trained = _trained_blob_setup(seed=7, n=600, epochs=40)
     base = toynet.accuracy(trained, ds)
