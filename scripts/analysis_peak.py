@@ -13,7 +13,6 @@ peak RSS only ever grows, e.g.
 
 import argparse
 import hashlib
-import math
 import resource
 import time
 
@@ -36,10 +35,11 @@ def main():
     ds = data.make_blobs(args.n, args.classes, model.input_shape, seed=SEED)
     toynet.check_fit(model, ds)
     layer_id = model.prunable_ids()[0]
-    values = args.n * math.prod(toynet.layer_shapes(model)[layer_id][1])
 
     start = time.perf_counter()
-    space = sepspace.build_space(toynet.capture_activations(model, ds, layer_id))
+    acts = toynet.capture_activations(model, ds, layer_id)
+    values = acts.values.size
+    space = sepspace.build_space(acts)
     seconds = time.perf_counter() - start
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux

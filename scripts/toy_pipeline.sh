@@ -14,6 +14,7 @@ python3 -m acsp train --arch mlp:2-64-64-32-4 --data "$OUT/data.acsp" \
     --epochs 60 --lr 0.1 --seed "$SEED" --out "$OUT/model.acsp" \
     | tail -n 3
 
+rm -rf "$OUT/pruned"  # prune writes only into an absent or empty directory
 python3 -m acsp prune --model "$OUT/model.acsp" --data "$OUT/data.acsp" \
     --degree 2 --selection weighted --seed "$SEED" --svg --out "$OUT/pruned"
 

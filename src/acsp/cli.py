@@ -60,18 +60,13 @@ def cmd_train(args) -> None:
 
 def _format_summary(args, config, reports, base_acc, pruned_acc, base_flops,
                     pruned_flops) -> str:
-    ft_lr = config.ft_lr if config.ft_lr is not None else "auto"
     lines = [
         "pruning summary",
         "===============",
         "",
         "config",
         f"  model={args.model} data={args.data}",
-        f"  degree={config.knee_degree} selection={config.selection} stride={config.stride}",
-        f"  ft_fraction={config.ft_fraction} ft_epochs={config.ft_epochs} ft_lr={ft_lr}",
-        f"  seed={config.seed} svg={str(args.svg).lower()} "
-        f"pre_activation={str(config.pre_activation).lower()} "
-        f"freeze_upstream={str(config.freeze_upstream).lower()}",
+        *(f"  {f.name}={getattr(config, f.name)}" for f in dataclasses.fields(config)),
         "",
         "layers",
         "  layer  n_comp  k_sel  flops_before  flops_after  note",
@@ -148,13 +143,26 @@ def _write_curve_svg(layer_id, curve, knee_k, path: str) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out that prune could not fill with this run's files alone:
+    one under a file, a file itself, or a directory that holds files already."""
+    path = target = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise BadParams(f"--out {out}: {path} is not a directory")
+    if path == target and os.listdir(path):
+        raise BadParams(f"--out {out} is a directory that is not empty")
+
+
 def cmd_prune(args) -> None:
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise BadParams(f"--out {args.out} exists and is not a directory")
+    _check_out(args.out)
     model = tensio.read_model(args.model)
     ds = tensio.read_dataset(args.data)
-    config = planner.PruneConfig(**{f.name: getattr(args, f.name)
-                                    for f in dataclasses.fields(planner.PruneConfig)})
+    # resolved once, so the summary states the settings the layers were pruned with
+    config = planner._resolve_ft_lr(
+        planner.PruneConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(planner.PruneConfig)}), model)
     pruned, reports = planner.prune_model(model, ds, config)
     base_acc = toynet.accuracy(model, ds)
     base_flops = toynet.count_flops(model).total

@@ -1,5 +1,6 @@
 """Command-line surface: flows, file outputs, error lines, determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import acsp
-from acsp import tensio, toynet
+from acsp import planner, tensio, toynet
 from acsp.cli import main
+from acsp.planner import PruneConfig
 
 from conftest import overflowing_dataset_bytes
 
@@ -296,6 +298,34 @@ def test_prune_refuses_an_out_that_is_a_file_before_reading_the_model(
     assert out_path.read_bytes() == b"not a directory"
 
 
+@pytest.mark.parametrize("layout, message", [
+    ("under a file", "not a directory"),
+    ("not empty", "not empty"),
+])
+def test_prune_refuses_an_out_it_could_not_fill_before_any_layer(
+        tmp_path, capsys, monkeypatch, trained, layout, message):
+    # a reused directory would keep the last run's curves beside this run's
+    data_path, model_path = trained
+    if layout == "under a file":
+        (tmp_path / "afile").write_bytes(b"a file")
+        out_path = tmp_path / "afile" / "sub"
+    else:
+        out_path = tmp_path / "out"
+        out_path.mkdir()
+        (out_path / "mss_layer0.svg").write_bytes(b"an older run's drawing")
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+
+    def fail(*args, **kwargs):
+        pytest.fail("prune captured a layer")
+
+    monkeypatch.setattr("acsp.toynet.capture_activations", fail)
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert re.fullmatch(rf'error code=BadParams message="--out [^"\n]*{message}"\n', err)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
 def test_prune_zero_finetune_epochs(tmp_path, capsys, trained):
     data_path, model_path = trained
     out_dir = str(tmp_path / "out")
@@ -401,6 +431,23 @@ def test_prune_regular_selection_flag(tmp_path, capsys, trained):
                         "--out", out_dir, "--selection", "regular", "--seed", "3")
     assert code == 0
     assert "selection=regular" in out
+
+
+def test_prune_summary_states_each_setting_once_by_field(tmp_path, capsys, trained):
+    # ft_lr is the rate the layers were fine-tuned with, not its default None
+    data_path, model_path = trained
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", str(tmp_path / "out"), "--seed", "3")
+    assert code == 0, err
+    block = out.split("\nconfig\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert block[0] == f"  model={model_path} data={data_path}"
+    names = [f.name for f in dataclasses.fields(PruneConfig)]
+    assert [line.split("=", 1)[0].strip() for line in block[1:]] == names
+    settings = dict(line.strip().split("=", 1) for line in block[1:])
+    resolved = planner._resolve_ft_lr(PruneConfig(), tensio.read_model(model_path))
+    assert settings["ft_lr"] == str(resolved.ft_lr)
+    assert settings["seed"] == "3"
+    assert "svg=" not in out
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -566,6 +613,18 @@ def test_identical_flags_produce_identical_bytes(tmp_path, capsys, monkeypatch):
     assert main(moved) == 0
     capsys.readouterr()
     outputs["moved"] = tmp_path / "two" / "sub" / "elsewhere"
+    # without --svg the same prune writes every file but the drawings, byte for byte
+    plain = list(flags["prune"])
+    plain.remove("--svg")
+    plain[plain.index("--out") + 1] = "plain"
+    assert main(plain) == 0
+    capsys.readouterr()
+    plain_run = tmp_path / "two" / "plain"
+    assert sorted(os.listdir(plain_run)) == [f for f in sorted(os.listdir(outputs["one"]))
+                                             if not f.endswith(".svg")]
+    for fname in os.listdir(plain_run):
+        assert (plain_run / fname).read_bytes() == (outputs["one"] / fname).read_bytes(), \
+            f"{fname} differs with and without --svg"
     blobs = {name: {f: (run / f).read_bytes() for f in sorted(os.listdir(run))}
              for name, run in outputs.items()}
     for name in ("two", "moved"):
