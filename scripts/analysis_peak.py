@@ -3,9 +3,10 @@
 
 Builds an untrained model (seed 7) and a blob dataset of its input shape,
 captures the first prunable layer's activations and builds its
-separability space, then prints the values captured, the process's peak
-RSS, the seconds the two steps took and the SHA-256 of the space. Run it in a fresh process, since
-peak RSS only ever grows, e.g.
+separability space, then prints the values captured, the space's cells
+(the two counts `data.MAX_VALUES` bounds), the process's peak RSS, the
+seconds the two steps took and the SHA-256 of the space. Run it in a
+fresh process, since peak RSS only ever grows, e.g.
 
     scripts/analysis_peak.py --arch cnn:3x16x16-c128k3p1-p2-f-10 \\
         --n 2000 --classes 10
@@ -44,8 +45,8 @@ def main():
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     digest = hashlib.sha256(np.ascontiguousarray(space.values, "<f8").tobytes()).hexdigest()
-    print(f"layer={layer_id} values={values} peak_rss_mb={peak_mb:.1f} "
-          f"seconds={seconds:.3f} sha256={digest}")
+    print(f"layer={layer_id} values={values} cells={space.values.size} "
+          f"peak_rss_mb={peak_mb:.1f} seconds={seconds:.3f} sha256={digest}")
 
 
 if __name__ == "__main__":

@@ -37,9 +37,10 @@ pick. A pass near convergence, whose lowest estimate lies within tol of
 the cost, always takes the exact step.
 
 SWAP's state lives across passes. The point-to-medoid distances are a
-(k, n) block of medoid rows of `dist` (its columns, by exact symmetry),
-so d1 and d2 come from argmin/min along the long axis. The candidates,
-their (n-k, n) rows of `dist` and the membership are built once per k;
+(k, n) block of medoid rows of `dist` (its columns, as
+`pairwise_distances` copies each entry across the diagonal), so d1 and
+d2 come from argmin/min along the long axis. The candidates, their
+(n-k, n) rows of `dist` and the membership are built once per k;
 an accepted swap of medoid position m for candidate slot c writes the old
 medoid into slot c, one row copy, and moves n membership entries. The
 candidates are therefore not in index order, and the estimates' columns
@@ -67,6 +68,14 @@ pipe or the fork cannot be made, the sweep runs serially; if the child
 fails, the parent runs the child's k itself, so an error raised by a k is
 raised in the parent as in a serial sweep.
 
+A known loss: when BLAS runs multithreaded, the default, the split is
+slower than one process from about 144 rows on, likely because both
+processes run BLAS threads on the same CPUs. On uniform 6-column rows at
+n = 192 the serial sweep took 0.31-0.34 s and the split 0.48-6.7 s; the
+curves were equal. ROADMAP item 2 holds the fix. Unverified: on Python
+3.12 and later, os.fork() in a multi-threaded process, such as one whose
+OpenBLAS has started its threads, warns DeprecationWarning.
+
 MSS scores a clustering in [-inf, 1]:
 
     a(i)   = distance from point i to its nearest medoid
@@ -92,7 +101,7 @@ from .tensio import is_int
 
 B_FLOOR = 1e-12
 MAX_SWAP_PASSES = 100
-BLOCK_ELEMENTS = 4 << 20  # cap on pairwise_distances' (rows, targets, d) temporary
+BLOCK_ELEMENTS = 4 << 20  # cap on each of pairwise_distances' difference arrays
 SPLIT_MIN_ROWS = 80  # sweeps over this many rows or more run in two processes
 
 
@@ -121,32 +130,38 @@ class MssCurve:
             fh.write("\n".join(lines) + "\n")
 
 
-def _block_distances(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    diff = rows[:, None, :] - targets[None, :, :]
-    diff *= diff
-    return np.sqrt(diff.sum(axis=2))
+def pairwise_distances(rows: np.ndarray) -> np.ndarray:
+    """The (n, n) Euclidean distance matrix of the rows.
 
-
-def pairwise_distances(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each row to each target; pass `rows, rows` for the full matrix.
-
-    Runs over blocks of rows so that each (b, n_targets, d) difference array
+    Fills the upper triangle, diagonal included, over blocks of rows: rows
+    [s, e) against rows s.. on, so that each (b, n - s, d) difference array
     holds at most BLOCK_ELEMENTS values (one row at least). Each entry sums
     its own d squares along the last axis, whatever the block, so the
-    result does not depend on the blocking.
+    result does not depend on the blocking. Each block's upper-triangle
+    entries are then copied below the diagonal, so dist == dist.T holds by
+    construction; one-row blocks compute each unordered pair once.
     """
-    step = max(1, BLOCK_ELEMENTS // max(1, targets.size))
-    return np.concatenate([_block_distances(rows[start : start + step], targets)
-                           for start in range(0, len(rows), step)])
+    n = len(rows)
+    dist = np.empty((n, n))
+    step = max(1, BLOCK_ELEMENTS // max(1, rows.size))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        diff = rows[s:e, None, :] - rows[None, s:, :]
+        diff *= diff
+        block = np.sqrt(diff.sum(axis=2))
+        del diff  # freed before the next block: one difference array lives at a time
+        dist[s:e, s:] = block
+        np.copyto(dist[s:, s:e], block.T, where=np.tri(n - s, e - s, -1, dtype=bool))
+    return dist
 
 
 def _assign(dist: np.ndarray, medoids: np.ndarray, ar: np.ndarray):
     """Nearest-medoid position per point; argmin takes the lowest index on ties.
 
     Returns (pos, d1, dm): dm = dist[medoids] is the (k, n) medoid block,
-    one row per medoid (by exact symmetry, each point's distance to it), and
-    `ar` is np.arange(n). Gathering rows copies contiguous memory, and
-    argmin/min run along the long axis.
+    one row per medoid (each point's distance to it: `dist` is symmetric by
+    construction), and `ar` is np.arange(n). Gathering rows copies
+    contiguous memory, and argmin/min run along the long axis.
     """
     dm = dist[medoids]
     pos = dm.argmin(axis=0)
@@ -195,9 +210,10 @@ def _swap_tolerance(dist: np.ndarray) -> float:
 def _swap_estimates(rows, member, d1, d2):
     """FastPAM1's estimated cost of every (medoid position, candidate) swap.
 
-    `rows` holds the candidates' rows of `dist` (their columns, by exact
-    symmetry) and `member` the (k, n) 0/1 membership; est[m, c] is the cost
-    of swapping medoid position m for the candidate of row c.
+    `rows` holds the candidates' rows of `dist` (their columns, as `dist`
+    is symmetric by construction) and `member` the (k, n) 0/1 membership;
+    est[m, c] is the cost of swapping medoid position m for the candidate
+    of row c.
     """
     near = np.minimum(rows, d1)
     loss = np.minimum(rows, d2)
@@ -218,10 +234,10 @@ def _best_swap(dist, cand, rows, member, pos, d1, d2, cost, tol):
     PAM's row-major (position, row index) order: `cand` is unsorted, so the
     window is lexsorted back into that order, and the first argmin, PAM's
     tie rule, is PAM's pick. Each exact cost is the last prefix sum over
-    the points of the candidate's row of `dist` (its column, by exact
-    symmetry), which adds them in index order as PAM's (n, n) axis-0 sum
-    does; a 2-D sum over a subset of the columns may add them in another
-    order.
+    the points of the candidate's row of `dist` (its column, as `dist` is
+    symmetric by construction), which adds them in index order as PAM's
+    (n, n) axis-0 sum does; a 2-D sum over a subset of the columns may add
+    them in another order.
     """
     n = dist.shape[0]
     est = _swap_estimates(rows, member, d1, d2)
@@ -299,7 +315,7 @@ def mss(dist: np.ndarray, medoids: np.ndarray) -> float:
     """Mean simplified silhouette of the nearest-medoid clustering under the
     (n, n) distance matrix `dist` by the rows `medoids`, listed in any order.
 
-    For 2-D rows pass `pairwise_distances(rows, rows)`. Raises ShapeMismatch
+    For 2-D rows pass `pairwise_distances(rows)`. Raises ShapeMismatch
     unless `dist` is square and 2-D, NonFiniteValue if it holds NaN or Inf,
     and BadParams unless `medoids` are a 1-D integer array of k >= 2
     distinct rows in [0, n).
@@ -317,9 +333,9 @@ def mss(dist: np.ndarray, medoids: np.ndarray) -> float:
             and medoids.min() >= 0 and len(counts := np.bincount(medoids, minlength=n)) == n
             and counts.max() == 1):
         raise BadParams(f"mss needs a 1-D integer array of k >= 2 distinct rows in [0, {n})")
-    # the (n, k) block as medoid rows, by exact symmetry, in index order
-    # whatever order `medoids` lists; `dist[:, medoids]` sums b in another
-    # order, an ulp off at some k
+    # the (n, k) block as medoid rows (the sweep's matrix is symmetric by
+    # construction), in index order whatever order `medoids` lists;
+    # `dist[:, medoids]` sums b in another order, an ulp off at some k
     dist_to_meds = dist[np.sort(medoids)].T
     a = dist_to_meds.min(axis=1)
     # contiguous, so each row sums in the same order as a fresh block
@@ -345,7 +361,7 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     if not (all(map(is_int, (k_min, k_max, stride))) and 2 <= k_min <= k_max <= n and stride >= 1):
         raise BadParams(f"need integers 2 <= k_min <= k_max <= {n} and stride >= 1, "
                         f"got [{k_min}, {k_max}] stride {stride}")
-    dist = pairwise_distances(rows, rows)
+    dist = pairwise_distances(rows)
     ks = range(k_min, k_max + 1, stride)
     order = _build(dist, ks[-1])
     tol = _swap_tolerance(dist)

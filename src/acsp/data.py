@@ -18,7 +18,9 @@ BLOB_STD = 0.6
 RING_WIDTH = 0.5  # annulus [c + 0.25, c + 0.75], so rings never touch
 # n x prod(dims) ceiling, for datasets and for one layer's captured maps. A
 # layer's analysis holds its maps once in float32 and one class at a time in
-# float64: 9 bytes per value at its peak on 4 classes, 0.6 GB at the ceiling
+# float64: 9 bytes per value at its peak on 4 classes, 0.6 GB at the ceiling.
+# It also caps the layer's separability space, prod(output shape) x C(C-1)/2
+# float64 cells for C classes: 0.5 GiB at the ceiling
 MAX_VALUES = 2**26
 
 

@@ -151,8 +151,8 @@ def prune_model(model: toynet.ToyModel, ds, config: PruneConfig | None = None):
     Returns (model, [LayerReport]). A model with no prunable layer is
     passed through unchanged with an empty report list. A dataset that the
     model cannot read, or with a class id beyond the model's output width,
-    and a layer to capture whose maps exceed `data.MAX_VALUES`, fail before
-    the first layer.
+    and a layer to capture whose maps or separability space exceed
+    `data.MAX_VALUES` (`toynet.check_capture`), fail before the first layer.
     """
     config = _resolve_ft_lr(config or PruneConfig(), model)
     toynet.check_fit(model, ds)

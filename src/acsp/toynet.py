@@ -458,14 +458,21 @@ def finetune(model: ToyModel, ds: LabeledDataset, fraction: float, epochs: int,
 # ------------------------------------------------------------- capture
 
 def check_capture(model: ToyModel, ds: LabeledDataset, layer_id: int) -> None:
-    """Raise BadParams unless the layer is prunable and its maps over the
-    dataset hold at most `data.MAX_VALUES` values."""
+    """Raise BadParams unless the layer is prunable, its maps over the
+    dataset hold at most `data.MAX_VALUES` values, and so does the
+    separability space built from them: prod(output shape) x C(C-1)/2
+    cells for C = the largest label + 1, as `sepspace.build_space` takes it."""
     if layer_id not in (prunable := model.prunable_ids()):
         raise BadParams(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
-    size = ds.n_samples * math.prod(layer_shapes(model)[layer_id][1])
+    flat = math.prod(layer_shapes(model)[layer_id][1])
+    size = ds.n_samples * flat
     if size > data.MAX_VALUES:
         raise BadParams(f"layer {layer_id}: n x prod(output shape) = {size} values; "
                         f"the limit is {data.MAX_VALUES}")
+    cells = flat * math.comb(ds.num_classes, 2)
+    if cells > data.MAX_VALUES:
+        raise BadParams(f"layer {layer_id}: prod(output shape) x class pairs = {cells} "
+                        f"separability cells; the limit is {data.MAX_VALUES}")
 
 
 def capture_activations(model: ToyModel, ds: LabeledDataset, layer_id: int,

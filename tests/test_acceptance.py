@@ -212,22 +212,22 @@ def test_criterion_04_mss_properties():
             n = int(gen.integers(3, 10))
             rows = gen.normal(size=(n, 2))
             meds = sweep_detailed(rows, n, n)[1][n].medoid_indices
-            assert mss(pairwise_distances(rows, rows), meds) == 1.0
+            assert mss(pairwise_distances(rows), meds) == 1.0
 
         # four collinear points, medoids at the extremes:
         # per-point scores (1, 1 - 1/10, 1, 1 - 1/10), mean 0.95
         rows = np.array([[0.0], [1.0], [10.0], [11.0]])
-        assert abs(mss(pairwise_distances(rows, rows), np.array([0, 3])) - 0.95) <= 1e-12
+        assert abs(mss(pairwise_distances(rows), np.array([0, 3])) - 0.95) <= 1e-12
 
         for trial in range(100):
             n = int(gen.integers(4, 10))
             rows = gen.normal(size=(n, 2))
             k = int(gen.integers(2, min(n, 5) + 1))
             meds = sweep_detailed(rows, k, k)[1][k].medoid_indices
-            before = mss(pairwise_distances(rows, rows), meds)
+            before = mss(pairwise_distances(rows), meds)
             dup = int(meds[gen.integers(len(meds))])
             rows2 = np.vstack([rows, rows[dup]])
-            after = mss(pairwise_distances(rows2, rows2), meds)
+            after = mss(pairwise_distances(rows2), meds)
             assert after >= before - 1e-12, f"trial {trial}: {after} < {before}"
         info["identity_checks"] = 30
         info["monotonicity_checks"] = 100

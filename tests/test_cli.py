@@ -326,6 +326,27 @@ def test_prune_refuses_an_out_it_could_not_fill_before_any_layer(
     assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
 
+def test_prune_refuses_a_separability_space_too_large_before_any_capture(
+        tmp_path, capsys, monkeypatch):
+    # 200 x 16 x 32 x 32 captured values fit under data.MAX_VALUES, but the
+    # space's 16 x 32 x 32 x C(100, 2) cells do not
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, n=200, classes=100, dims="1x32x32")
+    _train(capsys, data_path, model_path, arch="cnn:1x32x32-c16k3p1-f-100", epochs=0)
+    out_path = tmp_path / "out"
+
+    def fail(*args, **kwargs):
+        pytest.fail("prune captured a layer")
+
+    monkeypatch.setattr("acsp.toynet.capture_activations", fail)
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert re.fullmatch(r'error code=BadParams message="layer 0: prod\(output shape\) x '
+                        r'class pairs = 81100800 [^"\n]*"\n', err)
+    assert not out_path.exists()
+
+
 def test_prune_zero_finetune_epochs(tmp_path, capsys, trained):
     data_path, model_path = trained
     out_dir = str(tmp_path / "out")

@@ -89,7 +89,7 @@ def test_matches_exhaustive_minimum_on_small_instances():
         k = min(k, n)
         rows = gen.normal(size=(n, d))
         cost = _sweep_at(rows, k).cost_history[-1]
-        target = _exhaustive_cost(pairwise_distances(rows, rows), k)
+        target = _exhaustive_cost(pairwise_distances(rows), k)
         assert cost >= target - 1e-12
         if cost > target + 1e-12:
             assert cost <= 1.05 * target, f"trial {trial}: {cost} vs {target}"
@@ -104,7 +104,7 @@ def test_cost_history_strictly_decreasing():
         res = _sweep_at(rows, 3)
         hist = res.cost_history
         assert all(b < a for a, b in zip(hist, hist[1:]))
-        nearest = pairwise_distances(rows, rows[res.medoid_indices]).min(axis=1)
+        nearest = _broadcast_distances(rows, rows[res.medoid_indices]).min(axis=1)
         assert hist[-1] == pytest.approx(nearest.sum(), abs=1e-12)
 
 
@@ -130,7 +130,7 @@ def test_deterministic_across_calls():
 def test_mss_is_one_at_k_equals_n():
     rows = np.random.default_rng(2).normal(size=(9, 3))
     res = _sweep_at(rows, 9)
-    assert mss(pairwise_distances(rows, rows), res.medoid_indices) == 1.0
+    assert mss(pairwise_distances(rows), res.medoid_indices) == 1.0
 
 
 def test_mss_four_point_hand_example():
@@ -138,7 +138,7 @@ def test_mss_four_point_hand_example():
     # a = (0, 1, 1, 0); b = (11, 10, 10, 11)
     # MSS = mean(1, 1 - 1/10, 1, 1 - 1/10) = 0.95
     rows = _cols([0.0, 1.0, 10.0, 11.0])
-    assert mss(pairwise_distances(rows, rows), np.array([0, 3])) == pytest.approx(0.95, abs=1e-12)
+    assert mss(pairwise_distances(rows), np.array([0, 3])) == pytest.approx(0.95, abs=1e-12)
 
 
 def test_mss_never_exceeds_one():
@@ -147,16 +147,16 @@ def test_mss_never_exceeds_one():
         n = int(gen.integers(4, 12))
         rows = gen.normal(size=(n, 2))
         k = int(gen.integers(2, n + 1))
-        assert mss(pairwise_distances(rows, rows), _sweep_at(rows, k).medoid_indices) <= 1.0 + 1e-15
+        assert mss(pairwise_distances(rows), _sweep_at(rows, k).medoid_indices) <= 1.0 + 1e-15
 
 
 def test_mss_equals_one_iff_every_point_on_a_medoid():
     rows = _cols([0.0, 0.0, 5.0, 5.0, 5.0])
     res = _sweep_at(rows, 2)
-    assert mss(pairwise_distances(rows, rows), res.medoid_indices) == 1.0
+    assert mss(pairwise_distances(rows), res.medoid_indices) == 1.0
     spread = _cols([0.0, 0.4, 5.0, 5.0, 5.0])
     res2 = _sweep_at(spread, 2)
-    assert mss(pairwise_distances(spread, spread), res2.medoid_indices) < 1.0
+    assert mss(pairwise_distances(spread), res2.medoid_indices) < 1.0
 
 
 def test_duplicating_a_medoid_row_never_decreases_mss():
@@ -166,19 +166,19 @@ def test_duplicating_a_medoid_row_never_decreases_mss():
         rows = gen.normal(size=(n, 2))
         k = int(gen.integers(2, min(n, 5) + 1))
         meds = _sweep_at(rows, k).medoid_indices
-        before = mss(pairwise_distances(rows, rows), meds)
+        before = mss(pairwise_distances(rows), meds)
         dup = int(meds[gen.integers(len(meds))])
         rows2 = np.vstack([rows, rows[dup]])
-        assert mss(pairwise_distances(rows2, rows2), meds) >= before - 1e-12
+        assert mss(pairwise_distances(rows2), meds) >= before - 1e-12
 
 
 def test_mss_ignores_medoid_listing_order():
-    dist = pairwise_distances(*[_cols([0.0, 1.0, 10.0, 11.0])] * 2)
+    dist = pairwise_distances(_cols([0.0, 1.0, 10.0, 11.0]))
     assert mss(dist, np.array([0, 3])) == mss(dist, np.array([3, 0]))
     # with more than two medoids each b(i) sums k distances, which rounds
     # differently in another order unless the listing is put in index order
     rows = np.random.default_rng(5).normal(size=(40, 3))
-    dist = pairwise_distances(rows, rows)
+    dist = pairwise_distances(rows)
     meds = np.random.default_rng(6).choice(40, 9, replace=False)
     scores = {mss(dist, perm) for perm in (meds, np.sort(meds), meds[::-1],
                                            np.random.default_rng(7).permutation(meds))}
@@ -191,7 +191,7 @@ def test_mss_ignores_medoid_listing_order():
 def test_mss_rejects_medoids_that_do_not_match_k(meds):
     # unchecked, the first raises IndexError, the second returns 0.25 and
     # the float pair ends in numpy's own TypeError
-    dist = pairwise_distances(*[_cols([0.0, 1.0, 10.0, 11.0])] * 2)
+    dist = pairwise_distances(_cols([0.0, 1.0, 10.0, 11.0]))
     with pytest.raises(BadParams):
         mss(dist, np.array(meds))
 
@@ -204,7 +204,7 @@ def test_sweep_assigns_each_point_to_a_nearest_medoid():
     base = gen.uniform(0.0, 2.0, size=(20, 4))
     base[gen.uniform(size=base.shape) < 0.6] = _JM_SUP
     rows = np.repeat(base, 3, axis=0)
-    dist = pairwise_distances(rows, rows)
+    dist = pairwise_distances(rows)
     for k, res in sweep_detailed(rows)[1].items():
         nearest = dist[res.medoid_indices].min(axis=0)
         assert (dist[res.assignment, np.arange(len(rows))] == nearest).all(), k
@@ -216,7 +216,7 @@ def test_mss_refuses_a_bad_medoid_block(bad):
     # a bad cell among the medoid rows of `dist`, the (k, n) block that mss
     # reads; unchecked, these scored nan, 0.975 and -2.5e11 with no error
     rows = _cols([0.0, 1.0, 10.0, 11.0])
-    dist = pairwise_distances(rows, rows)
+    dist = pairwise_distances(rows)
     dist[3, 1] = bad
     with pytest.raises(NonFiniteValue):
         mss(dist, np.array([0, 3]))
@@ -229,7 +229,7 @@ def test_mss_refuses_non_finite_rows(bad):
     res = _sweep_at(rows, 2)
     rows[3, 1] = bad
     with np.errstate(invalid="ignore"):
-        dist = pairwise_distances(rows, rows)
+        dist = pairwise_distances(rows)
     with pytest.raises(NonFiniteValue):
         mss(dist, res.medoid_indices)
 
@@ -241,7 +241,7 @@ def test_mss_refuses_a_distance_matrix_that_is_not_square_2d(shape):
     rows = np.random.default_rng(6).normal(size=(5, 2))
     meds = _sweep_at(rows, 2).medoid_indices
     with pytest.raises(ShapeMismatch):
-        mss(shape(pairwise_distances(rows, rows), meds), meds)
+        mss(shape(pairwise_distances(rows), meds), meds)
 
 
 @given(st.integers(0, 10_000))
@@ -250,7 +250,7 @@ def test_mss_at_full_k_property(seed):
     gen = np.random.default_rng(seed)
     n = int(gen.integers(3, 10))
     rows = gen.normal(size=(n, int(gen.integers(1, 4))))
-    assert mss(pairwise_distances(rows, rows), _sweep_at(rows, n).medoid_indices) == 1.0
+    assert mss(pairwise_distances(rows), _sweep_at(rows, n).medoid_indices) == 1.0
 
 
 # ----------------------------------------------------------------- sweep
@@ -315,7 +315,7 @@ def test_sweep_detailed_results_match_direct_calls():
         direct = _sweep_at(rows, int(k))
         np.testing.assert_array_equal(results[int(k)].medoid_indices, direct.medoid_indices)
         assert curve.entries[int(k)] == pytest.approx(
-            mss(pairwise_distances(rows, rows), direct.medoid_indices), abs=0)
+            mss(pairwise_distances(rows), direct.medoid_indices), abs=0)
 
 
 def test_sweep_is_deterministic():
@@ -449,7 +449,7 @@ def _plain_pam(dist, k):
 
 def _plain_mss(rows, meds, assignment):
     n, k = rows.shape[0], len(meds)
-    dist_to_meds = pairwise_distances(rows, rows[meds])
+    dist_to_meds = _broadcast_distances(rows, rows[meds])
     med_pos = {int(m): i for i, m in enumerate(meds)}
     pos = np.array([med_pos[int(m)] for m in assignment])
     a = dist_to_meds[np.arange(n), pos]
@@ -459,7 +459,7 @@ def _plain_mss(rows, meds, assignment):
 
 def _assert_sweep_matches_plain_pam(rows, k_min=2, k_max=None, stride=1):
     curve, results = sweep_detailed(rows, k_min=k_min, k_max=k_max, stride=stride)
-    dist = pairwise_distances(rows, rows)
+    dist = pairwise_distances(rows)
     for k in range(k_min, (k_max or rows.shape[0]) + 1, stride):
         meds, assignment, cost, history = _plain_pam(dist, k)
         for res in (results[k], _sweep_at(rows, k)):
@@ -503,7 +503,7 @@ def test_swap_estimates_within_tolerance_of_plain_pam(case, seed):
     # any medoid set, so repeated row blocks often leave medoids without points
     rows, k, _, _ = case
     n = rows.shape[0]
-    dist = pairwise_distances(rows, rows)
+    dist = pairwise_distances(rows)
     gen = np.random.default_rng(seed)
     meds = np.sort(gen.choice(n, min(k, n - 1), replace=False))
     pos, d1, d2 = _plain_swap_state(dist, meds)
@@ -549,7 +549,7 @@ def test_sweep_equals_plain_pam_when_windows_exceed_n_pairs(monkeypatch, jitter)
     monkeypatch.setattr(cluster, "_swap_estimates", recording_estimates)
     _assert_sweep_matches_plain_pam(rows, k_max=24)
     # each recorded array holds the non-medoid candidate columns only
-    tol = cluster._swap_tolerance(pairwise_distances(rows, rows))
+    tol = cluster._swap_tolerance(pairwise_distances(rows))
     assert max(int((est <= est.min() + 2.0 * tol).sum()) for est in windows) > 128
 
 
@@ -589,7 +589,7 @@ def test_pairwise_distances_exactly_symmetric_with_zero_diagonal(n, d, seed):
     gen = np.random.default_rng(seed)
     rows = gen.uniform(0.0, 2.0, size=(n, d))[gen.integers(0, n, size=n)]
     rows[gen.uniform(size=rows.shape) < 0.5] = _JM_SUP
-    dist = pairwise_distances(rows, rows)
+    dist = pairwise_distances(rows)
     assert (dist == dist.T).all()
     assert (np.diag(dist) == 0.0).all()
 
@@ -600,17 +600,37 @@ def _broadcast_distances(rows, targets):
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-@pytest.mark.parametrize("n,m,d,cap", [(37, 37, 7, 1000), (50, 9, 130, 5000),
-                                       (23, 23, 1, 40), (5, 11, 300, 10)])
-def test_blocked_distances_equal_the_broadcast_form(monkeypatch, n, m, d, cap):
-    # caps of a few rows per block, and one below a single row (10 < 11 * 300)
+@pytest.mark.parametrize("n,d,cap", [(37, 7, 1000), (50, 130, 20000),
+                                     (23, 1, 40), (5, 300, 10)])
+def test_blocked_distances_equal_the_broadcast_form(monkeypatch, n, d, cap):
+    # caps of a few rows per block, and one below a single row (10 < 5 * 300)
     monkeypatch.setattr(cluster, "BLOCK_ELEMENTS", cap)
-    gen = np.random.default_rng(n * d)
-    rows = gen.uniform(0.0, 2.0, size=(n, d))
-    targets = rows[:m] if m <= n else gen.uniform(0.0, 2.0, size=(m, d))
-    assert n > max(1, cap // (m * d))  # several blocks
-    got = pairwise_distances(rows, targets)
-    assert got.shape == (n, m) and (got == _broadcast_distances(rows, targets)).all()
+    rows = np.random.default_rng(n * d).uniform(0.0, 2.0, size=(n, d))
+    assert n > max(1, cap // (n * d))  # several blocks
+    got = pairwise_distances(rows)
+    assert got.shape == (n, n) and (got == _broadcast_distances(rows, rows)).all()
+
+
+def test_pairwise_distances_computes_each_unordered_pair_once(monkeypatch):
+    # one row per block: row i meets rows i.. on, n (n + 1) / 2 cells in all
+    # where the full matrix would take n^2
+    n = 30
+    cells = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sqrt(self, x, *args, **kwargs):
+            cells.append(x.size)
+            return np.sqrt(x, *args, **kwargs)
+
+    monkeypatch.setattr(cluster, "BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(cluster, "np", RecordingNumpy())
+    rows = np.random.default_rng(4).uniform(size=(n, 3))
+    dist = pairwise_distances(rows)
+    assert len(cells) == n and sum(cells) == n * (n + 1) // 2
+    assert (dist == _broadcast_distances(rows, rows)).all()
 
 
 def test_distance_matrix_memory_is_bounded():
@@ -618,7 +638,7 @@ def test_distance_matrix_memory_is_bounded():
     rows = np.random.default_rng(3).uniform(size=(48, 8192))
     tracemalloc.start()
     try:
-        pairwise_distances(rows, rows)
+        pairwise_distances(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -710,7 +730,7 @@ def test_sweep_mss_equals_public_mss_bit_for_bit():
     # most k; the sweep must score from a contiguous copy
     rows = np.random.default_rng(1).normal(size=(64, 6))
     curve, results = sweep_detailed(rows)
-    dist = pairwise_distances(rows, rows)
+    dist = pairwise_distances(rows)
     for k, res in results.items():
         assert curve.entries[k] == mss(dist, res.medoid_indices), k
 
@@ -730,7 +750,7 @@ def test_sweep_scores_every_k_from_its_one_distance_matrix(monkeypatch):
     curve, results = sweep_detailed(rows, 2, 12, 2)
     assert [len(m) for _, m in calls] == [2, 4, 6, 8, 10, 12]
     assert all(dist is calls[0][0] for dist, _ in calls)
-    assert (calls[0][0] == pairwise_distances(rows, rows)).all()
+    assert (calls[0][0] == pairwise_distances(rows)).all()
     for (_, medoids), k in zip(calls, curve.ks()):
         assert medoids is results[int(k)].medoid_indices
 

@@ -548,6 +548,22 @@ def test_capture_refuses_a_layer_too_large_before_computing_it(monkeypatch):
         capture_activations(model, ds, 0)
 
 
+def test_capture_refuses_a_layer_whose_space_is_too_large(monkeypatch):
+    ds = tiny_dataset(n=12, num_classes=6, dims=(4,), seed=12)
+    model = from_arch("mlp:4-6-6", seed=18)  # layer 0: 12 x 6 = 72 values, 6 x 15 = 90 cells
+    monkeypatch.setattr(data, "MAX_VALUES", 90)
+    assert sepspace.build_space(capture_activations(model, ds, 0)).values.shape == (6, 15)
+    monkeypatch.setattr(data, "MAX_VALUES", 89)
+
+    def no_forward(*args):
+        raise AssertionError("a refused layer must not be computed")
+
+    monkeypatch.setattr(toynet, "_run_chunked", no_forward)
+    with pytest.raises(BadParams, match=r"layer 0: prod\(output shape\) x class pairs = 90 "
+                                        r"separability cells; the limit is 89"):
+        capture_activations(model, ds, 0)
+
+
 # --------------------------------------------------------------- surgery
 
 def _mask_forward(model, x, layer_id, kept):
