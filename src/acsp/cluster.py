@@ -52,12 +52,13 @@ order before its exact step.
 Each k's MSS is scored by `mss` from the sweep's own distance matrix.
 
 Each k's SWAP and MSS read only the distance matrix, the BUILD order and
-the tolerance, so a sweep over SPLIT_MIN_ROWS rows or more, on Linux with
-at least two usable CPUs, forks one child after computing those three: the
-child runs every other k (the second, fourth, ...) and pickles its results
-back through a pipe while the parent runs the rest. Each k runs the same
-float operations in either process and pickling keeps every bit, so the
-curve and the clusterings equal the serial sweep's exactly. On a 2-vCPU VM
+the tolerance, so a sweep over SPLIT_MIN_ROWS to SPLIT_MAX_ROWS - 1 rows,
+on Linux with at least two usable CPUs, forks one child after computing
+those three: the child runs every other k (the second, fourth, ...) and
+pickles its results back through a pipe while the parent runs the rest.
+Each k runs the same float operations in either process and pickling
+keeps every bit, so the curve and the clusterings equal the serial
+sweep's exactly. On a 2-vCPU VM
 a fork, exit and wait take 2.6-4.4 ms; against the serial sweep the split
 took x1.28-1.54 the time at n <= 48, x0.99-1.15 at n = 64, x1.05 at 80 and
 x0.62-0.71 at 96 (uniform rows and seed-7 layer spaces), hence the
@@ -68,13 +69,14 @@ pipe or the fork cannot be made, the sweep runs serially; if the child
 fails, the parent runs the child's k itself, so an error raised by a k is
 raised in the parent as in a serial sweep.
 
-A known loss: when BLAS runs multithreaded, the default, the split is
-slower than one process from about 144 rows on, likely because both
-processes run BLAS threads on the same CPUs. On uniform 6-column rows at
-n = 192 the serial sweep took 0.31-0.34 s and the split 0.48-6.7 s; the
-curves were equal. ROADMAP item 2 holds the fix. Unverified: on Python
-3.12 and later, os.fork() in a multi-threaded process, such as one whose
-OpenBLAS has started its threads, warns DeprecationWarning.
+From SPLIT_MAX_ROWS rows on the sweep stays in one process: there the
+split lost whenever BLAS ran multithreaded, the default, likely because
+both processes run BLAS threads on the same CPUs. On uniform 6-column
+rows, seven runs each, the split took 0.055-0.062 s at n = 128 against
+0.070-0.079 s serial, but 0.11-0.86 s at 136 against 0.079-0.103 s, and
+up to x31 the serial time at 144 and 160. Unverified: on Python 3.12 and
+later, os.fork() in a multi-threaded process, such as one whose OpenBLAS
+has started its threads, warns DeprecationWarning.
 
 MSS scores a clustering in [-inf, 1]:
 
@@ -102,7 +104,8 @@ from .tensio import is_int
 B_FLOOR = 1e-12
 MAX_SWAP_PASSES = 100
 BLOCK_ELEMENTS = 4 << 20  # cap on each of pairwise_distances' difference arrays
-SPLIT_MIN_ROWS = 80  # sweeps over this many rows or more run in two processes
+SPLIT_MIN_ROWS = 80  # a sweep over n rows runs in two processes
+SPLIT_MAX_ROWS = 136  # when SPLIT_MIN_ROWS <= n < SPLIT_MAX_ROWS
 
 
 @dataclass(eq=False)
@@ -365,7 +368,7 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     ks = range(k_min, k_max + 1, stride)
     order = _build(dist, ks[-1])
     tol = _swap_tolerance(dist)
-    split = n >= SPLIT_MIN_ROWS and len(ks) >= 2 and _usable_cpus() >= 2
+    split = SPLIT_MIN_ROWS <= n < SPLIT_MAX_ROWS and len(ks) >= 2 and _usable_cpus() >= 2
     done = (_split_sweep if split else _sweep_ks)(dist, order, tol, ks)
     results = {k: done[k][0] for k in ks}
     return MssCurve({k: done[k][1] for k in ks}), results

@@ -7,6 +7,14 @@ that removing a channel and zeroing it are numerically interchangeable.
 
 Everything here is deterministic given the seeds: fixed batch order per
 seed, no momentum, no regularization, float64 throughout.
+
+A training step writes in place only into arrays it made itself: a
+linear layer adds its bias into its new product, ReLU masks the gradient
+it is handed (always a new array of the backward pass, or a view into
+one), and the update scales each new gradient by the rate before
+subtracting it. Each in-place form runs the same float operation as the
+expression it replaces, so the results are the same to the bit. The
+caller's batch, labels and model are never written.
 """
 
 from __future__ import annotations
@@ -106,11 +114,13 @@ class Linear(_Layer):
 
     def forward_cache(self, x):
         self.out_shape(x.shape[1:])
-        return x @ self.w.T + self.b, x
+        y = x @ self.w.T
+        y += self.b
+        return y, x
 
     def backward(self, gy, x, input_grad=True):
         """(input gradient or None when not `input_grad`, parameter gradients)."""
-        return gy @ self.w if input_grad else None, {"w": gy.T @ x, "b": gy.sum(axis=0)}
+        return gy @ self.w if input_grad else None, {"w": gy.T @ x, "b": np.add.reduce(gy, 0)}
 
 
 class Conv(_Layer):
@@ -156,27 +166,38 @@ class Conv(_Layer):
         out = span // self.stride + 1
         return (self.c_out, out, out)
 
+    # Each contraction is one matmul of the operands, in the order and
+    # memory layout, that np.einsum(..., optimize=True) hands to matmul on
+    # numpy 2.4 for the same product, so it gives that einsum's bits
+    # without its per-call parsing and planning. Only where einsum drops a
+    # size-1 axis (a 1x1 output map, a one-sample batch) may the last bits
+    # differ.
+
     def forward_cache(self, x):
         self.out_shape(x.shape[1:])
         p, k, s = self.pad, self.kernel, self.stride
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        y = np.einsum("ncxyij,ocij->noxy", win, self.w, optimize=True)
+        n, _, ho, wo = win.shape[:4]
+        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(-1, n * ho * wo)
+        y = (self.w.reshape(self.c_out, -1) @ cols).reshape(-1, n, ho, wo).transpose(1, 0, 2, 3)
         return y + self.b[None, :, None, None], (win, xp.shape, x.shape)
 
     def backward(self, gy, cache, input_grad=True):
         """(input gradient or None when not `input_grad`, parameter gradients)."""
         win, xp_shape, x_shape = cache
-        dw = np.einsum("ncxyij,noxy->ocij", win, gy, optimize=True)
+        n, o, ho, wo = gy.shape
+        gyo = gy.transpose(1, 0, 2, 3).reshape(o, -1)
+        rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
+        dw = (gyo @ rows).reshape(self.w.shape)
         db = gy.sum(axis=(0, 2, 3))
         if not input_grad:
             return None, {"w": dw, "b": db}
         gxp = np.zeros(xp_shape)
-        ho, wo = gy.shape[2], gy.shape[3]
         s, k = self.stride, self.kernel
         for i in range(k):
             for j in range(k):
-                patch = np.einsum("noxy,oc->ncxy", gy, self.w[:, :, i, j], optimize=True)
+                patch = (self.w[:, :, i, j].T @ gyo).reshape(-1, n, ho, wo).transpose(1, 0, 2, 3)
                 gxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += patch
         p = self.pad
         h, w = x_shape[2], x_shape[3]
@@ -190,7 +211,8 @@ class ReLU(_Layer):
         return np.maximum(x, 0.0), x
 
     def backward(self, gy, x):
-        return gy * (x > 0.0), None
+        """Mask `gy` where the input was not positive; overwrites `gy`."""
+        return np.multiply(gy, x > 0.0, out=gy), None
 
 
 class AvgPool(_Layer):
@@ -219,7 +241,8 @@ class AvgPool(_Layer):
 
     def backward(self, gy, _cache):
         s = self.size
-        gx = np.repeat(np.repeat(gy, s, axis=2), s, axis=3) / (s * s)
+        gx = np.repeat(np.repeat(gy, s, axis=2), s, axis=3)
+        gx /= s * s
         return gx, None
 
 
@@ -331,13 +354,15 @@ def check_fit(model: ToyModel, ds: LabeledDataset) -> None:
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and its gradient w.r.t. the logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, 1, keepdims=True)
+    logp = z - np.log(np.add.reduce(np.exp(z), 1, keepdims=True))
     n = logits.shape[0]
-    loss = -logp[np.arange(n), labels].mean()
+    rows = np.arange(n)
+    loss = -(logp[rows, labels].sum() / n)
     grad = np.exp(logp)
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    grad[rows, labels] -= 1.0
+    grad /= n
+    return loss, grad
 
 
 def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray, trainable_from: int = 0):
@@ -402,9 +427,12 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
                 loss, grads = loss_and_grads(out, x, y[idx], trainable_from)
                 total += loss * len(idx)
                 for layer, pg in zip(out.layers, grads):
-                    if pg is not None:
-                        layer.w -= lr * pg["w"]
-                        layer.b -= lr * pg["b"]
+                    if pg is not None:  # this step's own arrays: scaled in place
+                        gw, gb = pg["w"], pg["b"]
+                        gw *= lr
+                        layer.w -= gw
+                        gb *= lr
+                        layer.b -= gb
         epoch_loss = total / n
         if not math.isfinite(epoch_loss) or not _weights_finite(out):
             raise Divergence(f"non-finite state at epoch {epoch + 1} (lr={lr})")

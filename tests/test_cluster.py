@@ -851,9 +851,26 @@ def test_sweep_splits_only_from_the_row_threshold_with_two_ks(monkeypatch):
     assert forks == []
     sweep_detailed(np.random.default_rng(3).normal(size=(12, 2)), 5, 6)
     assert forks == [1]
+    # SPLIT_MAX_ROWS rows or more stay in one process, one row fewer splits;
+    # moving the bound across either width leaves the sweep as it was
+    monkeypatch.setattr(cluster, "SPLIT_MAX_ROWS", 16)
+    at_bound = np.random.default_rng(4).normal(size=(16, 2))
+    below = np.random.default_rng(4).normal(size=(15, 2))
+    serial_at_bound = sweep_detailed(at_bound)
+    assert forks == [1]
+    split_below = sweep_detailed(below)
+    assert forks == [1, 1]
+    _assert_no_child_left()
+    monkeypatch.setattr(cluster, "SPLIT_MAX_ROWS", 17)
+    _assert_same_sweep(sweep_detailed(at_bound), serial_at_bound)
+    assert forks == [1, 1, 1]
+    monkeypatch.setattr(cluster, "SPLIT_MAX_ROWS", 15)
+    _assert_same_sweep(split_below, sweep_detailed(below))
+    assert forks == [1, 1, 1]
+    monkeypatch.setattr(cluster, "SPLIT_MAX_ROWS", 16)
     monkeypatch.setattr(cluster, "_usable_cpus", lambda: 1)
     sweep_detailed(np.random.default_rng(3).normal(size=(12, 2)))
-    assert forks == [1]
+    assert forks == [1, 1, 1]
 
 
 class _Boom(Exception):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from acsp import data, sepspace, toynet
 from acsp.errors import (
@@ -381,6 +382,135 @@ def test_train_records_metadata():
     out = train(model, ds, epochs=3, lr=0.25, seed=0)
     assert out.train_epochs == 3 and out.train_lr == 0.25
     assert model.train_epochs == 0  # input untouched
+
+
+# A reference SGD loop in plain expressions: a new array for every bias
+# add, ReLU mask and update, and the conv contractions through np.einsum.
+# The engine's in-place steps and matmuls must give the same bits.
+
+def _ref_forward(layer, h):
+    if isinstance(layer, Linear):
+        return h @ layer.w.T + layer.b, h
+    if isinstance(layer, Conv):
+        p, k, s = layer.pad, layer.kernel, layer.stride
+        xp = np.pad(h, ((0, 0), (0, 0), (p, p), (p, p)))
+        win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        y = np.einsum("ncxyij,ocij->noxy", win, layer.w, optimize=True)
+        return y + layer.b[None, :, None, None], (win, xp.shape, h.shape)
+    if isinstance(layer, ReLU):
+        return np.maximum(h, 0.0), h
+    if isinstance(layer, AvgPool):
+        n, c, hh, ww = h.shape
+        s = layer.size
+        return h.reshape(n, c, hh // s, s, ww // s, s).mean(axis=(3, 5)), None
+    return h.reshape(h.shape[0], -1), h.shape  # Flatten
+
+
+def _ref_backward(layer, gy, cache):
+    """(input gradient, parameter gradients or None)."""
+    if isinstance(layer, Linear):
+        return gy @ layer.w, {"w": gy.T @ cache, "b": gy.sum(axis=0)}
+    if isinstance(layer, Conv):
+        win, xp_shape, x_shape = cache
+        dw = np.einsum("ncxyij,noxy->ocij", win, gy, optimize=True)
+        gxp = np.zeros(xp_shape)
+        ho, wo = gy.shape[2], gy.shape[3]
+        s, k, p = layer.stride, layer.kernel, layer.pad
+        for i in range(k):
+            for j in range(k):
+                patch = np.einsum("noxy,oc->ncxy", gy, layer.w[:, :, i, j], optimize=True)
+                gxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += patch
+        gx = gxp[:, :, p : p + x_shape[2], p : p + x_shape[3]]
+        return gx, {"w": dw, "b": gy.sum(axis=(0, 2, 3))}
+    if isinstance(layer, ReLU):
+        return gy * (cache > 0.0), None
+    if isinstance(layer, AvgPool):
+        s = layer.size
+        return np.repeat(np.repeat(gy, s, axis=2), s, axis=3) / (s * s), None
+    return gy.reshape(cache), None  # Flatten
+
+
+def _ref_softmax_xent(logits, labels):
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    n = logits.shape[0]
+    loss = -logp[np.arange(n), labels].mean()
+    grad = np.exp(logp)
+    grad[np.arange(n), labels] -= 1.0
+    return loss, grad / n
+
+
+def _ref_train(model, ds, epochs, lr, seed, batch_size=64, trainable_from=0):
+    out = model.copy()
+    rng = np.random.default_rng(seed)
+    losses = []
+    for _ in range(epochs):
+        perm = rng.permutation(ds.n_samples)
+        total = 0.0
+        for start in range(0, ds.n_samples, batch_size):
+            idx = perm[start : start + batch_size]
+            h = ds.samples[idx].astype(np.float64)
+            caches = []
+            for layer in out.layers:
+                h, cache = _ref_forward(layer, h)
+                caches.append(cache)
+            loss, g = _ref_softmax_xent(h, ds.labels[idx])
+            total += loss * len(idx)
+            grads = []
+            for layer, cache in zip(reversed(out.layers), reversed(caches)):
+                g, pg = _ref_backward(layer, g, cache)
+                grads.append(pg)
+            for i, (layer, pg) in enumerate(zip(out.layers, reversed(grads))):
+                if pg is not None and i >= trainable_from:
+                    layer.w -= lr * pg["w"]
+                    layer.b -= lr * pg["b"]
+        losses.append(total / ds.n_samples)
+    return out, losses
+
+
+_ORACLE_CASES = [("mlp:3-6-4-2", (3,)), ("cnn:2x6x6-c3k3-p2-c4k3s2-f-5-2", (2, 6, 6))]
+
+
+@pytest.mark.parametrize("spec, dims", _ORACLE_CASES)
+@pytest.mark.parametrize("past_first", [False, True])
+def test_train_equals_the_plain_reference_bit_for_bit(spec, dims, past_first):
+    # 150 samples: two full batches of 64 and a short one of 22
+    ds = data.make_blobs(150, 2, dims, seed=21)
+    model = from_arch(spec, seed=22)
+    cut = model.parametric_ids()[0] + 1 if past_first else 0
+    losses = []
+    got = train(model, ds, epochs=2, lr=0.1, seed=23, trainable_from=cut,
+                on_epoch=lambda e, loss, acc: losses.append(loss))
+    want, want_losses = _ref_train(model, ds, 2, 0.1, 23, trainable_from=cut)
+    assert losses == want_losses
+    for i, (a, b) in enumerate(zip(got.layers, want.layers)):
+        if a.parametric:
+            assert (a.w == b.w).all() and (a.b == b.b).all(), f"layer {i}"
+    if past_first:  # the layers below the cut kept their initial weights
+        assert (got.layers[0].w == model.layers[0].w).all()
+
+
+def _param_bytes(model):
+    return [(l.w.tobytes(), l.b.tobytes()) for l in model.layers if l.parametric]
+
+
+@pytest.mark.parametrize("spec, dims", _ORACLE_CASES)
+def test_step_writes_only_into_arrays_it_owns(spec, dims):
+    # the in-place bias, ReLU-mask and update steps leave the caller's
+    # batch, labels and model as they were, to the bit
+    ds = data.make_blobs(150, 2, dims, seed=24)
+    model = from_arch(spec, seed=25)
+    x = ds.samples[:40].astype(np.float64)
+    labels = ds.labels[:40].copy()
+    x0, labels0, params0 = x.tobytes(), labels.tobytes(), _param_bytes(model)
+    loss_and_grads(model, x, labels)
+    assert x.tobytes() == x0 and labels.tobytes() == labels0
+    assert _param_bytes(model) == params0
+    samples0 = ds.samples.tobytes()
+    trained = train(model, ds, epochs=2, lr=0.1, seed=26)
+    assert _param_bytes(model) == params0
+    assert ds.samples.tobytes() == samples0
+    assert _param_bytes(trained) != params0
 
 
 # ---------------------------------------------------- subsets & finetune
