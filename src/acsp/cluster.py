@@ -74,9 +74,12 @@ split lost whenever BLAS ran multithreaded, the default, likely because
 both processes run BLAS threads on the same CPUs. On uniform 6-column
 rows, seven runs each, the split took 0.055-0.062 s at n = 128 against
 0.070-0.079 s serial, but 0.11-0.86 s at 136 against 0.079-0.103 s, and
-up to x31 the serial time at 144 and 160. Unverified: on Python 3.12 and
-later, os.fork() in a multi-threaded process, such as one whose OpenBLAS
-has started its threads, warns DeprecationWarning.
+up to x31 the serial time at 144 and 160. The bound of 136 was measured
+on that one 2-vCPU VM only: where the loss starts likely depends on the
+host's CPU count, and no benchmark workload has a layer this wide yet
+(ROADMAP item 1), so it is not a general property. Unverified: on Python
+3.12 and later, os.fork() in a multi-threaded process, such as one whose
+OpenBLAS has started its threads, warns DeprecationWarning.
 
 MSS scores a clustering in [-inf, 1]:
 

@@ -10,11 +10,11 @@ seed, no momentum, no regularization, float64 throughout.
 
 A training step writes in place only into arrays it made itself: a
 linear layer adds its bias into its new product, ReLU masks the gradient
-it is handed (always a new array of the backward pass, or a view into
-one), and the update scales each new gradient by the rate before
-subtracting it. Each in-place form runs the same float operation as the
-expression it replaces, so the results are the same to the bit. The
-caller's batch, labels and model are never written.
+it is handed, and the update scales each new gradient by the rate before
+subtracting it; `_Layer` states what this asks of every backward. Each
+in-place form runs the same float operation as the expression it
+replaces, so the results are the same to the bit. The caller's batch,
+labels and model are never written.
 """
 
 from __future__ import annotations
@@ -51,6 +51,14 @@ class _Layer:
     `weight_shape(*fields)`.
     `out_shape` maps a per-sample input shape to the output shape, raising
     ShapeMismatch when the kind cannot take that input.
+
+    `backward(gy, cache)` returns (input gradient, parameter gradients or
+    None). Each array it returns must be new, or a view into an array of
+    this backward pass that nothing else holds (Flatten reshapes its `gy`),
+    and no two may share memory: ReLU.backward overwrites the `gy` it is
+    handed and `train` scales the parameter gradients in place, so a view
+    of a cache, of the weights or of another returned array is written
+    through.
     """
 
     parametric = False
@@ -120,7 +128,7 @@ class Linear(_Layer):
 
     def backward(self, gy, x, input_grad=True):
         """(input gradient or None when not `input_grad`, parameter gradients)."""
-        return gy @ self.w if input_grad else None, {"w": gy.T @ x, "b": np.add.reduce(gy, 0)}
+        return gy @ self.w if input_grad else None, {"w": gy.T @ x, "b": gy.sum(axis=0)}
 
 
 class Conv(_Layer):
@@ -166,38 +174,27 @@ class Conv(_Layer):
         out = span // self.stride + 1
         return (self.c_out, out, out)
 
-    # Each contraction is one matmul of the operands, in the order and
-    # memory layout, that np.einsum(..., optimize=True) hands to matmul on
-    # numpy 2.4 for the same product, so it gives that einsum's bits
-    # without its per-call parsing and planning. Only where einsum drops a
-    # size-1 axis (a 1x1 output map, a one-sample batch) may the last bits
-    # differ.
-
     def forward_cache(self, x):
         self.out_shape(x.shape[1:])
         p, k, s = self.pad, self.kernel, self.stride
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        n, _, ho, wo = win.shape[:4]
-        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(-1, n * ho * wo)
-        y = (self.w.reshape(self.c_out, -1) @ cols).reshape(-1, n, ho, wo).transpose(1, 0, 2, 3)
+        y = np.einsum("ncxyij,ocij->noxy", win, self.w, optimize=True)
         return y + self.b[None, :, None, None], (win, xp.shape, x.shape)
 
     def backward(self, gy, cache, input_grad=True):
         """(input gradient or None when not `input_grad`, parameter gradients)."""
         win, xp_shape, x_shape = cache
-        n, o, ho, wo = gy.shape
-        gyo = gy.transpose(1, 0, 2, 3).reshape(o, -1)
-        rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
-        dw = (gyo @ rows).reshape(self.w.shape)
+        dw = np.einsum("ncxyij,noxy->ocij", win, gy, optimize=True)
         db = gy.sum(axis=(0, 2, 3))
         if not input_grad:
             return None, {"w": dw, "b": db}
         gxp = np.zeros(xp_shape)
+        ho, wo = gy.shape[2], gy.shape[3]
         s, k = self.stride, self.kernel
         for i in range(k):
             for j in range(k):
-                patch = (self.w[:, :, i, j].T @ gyo).reshape(-1, n, ho, wo).transpose(1, 0, 2, 3)
+                patch = np.einsum("noxy,oc->ncxy", gy, self.w[:, :, i, j], optimize=True)
                 gxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += patch
         p = self.pad
         h, w = x_shape[2], x_shape[3]
@@ -211,7 +208,7 @@ class ReLU(_Layer):
         return np.maximum(x, 0.0), x
 
     def backward(self, gy, x):
-        """Mask `gy` where the input was not positive; overwrites `gy`."""
+        """Mask `gy` where the input was not positive; overwrites `gy` (see _Layer)."""
         return np.multiply(gy, x > 0.0, out=gy), None
 
 
@@ -354,11 +351,11 @@ def check_fit(model: ToyModel, ds: LabeledDataset) -> None:
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and its gradient w.r.t. the logits."""
-    z = logits - np.maximum.reduce(logits, 1, keepdims=True)
-    logp = z - np.log(np.add.reduce(np.exp(z), 1, keepdims=True))
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     n = logits.shape[0]
     rows = np.arange(n)
-    loss = -(logp[rows, labels].sum() / n)
+    loss = -logp[rows, labels].mean()
     grad = np.exp(logp)
     grad[rows, labels] -= 1.0
     grad /= n

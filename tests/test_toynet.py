@@ -385,8 +385,9 @@ def test_train_records_metadata():
 
 
 # A reference SGD loop in plain expressions: a new array for every bias
-# add, ReLU mask and update, and the conv contractions through np.einsum.
-# The engine's in-place steps and matmuls must give the same bits.
+# add, ReLU mask, gradient division and update. Its conv contractions are
+# the engine's own np.einsum calls, so what the oracle pins is that each
+# in-place step gives the bits of the expression it replaced.
 
 def _ref_forward(layer, h):
     if isinstance(layer, Linear):
@@ -468,14 +469,20 @@ def _ref_train(model, ds, epochs, lr, seed, batch_size=64, trainable_from=0):
     return out, losses
 
 
-_ORACLE_CASES = [("mlp:3-6-4-2", (3,)), ("cnn:2x6x6-c3k3-p2-c4k3s2-f-5-2", (2, 6, 6))]
+# the third spec runs a padded conv's input gradient, a view into its
+# padded array, through the ReLU below it, and ends on a 1x1 map
+_ORACLE_CASES = [
+    ("mlp:3-6-4-2", (3,)),
+    ("cnn:2x6x6-c3k3-p2-c4k3s2-f-5-2", (2, 6, 6)),
+    ("cnn:2x5x5-c3k3-c4k3s2-c2k3s2p0-f-2", (2, 5, 5)),
+]
 
 
 @pytest.mark.parametrize("spec, dims", _ORACLE_CASES)
 @pytest.mark.parametrize("past_first", [False, True])
 def test_train_equals_the_plain_reference_bit_for_bit(spec, dims, past_first):
-    # 150 samples: two full batches of 64 and a short one of 22
-    ds = data.make_blobs(150, 2, dims, seed=21)
+    # 129 samples: two full batches of 64 and a one-sample batch
+    ds = data.make_blobs(129, 2, dims, seed=21)
     model = from_arch(spec, seed=22)
     cut = model.parametric_ids()[0] + 1 if past_first else 0
     losses = []
@@ -494,6 +501,11 @@ def _param_bytes(model):
     return [(l.w.tobytes(), l.b.tobytes()) for l in model.layers if l.parametric]
 
 
+def test_oracle_specs_use_every_layer_kind():
+    kinds = {layer.kind for spec, _ in _ORACLE_CASES for layer in from_arch(spec, 0).layers}
+    assert kinds == set(toynet.LAYER_TYPES)
+
+
 @pytest.mark.parametrize("spec, dims", _ORACLE_CASES)
 def test_step_writes_only_into_arrays_it_owns(spec, dims):
     # the in-place bias, ReLU-mask and update steps leave the caller's
@@ -503,8 +515,13 @@ def test_step_writes_only_into_arrays_it_owns(spec, dims):
     x = ds.samples[:40].astype(np.float64)
     labels = ds.labels[:40].copy()
     x0, labels0, params0 = x.tobytes(), labels.tobytes(), _param_bytes(model)
-    loss_and_grads(model, x, labels)
+    _, grads = loss_and_grads(model, x, labels)
     assert x.tobytes() == x0 and labels.tobytes() == labels0
+    # train scales each gradient in place: none may alias another array
+    held = [x] + [a for l in model.layers if l.parametric for a in (l.w, l.b)]
+    for g in [a for pg in grads if pg is not None for a in pg.values()]:
+        assert not any(np.shares_memory(g, a) for a in held)
+        held.append(g)
     assert _param_bytes(model) == params0
     samples0 = ds.samples.tobytes()
     trained = train(model, ds, epochs=2, lr=0.1, seed=26)
