@@ -354,8 +354,8 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
 
     The pairwise distance matrix and one BUILD run are shared by every k.
     Returns (curve, {k: ClusterResult}). Raises ShapeMismatch unless `rows`
-    is 2-D, NonFiniteValue if it holds NaN or Inf, and BadParams unless the
-    bounds are integers (not bools) in range.
+    is 2-D, NonFiniteValue if it holds NaN or Inf or its distances overflow,
+    and BadParams unless the bounds are integers (not bools) in range.
     """
     if rows.ndim != 2:
         raise ShapeMismatch(f"need 2-D rows, got shape {rows.shape}")
@@ -367,7 +367,10 @@ def sweep_detailed(rows: np.ndarray, k_min: int = 2, k_max: int | None = None, s
     if not (all(map(is_int, (k_min, k_max, stride))) and 2 <= k_min <= k_max <= n and stride >= 1):
         raise BadParams(f"need integers 2 <= k_min <= k_max <= {n} and stride >= 1, "
                         f"got [{k_min}, {k_max}] stride {stride}")
-    dist = pairwise_distances(rows)
+    with np.errstate(over="ignore"):
+        dist = pairwise_distances(rows)
+    if not np.isfinite(dist).all():
+        raise NonFiniteValue("pairwise distances of the rows overflow float64")
     ks = range(k_min, k_max + 1, stride)
     order = _build(dist, ks[-1])
     tol = _swap_tolerance(dist)

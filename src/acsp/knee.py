@@ -44,18 +44,10 @@ class KneeResult:
     degree: int
     fitted_coeffs: np.ndarray     # ascending powers
     difference_curve: np.ndarray  # normalized fit minus normalized x, per swept k
-    curvature_at_knee: float | None = None
 
     def to_dict(self) -> dict:
         """The fields by name, numpy numbers and arrays as Python ones."""
         return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
-
-
-def _curvature(coeffs: np.ndarray, x: float) -> float:
-    """Signed curvature of the fitted polynomial at x."""
-    d1 = npoly.polyval(x, npoly.polyder(coeffs))
-    d2 = npoly.polyval(x, npoly.polyder(coeffs, 2))
-    return float(d2 / (1.0 + d1 * d1) ** 1.5)
 
 
 def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
@@ -63,8 +55,8 @@ def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
 
     The fitted curve is expected to rise toward saturation; if it comes out
     decreasing overall it is flipped before normalization. Flat curves
-    (raw score range below FLAT_EPS) never produce a knee: min-max scaling
-    would only amplify noise.
+    (raw score range at most FLAT_EPS, or a fit with no range) never
+    produce a knee: min-max scaling would only amplify noise.
     """
     check_degree(degree)
     ks = curve.ks().astype(np.float64)
@@ -72,13 +64,11 @@ def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
     if len(ks) < degree + 2:
         raise TooFewPoints(f"need at least {degree + 2} points for degree {degree}, got {len(ks)}")
     coeffs = npoly.polyfit(ks, ys, degree)
-    if float(ys.max() - ys.min()) <= FLAT_EPS:
-        return KneeResult(None, degree, coeffs, np.zeros(len(ks)))
     fit = npoly.polyval(ks, coeffs)
     if fit[-1] < fit[0]:
         fit = -fit
     y_range = fit.max() - fit.min()
-    if y_range <= 0.0:
+    if float(ys.max() - ys.min()) <= FLAT_EPS or y_range <= 0.0:
         return KneeResult(None, degree, coeffs, np.zeros(len(ks)))
     x_norm = (ks - ks[0]) / (ks[-1] - ks[0])
     y_norm = (fit - fit.min()) / y_range
@@ -87,8 +77,7 @@ def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
     threshold = SENSITIVITY / (len(ks) - 1)  # mean spacing of normalized x
     if diff[best] <= threshold:
         return KneeResult(None, degree, coeffs, diff)
-    k_prime = int(round(ks[best]))
-    return KneeResult(k_prime, degree, coeffs, diff, _curvature(coeffs, ks[best]))
+    return KneeResult(int(round(ks[best])), degree, coeffs, diff)
 
 
 def select_k(curve: MssCurve, n_components: int,

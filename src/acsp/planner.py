@@ -115,6 +115,11 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
     When the layer keeps all components (no knee, or too few to cluster)
     the model passes through unchanged and no fine-tuning runs: there is
     nothing for the rest of the network to adjust to.
+
+    With `ft_lr=None` the rate is DEFAULT_FT_LR_SCALE x `model.train_lr`,
+    which each fine-tune then sets to the rate it used: a hand-written layer
+    loop should pass `ft_lr`, or the rate shrinks at every cut layer
+    (`prune_model` resolves it once, from the input model).
     """
     config = _resolve_ft_lr(config or PruneConfig(), model)
     if layer_id not in (prunable := model.prunable_ids()):

@@ -180,7 +180,8 @@ class Conv(_Layer):
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
         y = np.einsum("ncxyij,ocij->noxy", win, self.w, optimize=True)
-        return y + self.b[None, :, None, None], (win, xp.shape, x.shape)
+        y += self.b[None, :, None, None]
+        return y, (win, xp.shape, x.shape)
 
     def backward(self, gy, cache, input_grad=True):
         """(input gradient or None when not `input_grad`, parameter gradients)."""

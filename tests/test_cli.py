@@ -5,6 +5,7 @@ import json
 import os
 import re
 import runpy
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,18 @@ def test_gen_data_rejects_oversized_rings(tmp_path, capsys, monkeypatch):
                           "--classes", "2", "--out", str(path))
     assert code == 1 and out == ""
     assert re.fullmatch(r'error code=BadParams message="n x prod\(dims\) = 102 [^"]*"\n', err)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--classes", "1"], "need at least 2 classes"),
+    (["--kind", "rings", "--dims", "1x8x8"], "rings are planar; use --dims 2"),
+])
+def test_gen_data_refuses_bad_settings_with_one_error_line(tmp_path, capsys, argv, message):
+    path = tmp_path / "x.acsp"
+    code, out, err = _run(capsys, "gen-data", *argv, "--out", str(path))
+    assert code == 1 and out == ""
+    assert err == f'error code=BadParams message="{message}"\n'
     assert not path.exists()
 
 
@@ -407,6 +420,23 @@ def test_prune_survives_a_medoid_without_points(tmp_path, capsys):
         [l.w.shape for l in pruned.layers if l.parametric]
 
 
+def test_prune_keeps_a_one_wide_layer_out_of_the_plan(tmp_path, capsys):
+    # layer 0 has a single unit: too few to cluster, so it is kept with a
+    # note, has no decision in the plan and writes no curve
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, n=300, classes=3, seed=2)
+    _train(capsys, data_path, model_path, arch="mlp:2-1-8-3", epochs=10, seed=2)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", str(out_dir), "--seed", "2", "--svg")
+    assert code == 0, err
+    assert re.search(r"^  0 +1 +1 +\d+ +\d+ +fewer than 2 components, too few to cluster$",
+                     out, re.M)
+    assert [l["layer_id"] for l in json.loads((out_dir / "plan.json").read_text())["layers"]] == [2]
+    assert not (out_dir / "mss_layer0.csv").exists() and not (out_dir / "mss_layer0.svg").exists()
+    assert (out_dir / "mss_layer2.csv").exists()
+
+
 @pytest.mark.parametrize("layers", [[], [toynet.ReLU()]])
 def test_prune_passes_a_model_without_weights_through(tmp_path, capsys, layers):
     # no FLOPs before or after: the summary reports no speedup, not a division by 0
@@ -561,31 +591,47 @@ def test_eval_rejects_garbage_file(tmp_path, capsys):
     assert re.fullmatch(r'error code=BadMagic message="[^"]*"\n', err)
 
 
+def _conv(c_in, c_out, kernel, stride=1, pad=0):
+    return SimpleNamespace(kind="conv", fields=(c_in, c_out, kernel, stride, pad), parametric=True,
+                           w=np.ones((c_out, c_in, kernel, kernel)), b=np.zeros(c_out))
+
+
 def _write_unbuildable_model(path, kind):
     """A model file that `from_arch` cannot make: its output is a conv map,
-    or its first linear layer is 0 wide. write_model only reads attributes,
-    so plain namespaces stand in for the layers and the model."""
+    its first linear layer is 0 wide, or its stack does not compose (a conv
+    fed the wrong channel count, non-square maps, a kernel larger than the
+    padded map, a pool size that does not divide the map). write_model only
+    reads attributes, so plain namespaces stand in for the layers and the
+    model."""
     ns = SimpleNamespace
-    if kind == "conv-output":
-        layers = [ns(kind="conv", fields=(1, 4, 3, 2, 1), parametric=True,
-                     w=np.ones((4, 1, 3, 3)), b=np.zeros(4))]
-        input_shape = (1, 8, 8)
-    else:
+    if kind == "zero-width":
         layers = [ns(kind="linear", fields=(2, 0), parametric=True,
                      w=np.zeros((0, 2)), b=np.zeros(0)),
                   ns(kind="relu", fields=(), parametric=False),
                   ns(kind="linear", fields=(0, 3), parametric=True,
                      w=np.zeros((3, 0)), b=np.zeros(3))]
         input_shape = (2,)
+    else:
+        layers, input_shape = {
+            "conv-output": ([_conv(1, 4, 3, 2, 1)], (1, 8, 8)),
+            "conv-channels": ([_conv(2, 4, 3)], (1, 8, 8)),
+            "non-square": ([_conv(1, 4, 3)], (1, 8, 6)),
+            "kernel-too-large": ([_conv(1, 4, 7, 1, 1)], (1, 4, 4)),
+            "pool-indivisible": ([_conv(1, 4, 3),
+                                  ns(kind="avgpool", fields=(4,), parametric=False)], (1, 8, 8)),
+        }[kind]
     tensio.write_model(ns(layers=layers, input_shape=input_shape, rng_seed=0,
                           train_epochs=0, train_lr=0.0), path)
 
 
 @pytest.mark.parametrize("command", ["eval", "prune"])
-@pytest.mark.parametrize("kind, dims", [("conv-output", "1x8x8"), ("zero-width", "2")])
+@pytest.mark.parametrize("kind, dims", [
+    ("conv-output", "1x8x8"), ("zero-width", "2"), ("conv-channels", "1x8x8"),
+    ("non-square", "1x8x6"), ("kernel-too-large", "1x4x4"), ("pool-indivisible", "1x8x8"),
+])
 def test_unbuildable_model_gives_one_error_line(tmp_path, capsys, command, kind, dims):
-    # both once ended in a traceback: a broadcast ValueError in accuracy,
-    # and an IndexError counting a 0-wide layer's FLOPs
+    # the first two once ended in a traceback: a broadcast ValueError in
+    # accuracy, and an IndexError counting a 0-wide layer's FLOPs
     data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
     _gen(capsys, data_path, n=60, classes=3, dims=dims)
     _write_unbuildable_model(model_path, kind)
@@ -595,6 +641,9 @@ def test_unbuildable_model_gives_one_error_line(tmp_path, capsys, command, kind,
     code, _, err = _run(capsys, command, *argv)
     assert code == 1
     assert re.fullmatch(r'error code=ShapeMismatch message="[^"]*"\n', err)
+    assert {"conv-channels": "conv expects (2, h, w)", "non-square": "requires square maps",
+            "kernel-too-large": "kernel 7 too large", "pool-indivisible": "pool 4 does not divide",
+            }.get(kind, "") in err
 
 
 def test_eval_rejects_overflowing_dataset_dims(tmp_path, capsys):
@@ -605,6 +654,21 @@ def test_eval_rejects_overflowing_dataset_dims(tmp_path, capsys):
     code, _, err = _run(capsys, "eval", "--model", model_path, "--data", bad)
     assert code == 1
     assert re.fullmatch(r'error code=TruncatedFile message="[^"]*"\n', err)
+
+
+def test_eval_rejects_a_dataset_whose_label_count_disagrees_with_its_dims(tmp_path, capsys):
+    model_path, bad = str(tmp_path / "m.acsp"), tmp_path / "bad.acsp"
+    tensio.write_model(toynet.from_arch("mlp:2-4-2", seed=0), model_path)
+    _gen(capsys, str(bad), n=20, classes=2)
+    blob = bytearray(bad.read_bytes())
+    n_at = 12 + 4 + 8 * 2  # magic+version+kind, then the two dims, then the label count
+    assert struct.unpack_from("<Q", blob, n_at)[0] == 20
+    struct.pack_into("<Q", blob, n_at, 19)
+    bad.write_bytes(bytes(blob))
+    code, _, err = _run(capsys, "eval", "--model", model_path, "--data", str(bad))
+    assert code == 1
+    assert re.fullmatch(r'error code=TruncatedFile message="[^"]*label count 19 disagrees[^"]*"\n',
+                        err)
 
 
 # ---------------------------------------------------------- determinism

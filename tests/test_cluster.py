@@ -292,8 +292,9 @@ def test_sweep_refuses_non_integer_bounds(bounds):
     assert sweep_detailed(rows, np.int64(2), np.int32(4), np.int8(2))[0].ks().tolist() == [2, 4]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_sweep_refuses_non_finite_rows(bad):
+    # 1e200 is finite, but its squared distances overflow: refused before BUILD
     rows = np.random.default_rng(6).normal(size=(5, 2))
     rows[3, 1] = bad
     with pytest.raises(NonFiniteValue):

@@ -136,7 +136,6 @@ def test_knee_on_sharp_elbow_lands_early():
     res = find_knee(_curve(ks, ys), degree=2)
     assert res.k_prime is not None
     assert res.k_prime <= ks[len(ks) // 2]
-    assert res.curvature_at_knee is not None and res.curvature_at_knee < 0.0
 
 
 def test_higher_degree_tracks_sharp_jump_tighter():
@@ -184,13 +183,13 @@ def test_difference_curve_and_coeffs_are_recorded():
 @pytest.mark.parametrize("k_prime", [None, np.int64(7), 7])
 def test_knee_dict_keys_are_its_fields_and_write_as_json(k_prime):
     res = KneeResult(k_prime, np.int64(3), np.array([0.5, 1.0, -0.25, 0.0]),
-                     np.array([0.0, 0.25, 0.5]), np.float64(-0.125))
+                     np.array([0.0, 0.25, 0.5]))
     d = res.to_dict()
     assert list(d) == [f.name for f in dataclasses.fields(KneeResult)]
     assert json.loads(json.dumps(d)) == {
         "k_prime": None if k_prime is None else 7, "degree": 3,
         "fitted_coeffs": [0.5, 1.0, -0.25, 0.0],
-        "difference_curve": [0.0, 0.25, 0.5], "curvature_at_knee": -0.125}
+        "difference_curve": [0.0, 0.25, 0.5]}
     assert type(d["degree"]) is int
 
 

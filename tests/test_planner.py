@@ -293,6 +293,23 @@ def test_prune_model_runs_front_to_back():
         assert r.k_selected <= r.n_components
 
 
+def test_prune_model_is_a_prune_layer_loop_at_an_explicit_ft_lr():
+    # with ft_lr set, a hand-written loop fine-tunes every layer at the same
+    # rate, as prune_model does
+    ds, trained = _trained_blob_setup(seed=1, arch="mlp:2-12-12-3")
+    cfg = PruneConfig(ft_lr=0.01, seed=3)
+    pruned, reports = prune_model(trained, ds, cfg)
+    looped, entries = trained, []
+    for layer_id in trained.prunable_ids():
+        looped, report = prune_layer(looped, ds, layer_id, cfg)
+        entries.append(report.entry)
+    assert [r.entry for r in reports] == entries
+    assert all(r.k_selected < r.n_components for r in reports)  # each layer was fine-tuned
+    for a, b in zip(pruned.layers, looped.layers):
+        if a.parametric:
+            assert a.w.tobytes() == b.w.tobytes() and a.b.tobytes() == b.b.tobytes()
+
+
 def test_prune_model_without_prunable_layers_is_identity():
     ds = tiny_dataset(n=16, num_classes=2, dims=(3,), seed=15)
     model = from_arch("mlp:3-2", seed=12)  # single parametric layer

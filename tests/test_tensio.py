@@ -397,6 +397,7 @@ def test_plan_rejects_missing_keys(tmp_path):
         lambda e: dataclasses.replace(e, kept_indices=[0, 3, 9]),  # out of range
         lambda e: dataclasses.replace(e, selection_mode="best"),   # unknown mode
         lambda e: dataclasses.replace(e, knee_degree=0),
+        lambda e: dataclasses.replace(e, kept_indices=[3], k_selected=1),  # one kept index
     ],
 )
 def test_plan_entry_validation(mutate):
