@@ -364,12 +364,15 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
 
 
 def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray, trainable_from: int = 0):
-    """Cross-entropy loss and per-layer parameter gradients (None below `trainable_from`)."""
+    """Cross-entropy loss, per-layer parameter gradients (None below
+    `trainable_from`) and the number of samples whose largest logit is
+    their label's."""
     h = np.asarray(x, dtype=np.float64)
     caches = []
     for layer in model.layers:
         h, cache = layer.forward_cache(h)
         caches.append(cache)
+    hits = int((h.argmax(axis=1) == labels).sum())
     loss, g = softmax_xent(h, np.asarray(labels))
     grads: list = [None] * len(model.layers)
     # nothing reads the input gradient of the first layer that learns, so
@@ -379,7 +382,7 @@ def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray, trainable
         g, grads[i] = model.layers[i].backward(g, caches[i])
     if first < len(model.layers):
         grads[first] = model.layers[first].backward(g, caches[first], input_grad=False)[1]
-    return loss, grads
+    return loss, grads, hits
 
 
 def accuracy(model: ToyModel, ds: LabeledDataset) -> float:
@@ -399,6 +402,12 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
     """SGD on shuffled mini-batches; returns a new model, input untouched.
 
     Only layers with id >= `trainable_from` are updated (0 = all).
+    After each epoch `on_epoch(epoch, loss, accuracy)` receives the epoch
+    number from 1 and two running figures over that epoch's batches, each
+    taken at the weights before the batch's update: the mean cross-entropy
+    and the share of samples whose largest logit was their label's. No
+    extra pass over the data is made for them; `accuracy` gives the
+    trained model's.
     Raises ShapeMismatch up front when the model cannot read the samples or
     a class id has no logit, and Divergence when the epoch loss or any
     weight goes non-finite.
@@ -413,7 +422,7 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
     rng = np.random.default_rng(seed)
     for epoch in range(epochs):
         perm = rng.permutation(n)
-        total = 0.0
+        total, hits = 0.0, 0
         # blow-ups surface as non-finite values and are reported below,
         # so the intermediate overflow warnings carry no information
         with np.errstate(over="ignore", invalid="ignore"):
@@ -422,8 +431,9 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
                 # widened one batch at a time: a float64 copy of the whole
                 # dataset would hold twice its bytes for the whole run
                 x = ds.samples[idx].astype(np.float64)
-                loss, grads = loss_and_grads(out, x, y[idx], trainable_from)
+                loss, grads, batch_hits = loss_and_grads(out, x, y[idx], trainable_from)
                 total += loss * len(idx)
+                hits += batch_hits
                 for layer, pg in zip(out.layers, grads):
                     if pg is not None:  # this step's own arrays: scaled in place
                         gw, gb = pg["w"], pg["b"]
@@ -435,7 +445,7 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
         if not math.isfinite(epoch_loss) or not _weights_finite(out):
             raise Divergence(f"non-finite state at epoch {epoch + 1} (lr={lr})")
         if on_epoch is not None:
-            on_epoch(epoch + 1, epoch_loss, accuracy(out, ds))
+            on_epoch(epoch + 1, epoch_loss, hits / n)
     out.train_epochs = epochs
     out.train_lr = lr
     return out

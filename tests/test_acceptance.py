@@ -335,9 +335,9 @@ def test_criterion_06_prune_equals_masking():
 def _central_difference(model, x, labels, flat, pos, eps):
     orig = flat[pos]
     flat[pos] = orig + eps
-    up, _ = toynet.loss_and_grads(model, x, labels)
+    up, _, _ = toynet.loss_and_grads(model, x, labels)
     flat[pos] = orig - eps
-    dn, _ = toynet.loss_and_grads(model, x, labels)
+    dn, _, _ = toynet.loss_and_grads(model, x, labels)
     flat[pos] = orig
     return (up - dn) / (2.0 * eps)
 
@@ -381,7 +381,7 @@ def test_criterion_07_gradients_match_finite_differences():
             model = toynet.from_arch(arch, seed=int(gen.integers(1 << 20)))
             x = _batch_off_the_kinks(model, gen, 5)
             labels = (np.arange(5) % 2).astype(np.int64)
-            _, grads = toynet.loss_and_grads(model, x, labels)
+            _, grads, _ = toynet.loss_and_grads(model, x, labels)
             for lid, pg in enumerate(grads):
                 if pg is None:
                     continue

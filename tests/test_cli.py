@@ -18,6 +18,7 @@ import acsp
 from acsp import planner, tensio, toynet
 from acsp.cli import main
 from acsp.planner import PruneConfig
+from acsp.rng import derive_seed
 
 from conftest import overflowing_dataset_bytes
 
@@ -135,7 +136,7 @@ def test_train_logs_epochs_and_writes_model(tmp_path, capsys):
     data_path = str(tmp_path / "d.acsp")
     model_path = str(tmp_path / "m.acsp")
     _gen(capsys, data_path)
-    out = _train(capsys, data_path, model_path, epochs=5)
+    out = _train(capsys, data_path, model_path, epochs=5, seed=3)
     lines = out.splitlines()
     assert lines[0] == "epoch,loss,accuracy"
     assert len([l for l in lines if re.fullmatch(r"\d+,\d+\.\d{6},\d+\.\d{6}", l)]) == 5
@@ -143,6 +144,13 @@ def test_train_logs_epochs_and_writes_model(tmp_path, capsys):
     assert model.train_epochs == 5
     losses = [float(l.split(",")[1]) for l in lines[1:6]]
     assert losses[-1] <= losses[0]
+    # the log changes nothing that is trained: the written bytes are the
+    # library's, trained with no callback at the seeds the command derives
+    ref_path = str(tmp_path / "ref.acsp")
+    tensio.write_model(toynet.train(toynet.from_arch("mlp:2-8-6-3", derive_seed(3, "init")),
+                                    tensio.read_dataset(data_path), 5, 0.1,
+                                    derive_seed(3, "train")), ref_path)
+    assert Path(model_path).read_bytes() == Path(ref_path).read_bytes()
 
 
 def test_train_whose_model_cannot_be_stored_writes_nothing(tmp_path, capsys, monkeypatch):

@@ -191,9 +191,9 @@ def test_softmax_xent_is_shift_invariant():
 def _fd(model, x, labels, flat, pos, eps):
     orig = flat[pos]
     flat[pos] = orig + eps
-    up, _ = loss_and_grads(model, x, labels)
+    up, _, _ = loss_and_grads(model, x, labels)
     flat[pos] = orig - eps
-    dn, _ = loss_and_grads(model, x, labels)
+    dn, _, _ = loss_and_grads(model, x, labels)
     flat[pos] = orig
     return (up - dn) / (2 * eps)
 
@@ -203,7 +203,7 @@ def _grad_check(model, n=6, tol=1e-3):
     x = gen.normal(size=(n, *model.input_shape))
     width = model.layers[-1].n_out if hasattr(model.layers[-1], "n_out") else 2
     labels = (np.arange(n) % width).astype(np.int64)
-    _, grads = loss_and_grads(model, x, labels)
+    _, grads, _ = loss_and_grads(model, x, labels)
     for lid, pg in enumerate(grads):
         if pg is None:
             continue
@@ -263,10 +263,10 @@ def test_backward_skips_only_the_unread_input_gradient(monkeypatch, spec):
     for cut in (None, 1, ids[1] + 1):
         calls.clear()
         if cut is None:
-            _, grads = loss_and_grads(model, x, labels)
+            _, grads, _ = loss_and_grads(model, x, labels)
             learning = ids
         else:
-            _, grads = loss_and_grads(model, x, labels, trainable_from=cut)
+            _, grads, _ = loss_and_grads(model, x, labels, trainable_from=cut)
             learning = [i for i in ids if i >= cut]
         assert calls == {id(model.layers[i]): i != learning[0] for i in learning}
         for i, layer in enumerate(model.layers):
@@ -444,10 +444,10 @@ def _ref_softmax_xent(logits, labels):
 def _ref_train(model, ds, epochs, lr, seed, batch_size=64, trainable_from=0):
     out = model.copy()
     rng = np.random.default_rng(seed)
-    losses = []
+    losses, accuracies = [], []
     for _ in range(epochs):
         perm = rng.permutation(ds.n_samples)
-        total = 0.0
+        total, hits = 0.0, 0
         for start in range(0, ds.n_samples, batch_size):
             idx = perm[start : start + batch_size]
             h = ds.samples[idx].astype(np.float64)
@@ -457,6 +457,7 @@ def _ref_train(model, ds, epochs, lr, seed, batch_size=64, trainable_from=0):
                 caches.append(cache)
             loss, g = _ref_softmax_xent(h, ds.labels[idx])
             total += loss * len(idx)
+            hits += sum(int(np.argmax(row) == label) for row, label in zip(h, ds.labels[idx]))
             grads = []
             for layer, cache in zip(reversed(out.layers), reversed(caches)):
                 g, pg = _ref_backward(layer, g, cache)
@@ -466,7 +467,8 @@ def _ref_train(model, ds, epochs, lr, seed, batch_size=64, trainable_from=0):
                     layer.w -= lr * pg["w"]
                     layer.b -= lr * pg["b"]
         losses.append(total / ds.n_samples)
-    return out, losses
+        accuracies.append(hits / ds.n_samples)
+    return out, losses, accuracies
 
 
 # the third spec runs a padded conv's input gradient, a view into its
@@ -485,11 +487,13 @@ def test_train_equals_the_plain_reference_bit_for_bit(spec, dims, past_first):
     ds = data.make_blobs(129, 2, dims, seed=21)
     model = from_arch(spec, seed=22)
     cut = model.parametric_ids()[0] + 1 if past_first else 0
-    losses = []
+    logged = []
     got = train(model, ds, epochs=2, lr=0.1, seed=23, trainable_from=cut,
-                on_epoch=lambda e, loss, acc: losses.append(loss))
-    want, want_losses = _ref_train(model, ds, 2, 0.1, 23, trainable_from=cut)
-    assert losses == want_losses
+                on_epoch=lambda *row: logged.append(row))
+    want, want_losses, want_accuracies = _ref_train(model, ds, 2, 0.1, 23, trainable_from=cut)
+    # both logged columns are running figures over the epoch's own batches,
+    # each taken at the weights before the batch's update
+    assert logged == list(zip([1, 2], want_losses, want_accuracies))
     for i, (a, b) in enumerate(zip(got.layers, want.layers)):
         if a.parametric:
             assert (a.w == b.w).all() and (a.b == b.b).all(), f"layer {i}"
@@ -499,6 +503,26 @@ def test_train_equals_the_plain_reference_bit_for_bit(spec, dims, past_first):
 
 def _param_bytes(model):
     return [(l.w.tobytes(), l.b.tobytes()) for l in model.layers if l.parametric]
+
+
+def test_train_logs_without_a_pass_over_the_whole_dataset(monkeypatch):
+    # the logged accuracy comes from the batches' own logits: neither the
+    # chunked forward pass nor `accuracy` may run, and the callback leaves
+    # the trained weights as they are without it
+    ds = data.make_blobs(129, 3, (2,), seed=27)
+    model = from_arch("mlp:2-8-3", seed=28)
+    quiet = train(model, ds, epochs=3, lr=0.1, seed=29)
+
+    def no_full_pass(*args, **kwargs):
+        raise AssertionError("a full-data pass ran during training")
+
+    monkeypatch.setattr(toynet, "_run_chunked", no_full_pass)
+    monkeypatch.setattr(toynet, "accuracy", no_full_pass)
+    logged = []
+    got = train(model, ds, epochs=3, lr=0.1, seed=29,
+                on_epoch=lambda *row: logged.append(row))
+    assert len(logged) == 3 and all(0.0 <= acc <= 1.0 for _, _, acc in logged)
+    assert _param_bytes(got) == _param_bytes(quiet)
 
 
 def test_oracle_specs_use_every_layer_kind():
@@ -515,7 +539,7 @@ def test_step_writes_only_into_arrays_it_owns(spec, dims):
     x = ds.samples[:40].astype(np.float64)
     labels = ds.labels[:40].copy()
     x0, labels0, params0 = x.tobytes(), labels.tobytes(), _param_bytes(model)
-    _, grads = loss_and_grads(model, x, labels)
+    _, grads, _ = loss_and_grads(model, x, labels)
     assert x.tobytes() == x0 and labels.tobytes() == labels0
     # train scales each gradient in place: none may alias another array
     held = [x] + [a for l in model.layers if l.parametric for a in (l.w, l.b)]
