@@ -8,13 +8,18 @@ that removing a channel and zeroing it are numerically interchangeable.
 Everything here is deterministic given the seeds: fixed batch order per
 seed, no momentum, no regularization, float64 throughout.
 
-A training step writes in place only into arrays it made itself: a
-linear layer adds its bias into its new product, ReLU masks the gradient
-it is handed, and the update scales each new gradient by the rate before
-subtracting it; `_Layer` states what this asks of every backward. Each
-in-place form runs the same float operation as the expression it
-replaces, so the results are the same to the bit. The caller's batch,
-labels and model are never written.
+For one `train` call the parameters of every layer live in one flat
+float64 buffer, each layer's `w` and `b` a view into it, and the
+gradients of the layers that learn, which are the last parametric ones,
+in a second buffer laid out as their parameters are at the first one's
+tail. Each backward writes the parameter gradients it is given buffers
+for, and the SGD update is two ufunc calls: scale the gradient buffer by
+the rate, subtract it from that tail. Beyond that a step writes in place
+only into arrays it made itself: a linear layer adds its bias into its
+new product and ReLU masks the gradient it is handed; `_Layer` states
+what this asks of every backward. Each in-place form runs the same float operation as the
+expression it replaces, so the results are the same to the bit. The
+caller's batch, labels and model are never written.
 """
 
 from __future__ import annotations
@@ -50,13 +55,19 @@ class _Layer:
     constructor takes `w` and `b` after them, `w` shaped by its
     `weight_shape(*fields)`.
     `out_shape` maps a per-sample input shape to the output shape, raising
-    ShapeMismatch when the kind cannot take that input.
+    ShapeMismatch when the kind cannot take that input. `forward` checks
+    its input with it; `forward_cache(x)`, which returns the output and
+    what `backward` needs, trusts the caller to have checked the shapes.
 
     `backward(gy, cache)` returns (input gradient, parameter gradients or
-    None). Each array it returns must be new, or a view into an array of
-    this backward pass that nothing else holds (Flatten reshapes its `gy`),
-    and no two may share memory: ReLU.backward overwrites the `gy` it is
-    handed and `train` scales the parameter gradients in place, so a view
+    None). A parametric kind also takes `input_grad` (False: the input
+    gradient is not computed and comes back as None) and `out`, a dict of
+    "w" and "b" arrays shaped like its own, into which it writes the
+    parameter gradients and which it returns; without `out` it makes new
+    ones. Each other array it returns must be new, or a view into an array
+    of this backward pass that nothing else holds (Flatten reshapes its
+    `gy`), and no two may share memory: ReLU.backward overwrites the `gy`
+    it is handed and `train` scales the gradient buffer in place, so a view
     of a cache, of the weights or of another returned array is written
     through.
     """
@@ -80,6 +91,7 @@ class _Layer:
         return 2 * self.w[0].size * math.prod(out_shape) if self.parametric else 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        self.out_shape(x.shape[1:])
         return self.forward_cache(x)[0]
 
     def _set_params(self, w, b, fields: tuple) -> None:
@@ -121,14 +133,18 @@ class Linear(_Layer):
         return (self.n_out,)
 
     def forward_cache(self, x):
-        self.out_shape(x.shape[1:])
         y = x @ self.w.T
         y += self.b
         return y, x
 
-    def backward(self, gy, x, input_grad=True):
-        """(input gradient or None when not `input_grad`, parameter gradients)."""
-        return gy @ self.w if input_grad else None, {"w": gy.T @ x, "b": gy.sum(axis=0)}
+    def backward(self, gy, x, input_grad=True, out=None):
+        """(input gradient or None when not `input_grad`, parameter gradients
+        written into `out` when given)."""
+        out = out or {"w": None, "b": None}
+        return gy @ self.w if input_grad else None, {
+            "w": np.matmul(gy.T, x, out=out["w"]),
+            "b": np.add.reduce(gy, axis=0, out=out["b"]),
+        }
 
 
 class Conv(_Layer):
@@ -175,7 +191,6 @@ class Conv(_Layer):
         return (self.c_out, out, out)
 
     def forward_cache(self, x):
-        self.out_shape(x.shape[1:])
         p, k, s = self.pad, self.kernel, self.stride
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
@@ -183,13 +198,15 @@ class Conv(_Layer):
         y += self.b[None, :, None, None]
         return y, (win, xp.shape, x.shape)
 
-    def backward(self, gy, cache, input_grad=True):
-        """(input gradient or None when not `input_grad`, parameter gradients)."""
+    def backward(self, gy, cache, input_grad=True, out=None):
+        """(input gradient or None when not `input_grad`, parameter gradients
+        written into `out` when given)."""
         win, xp_shape, x_shape = cache
-        dw = np.einsum("ncxyij,noxy->ocij", win, gy, optimize=True)
-        db = gy.sum(axis=(0, 2, 3))
+        out = out or {"w": None, "b": None}
+        pg = {"w": np.einsum("ncxyij,noxy->ocij", win, gy, optimize=True, out=out["w"]),
+              "b": np.add.reduce(gy, axis=(0, 2, 3), out=out["b"])}
         if not input_grad:
-            return None, {"w": dw, "b": db}
+            return None, pg
         gxp = np.zeros(xp_shape)
         ho, wo = gy.shape[2], gy.shape[3]
         s, k = self.stride, self.kernel
@@ -199,7 +216,7 @@ class Conv(_Layer):
                 gxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += patch
         p = self.pad
         h, w = x_shape[2], x_shape[3]
-        return gxp[:, :, p : p + h, p : p + w], {"w": dw, "b": db}
+        return gxp[:, :, p : p + h, p : p + w], pg
 
 
 class ReLU(_Layer):
@@ -233,9 +250,9 @@ class AvgPool(_Layer):
         return (c, h // self.size, w // self.size)
 
     def forward_cache(self, x):
-        c, h, w = self.out_shape(x.shape[1:])
+        n, c, h, w = x.shape
         s = self.size
-        return x.reshape(x.shape[0], c, h, s, w, s).mean(axis=(3, 5)), None
+        return x.reshape(n, c, h // s, s, w // s, s).mean(axis=(3, 5)), None
 
     def backward(self, gy, _cache):
         s = self.size
@@ -253,7 +270,6 @@ class Flatten(_Layer):
         return (math.prod(in_shape),)
 
     def forward_cache(self, x):
-        self.out_shape(x.shape[1:])
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, gy, x_shape):
@@ -350,38 +366,62 @@ def check_fit(model: ToyModel, ds: LabeledDataset) -> None:
 
 # -------------------------------------------------------------- training
 
-def softmax_xent(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its gradient w.r.t. the logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def softmax_xent(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray | None = None):
+    """Mean cross-entropy and its gradient w.r.t. the logits; `rows` is
+    np.arange(len(logits)) when the caller has it at hand."""
+    # the ufuncs' own reductions: the bits of .max(), .sum() and .mean()
+    # without their Python wrappers
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    logp = z - np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
     n = logits.shape[0]
-    rows = np.arange(n)
-    loss = -logp[rows, labels].mean()
+    if rows is None:
+        rows = np.arange(n)
+    loss = -(np.add.reduce(logp[rows, labels]) / n)
     grad = np.exp(logp)
     grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad
 
 
+def _first_learning(model: ToyModel, trainable_from: int) -> int:
+    """Id of the first parametric layer at or after `trainable_from`, or the
+    layer count when there is none."""
+    return next((i for i in model.parametric_ids() if i >= trainable_from), len(model.layers))
+
+
+def _backprop(model: ToyModel, x: np.ndarray, labels: np.ndarray, first: int,
+              grads: list, rows: np.ndarray) -> tuple[float, int]:
+    """Loss and hit count of one float64 batch that fits `model`, `rows`
+    being np.arange(len(x)); writes the parameter gradients of each layer
+    from `first` on into its `grads` entry."""
+    layers = model.layers
+    h = x
+    caches = []
+    for layer in layers:
+        h, cache = layer.forward_cache(h)
+        caches.append(cache)
+    hits = np.count_nonzero(h.argmax(axis=1) == labels)
+    loss, g = softmax_xent(h, labels, rows)
+    # nothing reads the input gradient of the first layer that learns, so
+    # the backward pass stops there without computing it
+    for i in range(len(layers) - 1, first, -1):
+        pg = grads[i]
+        g = (layers[i].backward(g, caches[i]) if pg is None
+             else layers[i].backward(g, caches[i], out=pg))[0]
+    if first < len(layers):
+        layers[first].backward(g, caches[first], input_grad=False, out=grads[first])
+    return loss, hits
+
+
 def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray, trainable_from: int = 0):
     """Cross-entropy loss, per-layer parameter gradients (None below
     `trainable_from`) and the number of samples whose largest logit is
-    their label's."""
-    h = np.asarray(x, dtype=np.float64)
-    caches = []
-    for layer in model.layers:
-        h, cache = layer.forward_cache(h)
-        caches.append(cache)
-    hits = int((h.argmax(axis=1) == labels).sum())
-    loss, g = softmax_xent(h, np.asarray(labels))
-    grads: list = [None] * len(model.layers)
-    # nothing reads the input gradient of the first layer that learns, so
-    # the backward pass stops there without computing it
-    first = next((i for i in model.parametric_ids() if i >= trainable_from), len(model.layers))
-    for i in range(len(model.layers) - 1, first, -1):
-        g, grads[i] = model.layers[i].backward(g, caches[i])
-    if first < len(model.layers):
-        grads[first] = model.layers[first].backward(g, caches[first], input_grad=False)[1]
+    their label's. The samples must fit the model (see `check_fit`)."""
+    first = _first_learning(model, trainable_from)
+    grads = [{"w": np.empty_like(l.w), "b": np.empty_like(l.b)} if l.parametric and i >= first
+             else None for i, l in enumerate(model.layers)]
+    x = np.asarray(x, dtype=np.float64)
+    loss, hits = _backprop(model, x, np.asarray(labels), first, grads, np.arange(len(x)))
     return loss, grads, hits
 
 
@@ -395,6 +435,38 @@ def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
     if not (is_int(epochs) and epochs >= 0 and is_real(lr) and 0.0 < lr < math.inf
             and is_int(batch_size) and batch_size >= 1):  # also rejects nan
         raise BadParams("need epochs >= 0, finite lr > 0, batch_size >= 1")
+
+
+def _flat_copy(model: ToyModel, first: int):
+    """(copy, params, grad_buf, grads): a copy of `model` whose parametric
+    layers' `w` and `b` are views into one new float64 vector `params`, in
+    layer order; a vector `grad_buf` for the gradients of the layers from
+    `first` on, laid out as their parameters are at the tail of `params`;
+    and per layer a dict of "w" and "b" views into `grad_buf` (None below
+    `first` and for a layer without parameters)."""
+    sizes = [l.w.size + l.b.size if l.parametric else 0 for l in model.layers]
+    params = np.empty(sum(sizes))
+    grad_buf = np.empty(sum(sizes[first:]))
+    lo = params.size - grad_buf.size
+    layers, grads, off = [], [], 0
+    for i, layer in enumerate(model.layers):
+        if not layer.parametric:
+            layers.append(layer.copy())
+            grads.append(None)
+            continue
+        p, g = {}, {}
+        for name in ("w", "b"):
+            a = getattr(layer, name)
+            end = off + a.size
+            p[name] = params[off:end].reshape(a.shape)
+            p[name][...] = a
+            if i >= first:
+                g[name] = grad_buf[off - lo : end - lo].reshape(a.shape)
+            off = end
+        layers.append(type(layer)(*layer.fields, p["w"], p["b"]))
+        grads.append(g or None)
+    copy = ToyModel(layers, model.input_shape, model.rng_seed, model.train_epochs, model.train_lr)
+    return copy, params, grad_buf, grads
 
 
 def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int,
@@ -411,14 +483,19 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
     Raises ShapeMismatch up front when the model cannot read the samples or
     a class id has no logit, and Divergence when the epoch loss or any
     weight goes non-finite.
+    The returned model's parameters are views into one buffer of its own.
     """
     check_train_settings(epochs, lr, batch_size)
     check_fit(model, ds)
-    out = model.copy()
+    first = _first_learning(model, trainable_from)
+    out, params, grad_buf, grads = _flat_copy(model, first)
     if epochs == 0:
         return out
+    # the layers that learn are a tail of the parametric ones
+    learning = params[params.size - grad_buf.size :]
     y = ds.labels
     n = ds.n_samples
+    rows = np.arange(min(batch_size, n))
     rng = np.random.default_rng(seed)
     for epoch in range(epochs):
         perm = rng.permutation(n)
@@ -431,29 +508,19 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
                 # widened one batch at a time: a float64 copy of the whole
                 # dataset would hold twice its bytes for the whole run
                 x = ds.samples[idx].astype(np.float64)
-                loss, grads, batch_hits = loss_and_grads(out, x, y[idx], trainable_from)
+                loss, batch_hits = _backprop(out, x, y[idx], first, grads, rows[: len(idx)])
                 total += loss * len(idx)
                 hits += batch_hits
-                for layer, pg in zip(out.layers, grads):
-                    if pg is not None:  # this step's own arrays: scaled in place
-                        gw, gb = pg["w"], pg["b"]
-                        gw *= lr
-                        layer.w -= gw
-                        gb *= lr
-                        layer.b -= gb
+                grad_buf *= lr
+                learning -= grad_buf
         epoch_loss = total / n
-        if not math.isfinite(epoch_loss) or not _weights_finite(out):
+        if not math.isfinite(epoch_loss) or not np.isfinite(params).all():
             raise Divergence(f"non-finite state at epoch {epoch + 1} (lr={lr})")
         if on_epoch is not None:
             on_epoch(epoch + 1, epoch_loss, hits / n)
     out.train_epochs = epochs
     out.train_lr = lr
     return out
-
-
-def _weights_finite(model: ToyModel) -> bool:
-    return all(np.isfinite(l.w).all() and np.isfinite(l.b).all()
-               for l in model.layers if l.parametric)
 
 
 def stratified_subset(labels: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:

@@ -147,6 +147,25 @@ def test_model_round_trip_cnn(tmp_path):
         assert a.read() == b.read()
 
 
+def test_trained_model_writes_as_its_copy_does(tmp_path):
+    # a trained model's weights and biases are views into one buffer; the
+    # writer must store the values, not the memory behind them
+    ds = tiny_dataset(n=40, num_classes=3, dims=(4,), seed=3)
+    trained = toynet.train(toynet.from_arch("mlp:4-6-5-3", seed=4), ds, epochs=2, lr=0.1, seed=5)
+    assert not trained.layers[0].w.flags.owndata
+    paths = [str(tmp_path / name) for name in ("trained.acsp", "copy.acsp")]
+    tensio.write_model(trained, paths[0])
+    tensio.write_model(trained.copy(), paths[1])
+    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+        assert a.read() == b.read()
+    back = tensio.read_model(paths[0])
+    assert (back.train_epochs, back.train_lr) == (2, 0.1)
+    for mine, theirs in zip(trained.layers, back.layers):
+        if mine.parametric:
+            assert (theirs.w == mine.w.astype(np.float32)).all()
+            assert (theirs.b == mine.b.astype(np.float32)).all()
+
+
 def test_model_metadata_round_trip(tmp_path):
     model = toynet.from_arch("mlp:2-4-2", seed=9)
     model.train_epochs = 17

@@ -233,9 +233,9 @@ def test_gradients_cnn_with_pool_and_stride():
 
 
 def _recording(backward, calls):
-    def wrapper(self, gy, cache, input_grad=True):
+    def wrapper(self, gy, cache, input_grad=True, out=None):
         calls[id(self)] = input_grad
-        return backward(self, gy, cache, input_grad)
+        return backward(self, gy, cache, input_grad, out)
     return wrapper
 
 
@@ -481,12 +481,17 @@ _ORACLE_CASES = [
 
 
 @pytest.mark.parametrize("spec, dims", _ORACLE_CASES)
-@pytest.mark.parametrize("past_first", [False, True])
-def test_train_equals_the_plain_reference_bit_for_bit(spec, dims, past_first):
+@pytest.mark.parametrize("learns_from", [False, True, "logits", "nothing"])
+def test_train_equals_the_plain_reference_bit_for_bit(spec, dims, learns_from):
     # 129 samples: two full batches of 64 and a one-sample batch
     ds = data.make_blobs(129, 2, dims, seed=21)
     model = from_arch(spec, seed=22)
-    cut = model.parametric_ids()[0] + 1 if past_first else 0
+    ids = model.parametric_ids()
+    # learning starts at the first layer (False) or past the first
+    # parametric one (True); with "logits" only the last layer learns, the
+    # tail of the parameter buffer, and with "nothing" no layer does
+    cut = {False: 0, True: ids[0] + 1, "logits": ids[-1],
+           "nothing": len(model.layers)}[learns_from]
     logged = []
     got = train(model, ds, epochs=2, lr=0.1, seed=23, trainable_from=cut,
                 on_epoch=lambda *row: logged.append(row))
@@ -497,8 +502,10 @@ def test_train_equals_the_plain_reference_bit_for_bit(spec, dims, past_first):
     for i, (a, b) in enumerate(zip(got.layers, want.layers)):
         if a.parametric:
             assert (a.w == b.w).all() and (a.b == b.b).all(), f"layer {i}"
-    if past_first:  # the layers below the cut kept their initial weights
-        assert (got.layers[0].w == model.layers[0].w).all()
+    for i in ids:  # the layers below the cut kept their initial weights
+        if i < cut:
+            assert (got.layers[i].w == model.layers[i].w).all()
+            assert (got.layers[i].b == model.layers[i].b).all()
 
 
 def _param_bytes(model):
@@ -552,6 +559,43 @@ def test_step_writes_only_into_arrays_it_owns(spec, dims):
     assert _param_bytes(model) == params0
     assert ds.samples.tobytes() == samples0
     assert _param_bytes(trained) != params0
+
+
+def _params(model):
+    return [a for l in model.layers if l.parametric for a in (l.w, l.b)]
+
+
+def _grad_arrays(grads):
+    return [a for pg in grads if pg is not None for a in pg.values()]
+
+
+def _share_nothing(arrays, others=()):
+    """True when no two of `arrays`, and none of them and one of `others`,
+    share memory."""
+    return not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                   for b in [*arrays[i + 1 :], *others])
+
+
+@pytest.mark.parametrize("spec, dims", _ORACLE_CASES)
+def test_trained_parameters_alias_nothing(spec, dims):
+    # train's parameters are views into one buffer and its gradients views
+    # into a second: a view left shared across layers, with the input
+    # model or with a copy would let a later fine-tune write through it
+    ds = data.make_blobs(150, 2, dims, seed=24)
+    model = from_arch(spec, seed=25)
+    trained = train(model, ds, epochs=2, lr=0.1, seed=26)
+    assert _share_nothing(_params(trained), _params(model))
+    lid = trained.prunable_ids()[0]
+    plan = PruningPlan([_entry(trained, lid, range(1, trained.layers[lid].n_components))])
+    for derived in (trained.copy(), apply_prune(trained, plan)):
+        assert _share_nothing(_params(derived), _params(trained))
+    # no gradient aliases a weight, in train's buffers or in new ones
+    copy, params, grad_buf, grads = toynet._flat_copy(trained, 0)
+    assert not np.shares_memory(params, grad_buf)
+    assert _share_nothing(_params(copy) + _grad_arrays(grads), _params(trained))
+    x = ds.samples[:40].astype(np.float64)
+    _, fresh, _ = loss_and_grads(trained, x, ds.labels[:40])
+    assert _share_nothing(_params(trained) + _grad_arrays(fresh))
 
 
 # ---------------------------------------------------- subsets & finetune
