@@ -116,10 +116,7 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
     the model passes through unchanged and no fine-tuning runs: there is
     nothing for the rest of the network to adjust to.
 
-    With `ft_lr=None` the rate is DEFAULT_FT_LR_SCALE x `model.train_lr`,
-    which each fine-tune then sets to the rate it used: a hand-written layer
-    loop should pass `ft_lr`, or the rate shrinks at every cut layer
-    (`prune_model` resolves it once, from the input model).
+    With `ft_lr=None` the rate is DEFAULT_FT_LR_SCALE x `model.train_lr`.
     """
     config = _resolve_ft_lr(config or PruneConfig(), model)
     if layer_id not in (prunable := model.prunable_ids()):
@@ -159,7 +156,6 @@ def prune_model(model: toynet.ToyModel, ds, config: PruneConfig | None = None):
     and a layer to capture whose maps or separability space exceed
     `data.MAX_VALUES` (`toynet.check_capture`), fail before the first layer.
     """
-    config = _resolve_ft_lr(config or PruneConfig(), model)
     toynet.check_fit(model, ds)
     for layer_id in model.prunable_ids():  # cutting earlier layers keeps its output shape
         if model.layers[layer_id].n_components >= 2:

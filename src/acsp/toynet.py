@@ -283,7 +283,10 @@ LAYER_TYPES = {cls.kind: cls for cls in (Linear, Conv, ReLU, AvgPool, Flatten)}
 
 @dataclass(eq=False)
 class ToyModel:
-    """Sequential layer stack plus init seed and last-training metadata."""
+    """Sequential layer stack plus init seed and the record of its training.
+
+    `train_epochs` and `train_lr` are written by `train` alone; a fine-tune
+    keeps them."""
 
     layers: list
     input_shape: tuple
@@ -430,11 +433,12 @@ def accuracy(model: ToyModel, ds: LabeledDataset) -> float:
 
 
 def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
-    """Raise BadParams unless epochs is an integer >= 0, lr a finite real
-    number > 0 and batch_size an integer >= 1; a bool is none of these."""
-    if not (is_int(epochs) and epochs >= 0 and is_real(lr) and 0.0 < lr < math.inf
+    """Raise BadParams unless epochs is an integer in [0, 2**32), which the
+    model header's u32 holds, lr a finite real number > 0 and batch_size an
+    integer >= 1; a bool is none of these."""
+    if not (is_int(epochs) and 0 <= epochs < 2**32 and is_real(lr) and 0.0 < lr < math.inf
             and is_int(batch_size) and batch_size >= 1):  # also rejects nan
-        raise BadParams("need epochs >= 0, finite lr > 0, batch_size >= 1")
+        raise BadParams("need epochs >= 0 and < 2**32, finite lr > 0, batch_size >= 1")
 
 
 def _flat_copy(model: ToyModel, first: int):
@@ -551,11 +555,15 @@ def stratified_subset(labels: np.ndarray, fraction: float, rng: np.random.Genera
 
 def finetune(model: ToyModel, ds: LabeledDataset, fraction: float, epochs: int,
              lr: float, seed: int, trainable_from: int = 0) -> ToyModel:
-    """Train on a seeded stratified subset; fraction = 1 reduces to `train`."""
+    """Train on a seeded stratified subset; fraction = 1 reduces to `train`,
+    except that the returned model keeps the input's `train_epochs` and
+    `train_lr`: they record the model's own training, not its fine-tunes."""
     idx = stratified_subset(ds.labels, fraction,
                             np.random.default_rng(derive_seed(seed, "subset")))
     sub = LabeledDataset(ds.samples[idx], ds.labels[idx])
-    return train(model, sub, epochs, lr, seed, trainable_from=trainable_from)
+    out = train(model, sub, epochs, lr, seed, trainable_from=trainable_from)
+    out.train_epochs, out.train_lr = model.train_epochs, model.train_lr
+    return out
 
 
 # ------------------------------------------------------------- capture
@@ -746,8 +754,11 @@ def from_arch(spec: str, seed: int) -> ToyModel:
 
     A parametric layer's fields are the input width, then its builder's.
     Weights draw from uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), with fan_in
-    = prod(weight_shape[1:]); biases start at zero.
+    = prod(weight_shape[1:]); biases start at zero. The seed must be an
+    integer in [0, 2**64), which the model header's u64 holds.
     """
+    if not (is_int(seed) and 0 <= int(seed) < 2**64):
+        raise BadParams(f"seed must be an integer in [0, 2**64), got {seed!r}")
     input_shape, builders = parse_arch(spec)
     rng = np.random.default_rng(seed)
     layers = []

@@ -216,6 +216,20 @@ def test_train_rejects_classes_beyond_output_width_before_any_output(tmp_path, c
     assert not os.path.exists(model_path)
 
 
+def test_train_refuses_epochs_the_model_header_cannot_store(tmp_path, capsys):
+    # train_epochs is a u32: 2**32 epochs once started training, and the
+    # model write after the last epoch would have ended in a struct.error
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path)
+    code, out, err = _run(capsys, "train", "--arch", "mlp:2-8-3", "--data", data_path,
+                          "--epochs", str(2**32), "--out", model_path)
+    assert code == 1
+    assert re.fullmatch(r'error code=BadParams message="need epochs >= 0 and < 2\*\*32[^"]*"\n',
+                        err)
+    assert out == ""  # no epoch,loss,accuracy header
+    assert not os.path.exists(model_path)
+
+
 @pytest.mark.parametrize("command", ["train --epochs 0", "train --epochs 1", "eval", "prune"])
 def test_a_model_that_cannot_read_the_samples_gives_one_error_line(tmp_path, capsys, command):
     # train once printed its CSV header first, or with no epochs wrote the

@@ -293,11 +293,13 @@ def test_prune_model_runs_front_to_back():
         assert r.k_selected <= r.n_components
 
 
-def test_prune_model_is_a_prune_layer_loop_at_an_explicit_ft_lr():
-    # with ft_lr set, a hand-written loop fine-tunes every layer at the same
-    # rate, as prune_model does
+@pytest.mark.parametrize("ft_lr", [0.01, None])
+def test_prune_model_is_a_prune_layer_loop(ft_lr):
+    # a hand-written loop fine-tunes every layer at the same rate, as
+    # prune_model does; with ft_lr=None the rate once shrank tenfold at each
+    # cut layer, because every fine-tune overwrote the model's train_lr
     ds, trained = _trained_blob_setup(seed=1, arch="mlp:2-12-12-3")
-    cfg = PruneConfig(ft_lr=0.01, seed=3)
+    cfg = PruneConfig(ft_lr=ft_lr, seed=3)
     pruned, reports = prune_model(trained, ds, cfg)
     looped, entries = trained, []
     for layer_id in trained.prunable_ids():
@@ -308,6 +310,17 @@ def test_prune_model_is_a_prune_layer_loop_at_an_explicit_ft_lr():
     for a, b in zip(pruned.layers, looped.layers):
         if a.parametric:
             assert a.w.tobytes() == b.w.tobytes() and a.b.tobytes() == b.b.tobytes()
+
+
+def test_prune_model_keeps_the_training_record():
+    # a re-prune of the pruned model fine-tunes at the first prune's rate,
+    # not at a tenth of it
+    ds, trained = _trained_blob_setup(seed=1, arch="mlp:2-12-12-3")
+    pruned, reports = prune_model(trained, ds, PruneConfig(seed=3))
+    assert all(r.k_selected < r.n_components for r in reports)  # each layer was fine-tuned
+    assert (pruned.train_epochs, pruned.train_lr) == (trained.train_epochs, trained.train_lr)
+    assert (planner._resolve_ft_lr(PruneConfig(), pruned)
+            == planner._resolve_ft_lr(PruneConfig(), trained))
 
 
 def test_prune_model_without_prunable_layers_is_identity():

@@ -16,7 +16,7 @@ from acsp.errors import (
     ParseError,
     ShapeMismatch,
 )
-from acsp.tensio import LabeledDataset, PlanEntry, PruningPlan
+from acsp.tensio import LabeledDataset, PlanEntry, PruningPlan, read_model, write_model
 from acsp.toynet import (
     AvgPool,
     Conv,
@@ -318,9 +318,11 @@ def test_train_rejects_bad_params():
         with pytest.raises(BadParams, match="finite lr"):
             train(model, ds, epochs=1, lr=lr, seed=0)
     # refused by type: 2.5 epochs or a batch of 2.5 ended in numpy's own
-    # TypeError, and True passed for 1
+    # TypeError, and True passed for 1; 2**32 epochs trained, and then the
+    # model could not be written, since its header's train_epochs is a u32
     for settings in ({"epochs": 2.5}, {"batch_size": 2.5}, {"epochs": True},
-                     {"batch_size": True}, {"lr": True}, {"lr": "0.1"}):
+                     {"batch_size": True}, {"lr": True}, {"lr": "0.1"},
+                     {"epochs": 2**32}):
         with pytest.raises(BadParams, match="need epochs >= 0"):
             train(model, ds, seed=0, **{"epochs": 1, "lr": 0.1, **settings})
 
@@ -635,6 +637,16 @@ def test_stratified_subset_rejects_bad_fraction():
     with pytest.raises(BadParams, match="fraction must be in"):
         finetune(from_arch("mlp:4-4-3", seed=0), tiny_dataset(), fraction=True, epochs=1,
                  lr=0.1, seed=0)
+
+
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_finetune_keeps_the_training_record(epochs):
+    # train_epochs and train_lr record the model's own training; a fine-tune
+    # at another rate leaves them as they were
+    ds = data.make_blobs(120, 3, (2,), seed=6)
+    model = train(from_arch("mlp:2-8-3", seed=10), ds, epochs=2, lr=0.125, seed=1)
+    tuned = finetune(model, ds, fraction=0.5, epochs=epochs, lr=0.05, seed=11)
+    assert (tuned.train_epochs, tuned.train_lr) == (2, 0.125)
 
 
 def test_finetune_full_fraction_equals_train():
@@ -983,6 +995,21 @@ def test_from_arch_is_seed_deterministic():
     np.testing.assert_array_equal(a.layers[0].w, b.layers[0].w)
     c = from_arch("mlp:3-8-2", seed=32)
     assert not np.array_equal(a.layers[0].w, c.layers[0].w)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0])
+def test_from_arch_refuses_a_seed_the_model_header_cannot_store(seed):
+    # rng_seed is a u64: -1 ended in numpy's ValueError, and 2**64 built a
+    # model that write_model could not write
+    with pytest.raises(BadParams, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        from_arch("mlp:3-8-2", seed=seed)
+
+
+def test_from_arch_seeds_at_the_ends_of_the_range_write_and_read_back(tmp_path):
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        path = str(tmp_path / "m.acsp")
+        write_model(from_arch("mlp:3-8-2", seed=seed), path)
+        assert read_model(path).rng_seed == seed
 
 
 def test_init_bounds_follow_fan_in():
