@@ -181,8 +181,7 @@ def cmd_prune(args) -> None:
         csv_path = os.path.join(args.out, r.entry.mss_curve_ref)
         r.mss_curve.to_csv(csv_path)
         if args.svg:
-            knee_k = r.knee.k_prime if r.knee is not None else None
-            _write_curve_svg(r.layer_id, r.mss_curve, knee_k,
+            _write_curve_svg(r.layer_id, r.mss_curve, r.knee.k_prime,
                              os.path.splitext(csv_path)[0] + ".svg")
     summary = _format_summary(args, config, reports, base_acc, pruned_acc,
                               base_flops, pruned_flops)

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from .errors import BadParams
-from .tensio import LabeledDataset
+from .rng import check_seed
+from .tensio import LabeledDataset, is_int
 
 BLOB_RADIUS = 3.0
 BLOB_STD = 0.6
@@ -30,7 +31,10 @@ def _balanced_labels(n: int, num_classes: int) -> np.ndarray:
     return np.repeat(np.arange(num_classes), counts)
 
 
-def _check(n: int, num_classes: int, flat: int) -> None:
+def _check(n: int, num_classes: int, flat: int, seed: int) -> None:
+    if not (is_int(n) and is_int(num_classes)):
+        raise BadParams(f"n and num_classes must be integers, got {n!r} and {num_classes!r}")
+    check_seed(seed)
     if num_classes < 2:
         raise BadParams("need at least 2 classes")
     if n < 2 * num_classes:
@@ -46,11 +50,11 @@ def make_blobs(n: int, num_classes: int, dims: tuple[int, ...], seed: int) -> La
     in the flattened space and reshaped, which gives image-shaped inputs
     for the conv stack.
     """
+    if not all(is_int(d) and d >= 1 for d in dims):
+        raise BadParams(f"feature dimensions must be integers >= 1, got {dims!r}")
     dims = tuple(int(d) for d in dims)
     flat = math.prod(dims)
-    if flat < 1:
-        raise BadParams("feature dimensions must be >= 1")
-    _check(n, num_classes, flat)
+    _check(n, num_classes, flat, seed)
     labels = _balanced_labels(n, num_classes)
     centers = np.zeros((num_classes, flat))
     if flat == 1:
@@ -71,7 +75,7 @@ def make_blobs(n: int, num_classes: int, dims: tuple[int, ...], seed: int) -> La
 
 def make_rings(n: int, num_classes: int, seed: int) -> LabeledDataset:
     """Concentric annuli in the plane; class c lives at radius about c + 0.5."""
-    _check(n, num_classes, 2)
+    _check(n, num_classes, 2, seed)
     labels = _balanced_labels(n, num_classes)
     rng = np.random.default_rng(seed)
     inner = labels + (1.0 - RING_WIDTH) / 2

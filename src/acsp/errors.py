@@ -45,10 +45,6 @@ class Divergence(AcspError):
     """Training produced a non-finite loss or non-finite weights."""
 
 
-class TooFewPoints(AcspError):
-    """Curve is too short for knee detection at the requested degree."""
-
-
 class BadParams(AcspError):
     """An argument is out of range or of the wrong type."""
 

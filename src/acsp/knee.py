@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .cluster import MssCurve
-from .errors import BadParams, TooFewPoints
+from .errors import BadParams
 from .tensio import is_int
 
 SENSITIVITY = 1.0
@@ -56,13 +56,15 @@ def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
     The fitted curve is expected to rise toward saturation; if it comes out
     decreasing overall it is flipped before normalization. Flat curves
     (raw score range at most FLAT_EPS, or a fit with no range) never
-    produce a knee: min-max scaling would only amplify noise.
+    produce a knee: min-max scaling would only amplify noise. Nor does a
+    curve under degree + 2 points, which is not fitted: its result has no
+    coefficients.
     """
     check_degree(degree)
     ks = curve.ks().astype(np.float64)
     ys = curve.scores()
     if len(ks) < degree + 2:
-        raise TooFewPoints(f"need at least {degree + 2} points for degree {degree}, got {len(ks)}")
+        return KneeResult(None, degree, np.zeros(0), np.zeros(len(ks)))
     coeffs = npoly.polyfit(ks, ys, degree)
     fit = npoly.polyval(ks, coeffs)
     if fit[-1] < fit[0]:
@@ -80,17 +82,11 @@ def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
     return KneeResult(int(round(ks[best])), degree, coeffs, diff)
 
 
-def select_k(curve: MssCurve, n_components: int,
-             degree: int = 2) -> tuple[int, KneeResult | None]:
+def select_k(curve: MssCurve, n_components: int, degree: int = 2) -> tuple[int, KneeResult]:
     """The subset size to keep, and the knee result it came from.
 
     The knee if one clears the threshold, otherwise `n_components` (keep
-    everything; with a stride the last swept k can fall short of it). A
-    curve too short to fit also keeps everything and comes back with no
-    knee result.
+    everything; with a stride the last swept k can fall short of it).
     """
-    try:
-        result = find_knee(curve, degree)
-    except TooFewPoints:
-        return n_components, None
+    result = find_knee(curve, degree)
     return (n_components if result.k_prime is None else result.k_prime), result

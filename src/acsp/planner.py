@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cluster, knee, sepspace, toynet
 from .errors import BadParams
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .tensio import SELECTION_MODES, PlanEntry, PruningPlan, is_int, is_real
 
 DEFAULT_FT_LR_SCALE = 0.1  # fine-tune lr defaults to a tenth of the training lr
@@ -37,6 +37,7 @@ class PruneConfig:
         if self.selection not in SELECTION_MODES:
             raise BadParams(f"selection must be one of {SELECTION_MODES}")
         knee.check_degree(self.knee_degree)
+        check_seed(self.seed)
         rules = {  # field: (whether it holds, what the field must be)
             "stride": (is_int(self.stride) and self.stride >= 1, "an integer >= 1"),
             "ft_fraction": (is_real(self.ft_fraction) and 0.0 < self.ft_fraction <= 1.0,
@@ -44,7 +45,6 @@ class PruneConfig:
             "ft_epochs": (is_int(self.ft_epochs) and self.ft_epochs >= 0, "an integer >= 0"),
             "ft_lr": (self.ft_lr is None or is_real(self.ft_lr) and 0.0 < self.ft_lr < np.inf,
                       "None or a finite real number > 0"),
-            "seed": (is_int(self.seed), "an integer"),
             "pre_activation": (isinstance(self.pre_activation, (bool, np.bool_)), "a bool"),
             "freeze_upstream": (isinstance(self.freeze_upstream, (bool, np.bool_)), "a bool"),
         }
@@ -60,7 +60,7 @@ class LayerReport:
     k_selected: int
     mss_curve: cluster.MssCurve | None
     knee: knee.KneeResult | None
-    entry: PlanEntry | None  # the layer's decision; None when it could not be swept
+    entry: PlanEntry | None  # the layer's decision; None, as are curve and knee, if unswept
     flops_before: int  # whole-model totals around this layer's step
     flops_after: int
     warning: str | None = None
@@ -119,8 +119,7 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
     With `ft_lr=None` the rate is DEFAULT_FT_LR_SCALE x `model.train_lr`.
     """
     config = _resolve_ft_lr(config or PruneConfig(), model)
-    if layer_id not in (prunable := model.prunable_ids()):
-        raise BadParams(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
+    toynet.check_prunable(model, layer_id)
     flops_before = toynet.count_flops(model).total
     n_comp = model.layers[layer_id].n_components
     if n_comp < 2:
@@ -135,7 +134,7 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
             if k_selected < n_comp else list(range(n_comp)))
     entry = PlanEntry(layer_id, n_comp, kept, k_selected, config.selection,
                       config.knee_degree, mss_curve_ref=f"mss_layer{layer_id}.csv",
-                      knee=knee_result.to_dict() if knee_result is not None else None)
+                      knee=knee_result.to_dict())
     if k_selected == n_comp:
         out = model.copy()
     else:

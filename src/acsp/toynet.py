@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .tensio import ActivationTensor, LabeledDataset, PruningPlan, is_int, is_real
 
 _CAPTURE_CHUNK = 256  # fixed so chunking never depends on the environment
@@ -158,8 +158,8 @@ class Conv(_Layer):
         self.stride = stride
         self.pad = pad
         self._set_params(w, b, (c_in, c_out, kernel, stride, pad))
-        if stride < 1 or pad < 0 or kernel < 1:
-            raise BadParams("conv needs kernel >= 1, stride >= 1, pad >= 0")
+        if stride < 1 or pad < 0:
+            raise BadParams("conv needs stride >= 1, pad >= 0")
 
     @staticmethod
     def weight_shape(c_in, c_out, kernel, stride, pad) -> tuple:
@@ -490,6 +490,7 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
     The returned model's parameters are views into one buffer of its own.
     """
     check_train_settings(epochs, lr, batch_size)
+    check_seed(seed)
     check_fit(model, ds)
     first = _first_learning(model, trainable_from)
     out, params, grad_buf, grads = _flat_copy(model, first)
@@ -568,13 +569,20 @@ def finetune(model: ToyModel, ds: LabeledDataset, fraction: float, epochs: int,
 
 # ------------------------------------------------------------- capture
 
+def check_prunable(model: ToyModel, layer_id: int) -> None:
+    """Raise BadParams unless `layer_id` is an integer (Python or numpy, not
+    a bool) naming a prunable layer of `model`."""
+    prunable = model.prunable_ids()
+    if not (is_int(layer_id) and layer_id in prunable):
+        raise BadParams(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
+
+
 def check_capture(model: ToyModel, ds: LabeledDataset, layer_id: int) -> None:
     """Raise BadParams unless the layer is prunable, its maps over the
     dataset hold at most `data.MAX_VALUES` values, and so does the
     separability space built from them: prod(output shape) x C(C-1)/2
     cells for C = the largest label + 1, as `sepspace.build_space` takes it."""
-    if layer_id not in (prunable := model.prunable_ids()):
-        raise BadParams(f"layer {layer_id} is not prunable; prunable ids: {prunable}")
+    check_prunable(model, layer_id)
     flat = math.prod(layer_shapes(model)[layer_id][1])
     size = ds.n_samples * flat
     if size > data.MAX_VALUES:
@@ -757,8 +765,7 @@ def from_arch(spec: str, seed: int) -> ToyModel:
     = prod(weight_shape[1:]); biases start at zero. The seed must be an
     integer in [0, 2**64), which the model header's u64 holds.
     """
-    if not (is_int(seed) and 0 <= int(seed) < 2**64):
-        raise BadParams(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    check_seed(seed)
     input_shape, builders = parse_arch(spec)
     rng = np.random.default_rng(seed)
     layers = []

@@ -82,6 +82,21 @@ def test_gen_data_seed_changes_bytes(tmp_path, capsys):
     assert Path(p1).read_bytes() != Path(p2).read_bytes()
 
 
+def test_gen_data_seeds_past_2_63_do_not_fold_onto_smaller_ones(tmp_path, capsys):
+    # the data stream's seed was once taken modulo 2**63, so --seed 2**63
+    # wrote the bytes of --seed 0
+    written = set()
+    for seed in (0, 2**63, 2**64 - 1):
+        _gen(capsys, str(tmp_path / "d.acsp"), n=40, seed=seed)
+        written.add((tmp_path / "d.acsp").read_bytes())
+    assert len(written) == 3
+    code, out, err = _run(capsys, "gen-data", "--n", "40", "--seed", str(2**64),
+                          "--out", str(tmp_path / "x.acsp"))
+    assert code == 1 and out == "" and not (tmp_path / "x.acsp").exists()
+    assert err == ('error code=BadParams message="seed must be an integer in [0, 2**64), '
+                   f'got {2**64}"\n')
+
+
 def test_gen_data_error_line_format(tmp_path, capsys):
     code, out, err = _run(capsys, "gen-data", "--n", "3", "--classes", "4",
                           "--out", str(tmp_path / "x.acsp"))
@@ -410,7 +425,8 @@ def test_prune_stride_thins_the_curve(tmp_path, capsys, trained):
 
 
 def test_prune_stride_past_the_last_component_keeps_all(tmp_path, capsys):
-    # stride 5 over 8 components sweeps k = 2, 7 only: no knee, so keep all 8
+    # stride 5 over 8 components sweeps k = 2, 7 only: too short to fit, so
+    # no knee, and all 8 are kept
     data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
     _gen(capsys, data_path, n=400, classes=4, seed=3)
     _train(capsys, data_path, model_path, arch="mlp:2-8-4", epochs=30, seed=3)
@@ -419,7 +435,8 @@ def test_prune_stride_past_the_last_component_keeps_all(tmp_path, capsys):
                           "--out", str(out_dir), "--stride", "5", "--seed", "3")
     assert code == 0, err
     [layer] = json.loads((out_dir / "plan.json").read_text())["layers"]
-    assert layer["knee"] is None
+    assert layer["knee"] == {"k_prime": None, "degree": 2, "fitted_coeffs": [],
+                             "difference_curve": [0.0, 0.0]}
     assert layer["k_selected"] == 8 and layer["kept_indices"] == list(range(8))
     assert re.search(r"^  0 +8 +8 +96 +96 +kept all \(no knee\)$", out, re.M)
     assert (out_dir / "pruned_model.acsp").read_bytes() == Path(model_path).read_bytes()
@@ -618,13 +635,19 @@ def _conv(c_in, c_out, kernel, stride=1, pad=0):
                            w=np.ones((c_out, c_in, kernel, kernel)), b=np.zeros(c_out))
 
 
+def _linear(n_in, n_out):
+    return SimpleNamespace(kind="linear", fields=(n_in, n_out), parametric=True,
+                           w=np.ones((n_out, n_in)), b=np.zeros(n_out))
+
+
 def _write_unbuildable_model(path, kind):
     """A model file that `from_arch` cannot make: its output is a conv map,
-    its first linear layer is 0 wide, or its stack does not compose (a conv
-    fed the wrong channel count, non-square maps, a kernel larger than the
-    padded map, a pool size that does not divide the map). write_model only
-    reads attributes, so plain namespaces stand in for the layers and the
-    model."""
+    its first linear layer is 0 wide, a conv has stride 0 or a pool size 0,
+    or its stack does not compose (a conv fed the wrong channel count,
+    non-square maps, a kernel larger than the padded map, a pool size that
+    does not divide the map, a pool after a linear layer, a flatten of 0-d
+    samples). write_model only reads attributes, so plain namespaces stand
+    in for the layers and the model."""
     ns = SimpleNamespace
     if kind == "zero-width":
         layers = [ns(kind="linear", fields=(2, 0), parametric=True,
@@ -641,6 +664,12 @@ def _write_unbuildable_model(path, kind):
             "kernel-too-large": ([_conv(1, 4, 7, 1, 1)], (1, 4, 4)),
             "pool-indivisible": ([_conv(1, 4, 3),
                                   ns(kind="avgpool", fields=(4,), parametric=False)], (1, 8, 8)),
+            "conv-stride-0": ([_conv(1, 4, 3, 0)], (1, 8, 8)),
+            "pool-size-0": ([_conv(1, 4, 3),
+                             ns(kind="avgpool", fields=(0,), parametric=False)], (1, 8, 8)),
+            "pool-after-linear": ([_linear(2, 4),
+                                   ns(kind="avgpool", fields=(2,), parametric=False)], (2,)),
+            "flatten-0d": ([ns(kind="flatten", fields=(), parametric=False), _linear(1, 3)], ()),
         }[kind]
     tensio.write_model(ns(layers=layers, input_shape=input_shape, rng_seed=0,
                           train_epochs=0, train_lr=0.0), path)
@@ -650,6 +679,8 @@ def _write_unbuildable_model(path, kind):
 @pytest.mark.parametrize("kind, dims", [
     ("conv-output", "1x8x8"), ("zero-width", "2"), ("conv-channels", "1x8x8"),
     ("non-square", "1x8x6"), ("kernel-too-large", "1x4x4"), ("pool-indivisible", "1x8x8"),
+    ("conv-stride-0", "1x8x8"), ("pool-size-0", "1x8x8"), ("pool-after-linear", "2"),
+    ("flatten-0d", "2"),
 ])
 def test_unbuildable_model_gives_one_error_line(tmp_path, capsys, command, kind, dims):
     # the first two once ended in a traceback: a broadcast ValueError in
@@ -662,9 +693,13 @@ def test_unbuildable_model_gives_one_error_line(tmp_path, capsys, command, kind,
         argv += ["--out", str(tmp_path / "out")]
     code, _, err = _run(capsys, command, *argv)
     assert code == 1
-    assert re.fullmatch(r'error code=ShapeMismatch message="[^"]*"\n', err)
+    error = {"conv-stride-0": "BadParams", "pool-size-0": "BadParams"}.get(kind, "ShapeMismatch")
+    assert re.fullmatch(f'error code={error} message="[^"]*"\n', err)
     assert {"conv-channels": "conv expects (2, h, w)", "non-square": "requires square maps",
             "kernel-too-large": "kernel 7 too large", "pool-indivisible": "pool 4 does not divide",
+            "conv-stride-0": "conv needs stride >= 1", "pool-size-0": "pool size must be >= 1",
+            "pool-after-linear": "avgpool expects (c, h, w)",
+            "flatten-0d": "flatten expects at least one dimension",
             }.get(kind, "") in err
 
 

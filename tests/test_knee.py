@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acsp.cluster import MssCurve
-from acsp.errors import BadParams, TooFewPoints
+from acsp.errors import BadParams
 from acsp.knee import SENSITIVITY, KneeResult, find_knee, select_k
 from acsp.planner import PruneConfig
 
@@ -21,6 +21,12 @@ def _curve(ks, ys):
 def _saturating(ks, rate=0.8, lo=0.3):
     ks = np.asarray(ks, dtype=np.float64)
     return lo + (1.0 - lo) * (1.0 - np.exp(-rate * (ks - ks[0])))
+
+
+def _unfitted(degree, n):
+    """The dict of the no-knee result of a curve of n < degree + 2 points."""
+    return {"k_prime": None, "degree": degree, "fitted_coeffs": [],
+            "difference_curve": [0.0] * n}
 
 
 def _oracle_knee(ks, ys, degree):
@@ -51,8 +57,10 @@ def test_polyfit_recovers_exact_quadratic():
 
 
 def test_polyfit_underdetermined_cases():
-    with pytest.raises(TooFewPoints):
-        find_knee(_curve([2, 3, 4, 5], [1.0, 2.0, 2.5, 2.7]), degree=3)  # degree + 2 points needed
+    # degree + 2 points are needed for a fit; four points at degree 3 are not
+    # fitted and have no knee
+    res = find_knee(_curve([2, 3, 4, 5], [1.0, 2.0, 2.5, 2.7]), degree=3)
+    assert res.to_dict() == _unfitted(3, 4)
     with pytest.raises(BadParams):
         find_knee(_curve([2, 3, 4], [1.0, 2.0, 3.0]), degree=0)  # constant fit
 
@@ -126,8 +134,8 @@ def test_decreasing_curve_is_flipped_not_crashed():
 
 
 def test_too_few_points():
-    with pytest.raises(TooFewPoints):
-        find_knee(_curve([2, 3, 4], [0.1, 0.5, 0.7]), degree=2)
+    res = find_knee(_curve([2, 3, 4], [0.1, 0.5, 0.7]), degree=2)
+    assert res.to_dict() == _unfitted(2, 3)
 
 
 def test_knee_on_sharp_elbow_lands_early():
@@ -223,13 +231,15 @@ def test_select_k_falls_back_to_k_max():
 
 
 def test_select_k_short_curve_has_no_knee_result():
-    assert select_k(_curve([2, 3, 4], [0.2, 0.5, 0.6]), 4, degree=2) == (4, None)
+    k, result = select_k(_curve([2, 3, 4], [0.2, 0.5, 0.6]), 4, degree=2)
+    assert k == 4 and result.to_dict() == _unfitted(2, 3)
 
 
 def test_select_k_keeps_every_component_past_a_strided_sweep():
     # a strided sweep can stop short of n: stride 5 over 8 components sweeps
     # k = 2, 7 (too short to fit), stride 3 over 16 stops at 14 (flat, no
     # knee); both keep every component, not the last swept k
-    assert select_k(_curve([2, 7], [0.2, 0.6]), 8, degree=2) == (8, None)
+    k, result = select_k(_curve([2, 7], [0.2, 0.6]), 8, degree=2)
+    assert k == 8 and result.to_dict() == _unfitted(2, 2)
     k, result = select_k(_curve([2, 5, 8, 11, 14], [0.5] * 5), 16, degree=2)
     assert k == 16 and result.k_prime is None

@@ -3,13 +3,14 @@
 import dataclasses
 import functools
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from acsp import cluster, data, planner, toynet
+from acsp import cluster, data, planner, rng, toynet
 from acsp.errors import BadParams, ShapeMismatch
 from acsp.planner import (
     PruneConfig,
@@ -70,9 +71,13 @@ def test_the_sweep_and_the_layer_functions_refuse_bad_arguments_as_badparams():
         cluster.sweep_detailed(rows, k_min=1)
     with pytest.raises(BadParams, match=r"layer 1 \(relu\) has no weights"):
         component_norms(model, 1)
+    # 0.0 and False are `in [0]`: 0.0 once ended in a TypeError indexing the
+    # layers, and False stood for layer 0
     for call in (toynet.capture_activations, prune_layer):
-        with pytest.raises(BadParams, match=r"layer 2 is not prunable; prunable ids: \[0\]"):
-            call(model, ds, 2)
+        for layer_id in (2, 0.0, False):
+            with pytest.raises(BadParams, match=re.escape(
+                    f"layer {layer_id} is not prunable; prunable ids: [0]")):
+                call(model, ds, layer_id)
 
 
 def test_compose_regular_keeps_medoids():
@@ -165,12 +170,31 @@ def test_config_takes_numpy_numbers(field, value):
     assert getattr(PruneConfig(**{field: value}), field) == value
 
 
-@pytest.mark.parametrize("seed", [np.int64(3), np.int32(-2), np.uint8(3)])
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**64 - 1), np.uint8(3)])
 def test_numpy_integer_seed_derives_the_python_seeds_streams(seed):
     # a config takes numpy integer seeds; `%` on one once overflowed mid-prune
     from acsp.rng import derive_seed
 
     assert derive_seed(seed, "finetune2") == derive_seed(int(seed), "finetune2")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
+@pytest.mark.parametrize("take", [
+    lambda seed: rng.derive_seed(seed, "data"),
+    lambda seed: from_arch("mlp:3-3-2", seed),
+    lambda seed: PruneConfig(seed=seed),
+    # epochs 0: the seed is checked before the early return
+    lambda seed: toynet.train(from_arch("mlp:3-3-2", 0), tiny_dataset(n=12, num_classes=2,
+                                                                       dims=(3,)), 0, 0.1, seed),
+    lambda seed: data.make_blobs(40, 2, (2,), seed),
+    lambda seed: data.make_rings(40, 2, seed),
+], ids=["derive_seed", "from_arch", "PruneConfig", "train", "make_blobs", "make_rings"])
+def test_every_seed_taker_refuses_a_seed_outside_the_u64_range(take, seed):
+    # derive_seed folded these onto seeds in [0, 2**63), PruneConfig took
+    # them, and numpy refused some of them in train and the generators
+    # with a ValueError or TypeError of its own, and took True
+    with pytest.raises(BadParams, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
+        take(seed)
 
 
 def test_config_fields_cannot_be_assigned():

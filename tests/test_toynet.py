@@ -127,6 +127,7 @@ def test_layer_refuses_weights_or_bias_of_the_wrong_shape(make, fields, w_shape,
     (Linear, (0, 3)),
     (Conv, (1, 0, 3, 1, 1)),
     (Conv, (0, 2, 3, 1, 1)),
+    (Conv, (1, 2, 0, 1, 1)),
 ])
 def test_layer_refuses_a_weight_shape_with_a_zero_dimension(make, fields):
     # a 0-wide linear layer read from a file once ended in an IndexError
@@ -981,6 +982,10 @@ def test_wide_model_prunable_ids():
         ("cnn:1x8x8-c4k3-f-", 17),
         ("cnn:1x8x8-p0-f-2", 10),
         ("cnn:1x8x9-f-2", 4),
+        ("cnn:", 4),
+        ("cnn:0x8x8-f-2", 4),
+        ("cnn:1x8x8-c0k3-f-2", 10),
+        ("cnn:1x8x8-c4k3", 14),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
