@@ -19,8 +19,9 @@ candidates only, as
 
 with d1/d2 each point's distance to its nearest/second-nearest medoid and
 member[m, j] = 1 when medoid m owns point j, else 0. The per-cluster sums
-are one BLAS product: k (n-k) n multiply-adds, yet faster than grouping
-points by cluster up to n = 256. A medoid that owns no point (repeated
+are one BLAS product: k (n-k) n multiply-adds, yet at default BLAS threads
+no slower than grouping points by cluster up to n = 512; grouping won only
+with one BLAS thread, at n = 384. A medoid that owns no point (repeated
 rows) gets a zero row. These estimates differ from PAM's exact sums by at
 most a derived rounding bound `tol`. A pass stops when no estimate comes
 within `tol` of improving the cost; otherwise it computes the exact cost

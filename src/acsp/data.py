@@ -46,12 +46,13 @@ def _check(n: int, num_classes: int, flat: int, seed: int) -> None:
 def make_blobs(n: int, num_classes: int, dims: tuple[int, ...], seed: int) -> LabeledDataset:
     """Isotropic Gaussian clusters, centers spread on a fixed circle.
 
-    `dims` is the per-sample feature shape; multi-axis shapes are generated
-    in the flattened space and reshaped, which gives image-shaped inputs
-    for the conv stack.
+    `dims` is the per-sample feature shape, a tuple or list of integers
+    >= 1; multi-axis shapes are generated in the flattened space and
+    reshaped, which gives image-shaped inputs for the conv stack.
     """
-    if not all(is_int(d) and d >= 1 for d in dims):
-        raise BadParams(f"feature dimensions must be integers >= 1, got {dims!r}")
+    if not (isinstance(dims, (tuple, list)) and all(is_int(d) and d >= 1 for d in dims)):
+        raise BadParams(f"feature dimensions must be integers >= 1 in a tuple or list, "
+                        f"got {dims!r}")
     dims = tuple(int(d) for d in dims)
     flat = math.prod(dims)
     _check(n, num_classes, flat, seed)

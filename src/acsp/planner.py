@@ -42,7 +42,8 @@ class PruneConfig:
             "stride": (is_int(self.stride) and self.stride >= 1, "an integer >= 1"),
             "ft_fraction": (is_real(self.ft_fraction) and 0.0 < self.ft_fraction <= 1.0,
                             "a real number in (0, 1]"),
-            "ft_epochs": (is_int(self.ft_epochs) and self.ft_epochs >= 0, "an integer >= 0"),
+            "ft_epochs": (is_int(self.ft_epochs) and 0 <= self.ft_epochs < toynet.EPOCHS_LIMIT,
+                          "an integer in [0, 2**32)"),
             "ft_lr": (self.ft_lr is None or is_real(self.ft_lr) and 0.0 < self.ft_lr < np.inf,
                       "None or a finite real number > 0"),
             "pre_activation": (isinstance(self.pre_activation, (bool, np.bool_)), "a bool"),
@@ -117,9 +118,12 @@ def prune_layer(model: toynet.ToyModel, ds, layer_id: int,
     nothing for the rest of the network to adjust to.
 
     With `ft_lr=None` the rate is DEFAULT_FT_LR_SCALE x `model.train_lr`.
+    A dataset that the model cannot read, or with a class id beyond its
+    output width, fails before the layer is captured (`toynet.check_fit`).
     """
     config = _resolve_ft_lr(config or PruneConfig(), model)
     toynet.check_prunable(model, layer_id)
+    toynet.check_fit(model, ds)
     flops_before = toynet.count_flops(model).total
     n_comp = model.layers[layer_id].n_components
     if n_comp < 2:

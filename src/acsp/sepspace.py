@@ -1,12 +1,11 @@
 """Per-layer separability spaces.
 
 Each component of a layer becomes one row. The row concatenates, for every
-unordered class pair in canonical order, the per-pixel Jeffries-Matusita
-distance between the two classes' activation distributions at that
-component (a single value for linear layers, a p x p block flattened
-row-major for conv maps). Components with similar rows respond to the
-class structure in the same way, which is what the clustering stage
-exploits.
+unordered class pair in canonical order, the Jeffries-Matusita distance
+between the two classes' activation distributions at that component, per
+cell, row-major (a linear component has one cell, a conv component one per
+position of its map). Components with similar rows respond to the class
+structure in the same way, which is what the clustering stage exploits.
 
 Distributions are summarized per class by mean and population variance;
 variances are floored at VAR_FLOOR so coincident or constant activations
@@ -43,24 +42,24 @@ def class_pairs(num_classes: int) -> list[tuple[int, int]]:
 
 @dataclass(eq=False)
 class SeparabilityMatrix:
-    """Rows are components; columns are p*p pixels per canonical class pair."""
+    """Rows are components; columns are the cells per canonical class pair."""
 
-    values: np.ndarray  # float64, [n_components, p*p * n_pairs]
+    values: np.ndarray  # float64, [n_components, cells * n_pairs]
 
 
 def build_space(act: ActivationTensor) -> SeparabilityMatrix:
     """Separability matrix of one layer's activations.
 
-    Per class, per component, per pixel the mean and population variance are
-    computed in float64; every unordered class pair contributes one p x p
-    block of JM distances, flattened row-major. Class slices are sorted
-    along the sample axis first, so any permutation of the samples yields a
-    bit-identical matrix.
+    Per class, per component, per cell the mean and population variance are
+    computed in float64; every unordered class pair contributes one JM
+    distance per cell, row-major. Class slices are sorted along the sample
+    axis first, so any permutation of the samples yields a bit-identical
+    matrix.
     """
     labels = act.labels
     num_classes = int(labels.max()) + 1
-    n_comp, p = act.n_components, act.patch
-    means = np.empty((num_classes, n_comp, p, p))
+    _, n_comp, cells = act.values.shape
+    means = np.empty((num_classes, n_comp, cells))
     variances = np.empty_like(means)
     for c in range(num_classes):
         # one class at a time in float64, so no float64 copy of the layer exists
@@ -69,8 +68,7 @@ def build_space(act: ActivationTensor) -> SeparabilityMatrix:
         means[c] = vc.mean(axis=0)
         variances[c] = np.maximum(vc.var(axis=0), VAR_FLOOR)
     pairs = class_pairs(num_classes)
-    out = np.empty((n_comp, p * p * len(pairs)))
-    block = p * p
+    out = np.empty((n_comp, cells * len(pairs)))
     for i, (a, b) in enumerate(pairs):
         va, vb = variances[a], variances[b]
         gap = means[a] - means[b]
@@ -79,5 +77,5 @@ def build_space(act: ActivationTensor) -> SeparabilityMatrix:
         # va + vb >= 2 sqrt(va vb), so B >= 0, but the log can round a hair
         # below zero when va == vb
         jm = np.minimum(2.0 * (1.0 - np.exp(-np.maximum(bh, 0.0))), _JM_SUP)
-        out[:, i * block : (i + 1) * block] = jm.reshape(n_comp, block)
+        out[:, i * cells : (i + 1) * cells] = jm
     return SeparabilityMatrix(out)

@@ -13,6 +13,9 @@ files on any platform. Downstream numerics run in float64, but
 `LabeledDataset` samples and `ActivationTensor` values are float32 in
 memory too. Every array held, written or read as float32 passes the one
 cast `_float32`, which refuses NaN, Inf and values beyond float32's range.
+Activation values are laid out [n, components, cells]: each component's
+map over one sample is one row of cells, row-major, and a linear
+component has a single cell.
 
 Pruning plans are JSON text instead of binary: they are the artifact a
 human audits after a run. A plan and each of its entries are frozen, hold
@@ -113,8 +116,10 @@ class LabeledDataset:
 class ActivationTensor:
     """Activation maps of one layer over a labeled batch.
 
-    `values` has shape [n_samples, n_components, p, p]; linear layers use
-    p = 1. Values must be finite; labels follow the dataset's rule.
+    `values` has shape [n_samples, n_components, cells]: each component's
+    map as one row of cells, row-major, so a linear component has 1 cell
+    and a conv component h*w. Values must be finite; labels follow the
+    dataset's rule.
     """
 
     values: np.ndarray  # float32
@@ -122,22 +127,9 @@ class ActivationTensor:
 
     def __post_init__(self):
         self.values = _float32(self.values, "activation values")
-        if self.values.ndim != 4:
-            raise InvalidDataset("activation values must be [n, components, p, p]")
-        n, _, p, q = self.values.shape
-        if p != q or p < 1:
-            raise InvalidDataset("activation maps must be square with p >= 1")
-        if n == 0 or self.values.shape[1] == 0:
-            raise InvalidDataset("activation tensor must be non-empty")
-        self.labels = _check_labels(self.labels, n)
-
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def patch(self) -> int:
-        return self.values.shape[2]
+        if self.values.ndim != 3 or self.values.size == 0:
+            raise InvalidDataset("activation values must be non-empty [n, components, cells]")
+        self.labels = _check_labels(self.labels, self.values.shape[0])
 
 
 def is_int(val) -> bool:

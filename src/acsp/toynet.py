@@ -432,11 +432,15 @@ def accuracy(model: ToyModel, ds: LabeledDataset) -> float:
     return float((_run_chunked(model, ds, np.float64).argmax(axis=1) == ds.labels).mean())
 
 
+EPOCHS_LIMIT = 2**32  # the model header stores a train's epochs as a u32
+
+
 def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
-    """Raise BadParams unless epochs is an integer in [0, 2**32), which the
-    model header's u32 holds, lr a finite real number > 0 and batch_size an
-    integer >= 1; a bool is none of these."""
-    if not (is_int(epochs) and 0 <= epochs < 2**32 and is_real(lr) and 0.0 < lr < math.inf
+    """Raise BadParams unless epochs is an integer in [0, EPOCHS_LIMIT), lr a
+    finite real number > 0 and batch_size an integer >= 1; a bool is none of
+    these."""
+    if not (is_int(epochs) and 0 <= epochs < EPOCHS_LIMIT
+            and is_real(lr) and 0.0 < lr < math.inf
             and is_int(batch_size) and batch_size >= 1):  # also rejects nan
         raise BadParams("need epochs >= 0 and < 2**32, finite lr > 0, batch_size >= 1")
 
@@ -607,9 +611,7 @@ def capture_activations(model: ToyModel, ds: LabeledDataset, layer_id: int,
     take_relu = not pre_activation and isinstance(model.layers[layer_id + 1], ReLU)
     stop = layer_id + 2 if take_relu else layer_id + 1
     values = _run_chunked(model, ds, "<f4", stop)
-    if values.ndim == 2:
-        values = values[:, :, None, None]
-    return ActivationTensor(values, ds.labels)
+    return ActivationTensor(values.reshape(ds.n_samples, values.shape[1], -1), ds.labels)
 
 
 # -------------------------------------------------------------- surgery

@@ -26,7 +26,7 @@ def two_class_activation(mean_a, var_a, mean_b, var_b):
 
     sa, sb = math.sqrt(var_a), math.sqrt(var_b)
     values = np.array([mean_a - sa, mean_a + sa, mean_b - sb, mean_b + sb])
-    return ActivationTensor(values.reshape(4, 1, 1, 1), np.array([0, 0, 1, 1]))
+    return ActivationTensor(values.reshape(4, 1, 1), np.array([0, 0, 1, 1]))
 
 
 def jm_cell(mean_a, var_a, mean_b, var_b) -> float:

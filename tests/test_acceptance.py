@@ -79,7 +79,7 @@ def test_criterion_01_jm_matches_scripted_oracle():
             act = two_class_activation(ma, va, mb, vb)
             got = float(sepspace.build_space(act).values[0, 0])
             # the formula on the stats of the float32 samples actually stored
-            stored = act.values[:, 0, 0, 0]
+            stored = act.values[:, 0, 0]
             want = _scripted_jm(*_population_stats(stored[:2]),
                                 *_population_stats(stored[2:]))
             assert 0.0 <= got < 2.0
@@ -93,24 +93,23 @@ def test_criterion_01_jm_matches_scripted_oracle():
 # --------------------------------------------------- 2: graph-space oracle
 
 def _scripted_space(values, labels):
-    """Group by label, per component, per pixel; scalar math throughout."""
+    """Group by label, per component, per cell; scalar math throughout."""
     v = values.astype(np.float64)
     classes = sorted(set(int(c) for c in labels))
-    n_comp, p = v.shape[1], v.shape[2]
+    _, n_comp, cells = v.shape
     pairs = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]]
-    out = np.empty((n_comp, p * p * len(pairs)))
+    out = np.empty((n_comp, cells * len(pairs)))
     for comp in range(n_comp):
         col = 0
         for a, b in pairs:
-            for px in range(p):
-                for py in range(p):
-                    xa = v[labels == a, comp, px, py]
-                    xb = v[labels == b, comp, px, py]
-                    va = max(float(xa.var()), 1e-12)
-                    vb = max(float(xb.var()), 1e-12)
-                    out[comp, col] = _scripted_jm(
-                        float(xa.mean()), va, float(xb.mean()), vb)
-                    col += 1
+            for cell in range(cells):
+                xa = v[labels == a, comp, cell]
+                xb = v[labels == b, comp, cell]
+                va = max(float(xa.var()), 1e-12)
+                vb = max(float(xb.var()), 1e-12)
+                out[comp, col] = _scripted_jm(
+                    float(xa.mean()), va, float(xb.mean()), vb)
+                col += 1
     return out
 
 
@@ -126,8 +125,9 @@ def test_criterion_02_graph_space_oracle_and_invariances():
             if p == 1:
                 gen.random()  # once picked a container kind; kept so the trials stay the same
             labels = np.repeat(np.arange(n_classes), per_class)
+            # a p x p conv map, as capture yields it: p*p cells, row-major
             values = gen.normal(scale=3.0,
-                                size=(len(labels), n_comp, p, p)).astype(np.float32)
+                                size=(len(labels), n_comp, p * p)).astype(np.float32)
             act = ActivationTensor(values, labels)
             space = sepspace.build_space(act)
             want = _scripted_space(act.values, act.labels)
@@ -143,7 +143,7 @@ def test_criterion_02_graph_space_oracle_and_invariances():
 
         # class relabeling permutes pair columns, bit for bit
         labels = np.repeat(np.arange(3), 4)
-        values = gen.normal(size=(12, 5, 1, 1)).astype(np.float32)
+        values = gen.normal(size=(12, 5, 1)).astype(np.float32)
         base = sepspace.build_space(ActivationTensor(values, labels))
         swapped_labels = np.where(labels == 0, 1, np.where(labels == 1, 0, labels))
         swapped = sepspace.build_space(

@@ -560,6 +560,25 @@ def test_prune_rejects_bad_config_before_any_layer(tmp_path, capsys, trained, fl
     assert not os.path.exists(os.path.join(out_dir, "plan.json"))
 
 
+def test_prune_refuses_ft_epochs_the_model_header_cannot_store_before_any_capture(
+        tmp_path, capsys, monkeypatch, trained):
+    # argparse takes 2**32; the fine-tune's train once refused it only
+    # after layer 0 was captured and swept
+    data_path, model_path = trained
+    out_dir = str(tmp_path / "out")
+
+    def fail(*args, **kwargs):
+        pytest.fail("prune captured a layer")
+
+    monkeypatch.setattr("acsp.toynet.capture_activations", fail)
+    code, out, err = _run(capsys, "prune", "--model", model_path, "--data", data_path,
+                          "--out", out_dir, "--ft-epochs", str(2**32))
+    assert code == 1 and out == ""
+    assert re.fullmatch(r'error code=BadParams message="ft_epochs must be an integer '
+                        r'in \[0, 2\*\*32\)[^"\n]*"\n', err)
+    assert not os.path.exists(out_dir)
+
+
 def test_prune_rejects_classes_beyond_output_width_before_any_layer(tmp_path, capsys):
     two, three = str(tmp_path / "d2.acsp"), str(tmp_path / "d3.acsp")
     model_path = str(tmp_path / "m.acsp")

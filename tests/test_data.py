@@ -48,11 +48,13 @@ def test_blobs_peak_under_14_bytes_per_value():
     (data.make_blobs, (40, 2, (True,), 0), "feature dimensions"),
     (data.make_blobs, (40, 2, (-1, -2), 0), "feature dimensions"),  # product 2 >= 1
     (data.make_blobs, (40, 2, (0,), 0), "feature dimensions"),
+    (data.make_blobs, (40, 2, 2, 0), "feature dimensions"),  # once a bare TypeError
+    (data.make_blobs, (40, 2, None, 0), "feature dimensions"),
     (data.make_blobs, (40.5, 2, (2,), 0), "n and num_classes"),
     (data.make_blobs, (40, 2.5, (2,), 0), "n and num_classes"),
     (data.make_rings, (40, 2.5, 0), "n and num_classes"),
-], ids=["dim 2.5", "dim True", "dims -1x-2", "dim 0", "n 40.5", "blob classes 2.5",
-        "ring classes 2.5"])
+], ids=["dim 2.5", "dim True", "dims -1x-2", "dim 0", "dims int 2", "dims None", "n 40.5",
+        "blob classes 2.5", "ring classes 2.5"])
 def test_generators_refuse_non_integer_counts_and_dims(make, args, message):
     # each was coerced or ended in a numpy ValueError or TypeError
     with pytest.raises(BadParams, match=f"^{message} must be integers"):

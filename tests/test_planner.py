@@ -145,6 +145,7 @@ def test_config_rejects_fields_the_cli_cannot_set_badly(field, value):
     ("ft_fraction", "0.5"), ("ft_fraction", True), ("ft_fraction", None),
     ("ft_lr", "0.1"), ("ft_lr", np.bool_(True)),
     ("pre_activation", 1), ("pre_activation", "yes"), ("freeze_upstream", None),
+    ("ft_epochs", 2**32),  # train refuses it, once only after layer 0's sweep
 ])
 def test_config_refuses_mistyped_fields(field, value):
     # each of these built a config that ended mid-run in a bare TypeError,
@@ -291,6 +292,22 @@ def test_prune_layer_raises_on_mismatched_samples():
     cfg = planner._resolve_ft_lr(PruneConfig(seed=5), model)
     with pytest.raises(ShapeMismatch):
         prune_layer(model, ds, 0, cfg)
+
+
+@pytest.mark.parametrize("stride", [1, 100], ids=["cut", "keeps all"])
+def test_prune_layer_refuses_classes_beyond_output_width_before_any_capture(monkeypatch,
+                                                                             stride):
+    # such a dataset once failed only in the fine-tune, after capture and
+    # sweep, or not at all when the layer kept every component
+    ds = data.make_blobs(80, 4, (2,), seed=0)
+    model = from_arch("mlp:2-8-8-2", seed=0)
+
+    def fail(*args, **kwargs):
+        pytest.fail("prune_layer captured a layer")
+
+    monkeypatch.setattr(toynet, "capture_activations", fail)
+    with pytest.raises(ShapeMismatch, match="class id exceeds model output width"):
+        prune_layer(model, ds, 0, PruneConfig(stride=stride))
 
 
 def test_prune_layer_freeze_upstream():

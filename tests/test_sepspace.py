@@ -86,32 +86,31 @@ def test_class_pairs_matches_combinations():
 
 # ------------------------------------------------------ the matrix itself
 
-def _tensor(n, components, p, num_classes, seed):
+def _tensor(n, components, cells, num_classes, seed):
     gen = np.random.default_rng(seed)
-    values = gen.normal(size=(n, components, p, p)).astype(np.float32)
+    values = gen.normal(size=(n, components, cells)).astype(np.float32)
     return ActivationTensor(values, balanced_labels(n, num_classes))
 
 
 def _oracle_space(act):
-    """Group-by-label per-pixel JM, written with scalar math only."""
-    n, comps, p, _ = act.values.shape
+    """Group-by-label per-cell JM, written with scalar math only."""
+    n, comps, cells = act.values.shape
     pairs = list(combinations(range(int(act.labels.max()) + 1), 2))
-    out = np.zeros((comps, p * p * len(pairs)))
+    out = np.zeros((comps, cells * len(pairs)))
     labels = act.labels
     for j in range(comps):
         col = 0
         for (ca, cb) in pairs:
-            for r in range(p):
-                for c in range(p):
-                    xa = [float(v) for v, l in zip(act.values[:, j, r, c], labels) if l == ca]
-                    xb = [float(v) for v, l in zip(act.values[:, j, r, c], labels) if l == cb]
-                    mu_a, mu_b = sum(xa) / len(xa), sum(xb) / len(xb)
-                    va = max(sum((v - mu_a) ** 2 for v in xa) / len(xa), 1e-12)
-                    vb = max(sum((v - mu_b) ** 2 for v in xb) / len(xb), 1e-12)
-                    bdist = 0.125 * (mu_a - mu_b) ** 2 / (va + vb)
-                    bdist += 0.5 * math.log((va + vb) / (2.0 * math.sqrt(va * vb)))
-                    out[j, col] = 2.0 * (1.0 - math.exp(-bdist))
-                    col += 1
+            for cell in range(cells):
+                xa = [float(v) for v, l in zip(act.values[:, j, cell], labels) if l == ca]
+                xb = [float(v) for v, l in zip(act.values[:, j, cell], labels) if l == cb]
+                mu_a, mu_b = sum(xa) / len(xa), sum(xb) / len(xb)
+                va = max(sum((v - mu_a) ** 2 for v in xa) / len(xa), 1e-12)
+                vb = max(sum((v - mu_b) ** 2 for v in xb) / len(xb), 1e-12)
+                bdist = 0.125 * (mu_a - mu_b) ** 2 / (va + vb)
+                bdist += 0.5 * math.log((va + vb) / (2.0 * math.sqrt(va * vb)))
+                out[j, col] = 2.0 * (1.0 - math.exp(-bdist))
+                col += 1
     return out
 
 
@@ -120,12 +119,12 @@ def test_matches_brute_force_oracle():
         gen = np.random.default_rng(seed)
         n = int(gen.integers(8, 16))
         comps = int(gen.integers(2, 7))
-        p = int(gen.integers(1, 4))
+        cells = int(gen.integers(1, 10))  # any count: square maps are the engine's rule
         classes = int(gen.integers(2, 5))
         n = max(n, 2 * classes)
-        act = _tensor(n, comps, p, classes, seed)
+        act = _tensor(n, comps, cells, classes, seed)
         space = build_space(act)
-        assert space.values.shape == (comps, p * p * classes * (classes - 1) // 2)
+        assert space.values.shape == (comps, cells * classes * (classes - 1) // 2)
         np.testing.assert_allclose(space.values, _oracle_space(act), atol=1e-9, rtol=0)
 
 
@@ -137,7 +136,7 @@ def test_linear_patch_is_single_column_per_pair():
 
 
 def test_sample_permutation_invariance_is_exact():
-    act = _tensor(20, 5, 2, 4, 1)
+    act = _tensor(20, 5, 4, 4, 1)
     space = build_space(act)
     perm = np.random.default_rng(9).permutation(20)
     shuffled = ActivationTensor(act.values[perm], act.labels[perm])
@@ -168,7 +167,7 @@ def test_common_affine_shift_and_scale_invariance():
 
 def test_dead_component_row_is_zero():
     gen = np.random.default_rng(4)
-    values = gen.normal(size=(10, 3, 1, 1)).astype(np.float32)
+    values = gen.normal(size=(10, 3, 1)).astype(np.float32)
     values[:, 1] = 0.0  # component 1 never fires
     act = ActivationTensor(values, balanced_labels(10, 2))
     space = build_space(act)
@@ -178,8 +177,8 @@ def test_dead_component_row_is_zero():
 def test_strong_separator_dominates_noise_row():
     gen = np.random.default_rng(5)
     labels = balanced_labels(40, 2)
-    values = gen.normal(size=(40, 2, 1, 1)).astype(np.float32)
-    values[:, 0, 0, 0] = labels * 10.0 + gen.normal(scale=0.1, size=40)
+    values = gen.normal(size=(40, 2, 1)).astype(np.float32)
+    values[:, 0, 0] = labels * 10.0 + gen.normal(scale=0.1, size=40)
     act = ActivationTensor(values, labels)
     space = build_space(act)
     assert space.values[0, 0] > 1.9
@@ -187,7 +186,7 @@ def test_strong_separator_dominates_noise_row():
 
 
 def test_class_too_small_raises():
-    values = np.random.default_rng(6).normal(size=(5, 3, 1, 1)).astype(np.float32)
+    values = np.random.default_rng(6).normal(size=(5, 3, 1)).astype(np.float32)
     # class 2 has a single sample; the activation container refuses it as
     # the dataset does, so build_space never sees a class without variance
     with pytest.raises(InvalidDataset):
@@ -195,7 +194,7 @@ def test_class_too_small_raises():
 
 
 def test_rows_are_finite_and_in_jm_range():
-    act = _tensor(30, 6, 2, 3, 7)
+    act = _tensor(30, 6, 4, 3, 7)
     space = build_space(act)
     assert np.isfinite(space.values).all()
     assert (space.values >= 0.0).all() and (space.values < 2.0).all()

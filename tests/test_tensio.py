@@ -81,15 +81,17 @@ def test_dataset_accepts_whole_float_labels():
     np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1])
 
 
-def test_activation_rejects_rectangular_patch():
-    values = np.ones((4, 3, 2, 3), np.float32)
-    with pytest.raises(InvalidDataset):
-        ActivationTensor(values, balanced_labels(4, 2))
+@pytest.mark.parametrize("shape", [(4, 3), (4, 3, 2, 3), (4, 0, 2), (4, 3, 0)],
+                         ids=["2-D", "4-D", "no components", "no cells"])
+def test_activation_refuses_values_not_3d_or_empty(shape):
+    # maps arrive as rows of cells; only the engine knows they were square
+    with pytest.raises(InvalidDataset, match=r"non-empty \[n, components, cells\]"):
+        ActivationTensor(np.ones(shape, np.float32), balanced_labels(4, 2))
 
 
 @pytest.mark.parametrize("make", [
     lambda v: LabeledDataset(v.reshape(4, 1), balanced_labels(4, 2)),
-    lambda v: ActivationTensor(v.reshape(4, 1, 1, 1), balanced_labels(4, 2)),
+    lambda v: ActivationTensor(v.reshape(4, 1, 1), balanced_labels(4, 2)),
 ], ids=["dataset", "activations"])
 def test_a_finite_value_beyond_float32_is_refused_without_a_warning(make):
     # the cast once stored 1e39 as Inf with an "overflow encountered in

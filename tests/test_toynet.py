@@ -676,7 +676,7 @@ def test_capture_post_relu_is_nonnegative():
     ds = tiny_dataset(n=20, num_classes=2, dims=(4,), seed=8)
     model = from_arch("mlp:4-6-5-2", seed=14)
     act = capture_activations(model, ds, 0)
-    assert act.values.shape == (20, 6, 1, 1)
+    assert act.values.shape == (20, 6, 1)
     assert (act.values >= 0.0).all()
 
 
@@ -689,11 +689,11 @@ def test_capture_pre_activation_differs():
     np.testing.assert_array_equal(np.maximum(pre.values, 0.0), post.values)
 
 
-def test_capture_conv_patch_shape():
+def test_capture_conv_map_is_one_row_of_cells():
     ds = tiny_dataset(n=8, num_classes=2, dims=(1, 8, 8), seed=10)
     model = from_arch("cnn:1x8x8-c4k3-p2-f-6-2", seed=16)
     act = capture_activations(model, ds, 0)
-    assert act.values.shape == (8, 4, 8, 8)
+    assert act.values.shape == (8, 4, 64)  # each 8 x 8 map as 64 cells
 
 
 _CHUNK_EDGE_N = 2 * toynet._CAPTURE_CHUNK + 3  # two full chunks and a partial one
@@ -764,7 +764,7 @@ def test_capture_refuses_a_layer_too_large_before_computing_it(monkeypatch):
     ds = tiny_dataset(n=12, num_classes=2, dims=(4,), seed=12)
     model = from_arch("mlp:4-6-2", seed=18)  # layer 0: 12 x 6 = 72 values
     monkeypatch.setattr(data, "MAX_VALUES", 72)
-    assert capture_activations(model, ds, 0).values.shape == (12, 6, 1, 1)
+    assert capture_activations(model, ds, 0).values.shape == (12, 6, 1)
     monkeypatch.setattr(data, "MAX_VALUES", 71)
 
     def no_forward(*args):
