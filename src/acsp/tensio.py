@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    BadParams,
     InvalidDataset,
     MalformedPlan,
     NonFiniteValue,
@@ -330,7 +331,20 @@ def write_model(model, path: str) -> None:
     u32 each, in constructor order: linear = (n_in, n_out); conv = (c_in,
     c_out, kernel, stride, pad); avgpool = (size,); relu and flatten have
     none.
+
+    Before any byte is written, a record the header cannot hold or that
+    `read_model` refuses is refused: a non-finite `train_lr` with
+    NonFiniteValue, an `rng_seed` outside [0, 2**64) or `train_epochs`
+    outside [0, toynet.EPOCHS_LIMIT) with BadParams.
     """
+    from . import toynet  # deferred: toynet imports tensio
+    from .rng import check_seed  # deferred: rng imports tensio
+
+    check_seed(model.rng_seed)
+    if not (is_int(model.train_epochs) and 0 <= model.train_epochs < toynet.EPOCHS_LIMIT):
+        raise BadParams(f"train_epochs must be an integer in [0, 2**32), got {model.train_epochs!r}")
+    if not math.isfinite(model.train_lr):
+        raise NonFiniteValue(f"{path}: training lr is {model.train_lr}")
     blob = bytearray(_header(KIND_MODEL))
     blob += _pack_dims(model.input_shape)
     blob += _MODEL_META.pack(model.rng_seed, model.train_epochs, model.train_lr)

@@ -8,13 +8,14 @@ that removing a channel and zeroing it are numerically interchangeable.
 Everything here is deterministic given the seeds: fixed batch order per
 seed, no momentum, no regularization, float64 throughout.
 
-For one `train` call the parameters of every layer live in one flat
-float64 buffer, each layer's `w` and `b` a view into it, and the
-gradients of the layers that learn, which are the last parametric ones,
-in a second buffer laid out as their parameters are at the first one's
-tail. Each backward writes the parameter gradients it is given buffers
-for, and the SGD update is two ufunc calls: scale the gradient buffer by
-the rate, subtract it from that tail. Beyond that a step writes in place
+`_layout` gives a model's parameters one flat layout: every layer's `w`
+and `b`, in layer order, as views into one float64 vector. A copied or
+trained model holds its parameters so, and the gradients are laid out
+the same way in a second, zeroed vector, with views only for the layers
+that learn. Each backward writes the parameter gradients it is given
+views for, and the SGD update is two ufunc calls: scale the gradient
+vector by the rate, subtract it from the parameters. A frozen entry stays
++0.0, and x - (+0.0) is x, -0.0 included. Beyond that a step writes in place
 only into arrays it made itself: a linear layer adds its bias into its
 new product and ReLU masks the gradient it is handed; `_Layer` states
 what this asks of every backward. Each in-place form runs the same float operation as the
@@ -78,10 +79,6 @@ class _Layer:
     @property
     def fields(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in self.FIELDS)
-
-    def copy(self):
-        params = (self.w.copy(), self.b.copy()) if self.parametric else ()
-        return type(self)(*self.fields, *params)
 
     def out_shape(self, in_shape: tuple) -> tuple:
         return in_shape
@@ -300,8 +297,7 @@ class ToyModel:
             raise ShapeMismatch(f"model output must be a vector of logits, got {out}")
 
     def copy(self) -> "ToyModel":
-        return ToyModel([l.copy() for l in self.layers], self.input_shape,
-                        self.rng_seed, self.train_epochs, self.train_lr)
+        return _flat_copy(self)[0]
 
     def output_shape(self) -> tuple:
         return layer_shapes(self)[-1][1] if self.layers else self.input_shape
@@ -369,16 +365,14 @@ def check_fit(model: ToyModel, ds: LabeledDataset) -> None:
 
 # -------------------------------------------------------------- training
 
-def softmax_xent(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray | None = None):
-    """Mean cross-entropy and its gradient w.r.t. the logits; `rows` is
-    np.arange(len(logits)) when the caller has it at hand."""
+def softmax_xent(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy and its gradient w.r.t. the logits."""
     # the ufuncs' own reductions: the bits of .max(), .sum() and .mean()
     # without their Python wrappers
     z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     logp = z - np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
     n = logits.shape[0]
-    if rows is None:
-        rows = np.arange(n)
+    rows = np.arange(n)
     loss = -(np.add.reduce(logp[rows, labels]) / n)
     grad = np.exp(logp)
     grad[rows, labels] -= 1.0
@@ -393,10 +387,10 @@ def _first_learning(model: ToyModel, trainable_from: int) -> int:
 
 
 def _backprop(model: ToyModel, x: np.ndarray, labels: np.ndarray, first: int,
-              grads: list, rows: np.ndarray) -> tuple[float, int]:
-    """Loss and hit count of one float64 batch that fits `model`, `rows`
-    being np.arange(len(x)); writes the parameter gradients of each layer
-    from `first` on into its `grads` entry."""
+              grads: list) -> tuple[float, int]:
+    """Loss and hit count of one float64 batch that fits `model`; writes
+    the parameter gradients of each layer from `first` on into its `grads`
+    entry."""
     layers = model.layers
     h = x
     caches = []
@@ -404,7 +398,7 @@ def _backprop(model: ToyModel, x: np.ndarray, labels: np.ndarray, first: int,
         h, cache = layer.forward_cache(h)
         caches.append(cache)
     hits = np.count_nonzero(h.argmax(axis=1) == labels)
-    loss, g = softmax_xent(h, labels, rows)
+    loss, g = softmax_xent(h, labels)
     # nothing reads the input gradient of the first layer that learns, so
     # the backward pass stops there without computing it
     for i in range(len(layers) - 1, first, -1):
@@ -417,14 +411,14 @@ def _backprop(model: ToyModel, x: np.ndarray, labels: np.ndarray, first: int,
 
 
 def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray, trainable_from: int = 0):
-    """Cross-entropy loss, per-layer parameter gradients (None below
-    `trainable_from`) and the number of samples whose largest logit is
-    their label's. The samples must fit the model (see `check_fit`)."""
+    """Cross-entropy loss, per-layer parameter gradients laid out as
+    `train`'s (None below `trainable_from`) and the number of samples whose
+    largest logit is their label's. The samples must fit the model (see
+    `check_fit`)."""
     first = _first_learning(model, trainable_from)
-    grads = [{"w": np.empty_like(l.w), "b": np.empty_like(l.b)} if l.parametric and i >= first
-             else None for i, l in enumerate(model.layers)]
+    grads = _layout(model, first)[1]
     x = np.asarray(x, dtype=np.float64)
-    loss, hits = _backprop(model, x, np.asarray(labels), first, grads, np.arange(len(x)))
+    loss, hits = _backprop(model, x, np.asarray(labels), first, grads)
     return loss, grads, hits
 
 
@@ -445,36 +439,38 @@ def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
         raise BadParams("need epochs >= 0 and < 2**32, finite lr > 0, batch_size >= 1")
 
 
-def _flat_copy(model: ToyModel, first: int):
-    """(copy, params, grad_buf, grads): a copy of `model` whose parametric
-    layers' `w` and `b` are views into one new float64 vector `params`, in
-    layer order; a vector `grad_buf` for the gradients of the layers from
-    `first` on, laid out as their parameters are at the tail of `params`;
-    and per layer a dict of "w" and "b" views into `grad_buf` (None below
-    `first` and for a layer without parameters)."""
-    sizes = [l.w.size + l.b.size if l.parametric else 0 for l in model.layers]
-    params = np.empty(sum(sizes))
-    grad_buf = np.empty(sum(sizes[first:]))
-    lo = params.size - grad_buf.size
-    layers, grads, off = [], [], 0
+def _layout(model: ToyModel, first: int = 0):
+    """(buf, views): a zeroed float64 vector `buf` the size of the model's
+    parameters and, per layer, a dict of "w" and "b" views into it shaped
+    as the layer's, in layer order; None for a layer without parameters
+    and for every layer below `first`, whose entries stay zero."""
+    buf = np.zeros(sum(l.w.size + l.b.size for l in model.layers if l.parametric))
+    views, off = [], 0
     for i, layer in enumerate(model.layers):
-        if not layer.parametric:
-            layers.append(layer.copy())
-            grads.append(None)
-            continue
-        p, g = {}, {}
-        for name in ("w", "b"):
-            a = getattr(layer, name)
-            end = off + a.size
-            p[name] = params[off:end].reshape(a.shape)
-            p[name][...] = a
-            if i >= first:
-                g[name] = grad_buf[off - lo : end - lo].reshape(a.shape)
+        view = {}
+        for name in ("w", "b") if layer.parametric else ():
+            shape = getattr(layer, name).shape
+            end = off + math.prod(shape)
+            view[name] = buf[off:end].reshape(shape)
             off = end
-        layers.append(type(layer)(*layer.fields, p["w"], p["b"]))
-        grads.append(g or None)
+        views.append(view if view and i >= first else None)
+    return buf, views
+
+
+def _flat_copy(model: ToyModel):
+    """(copy, params): a copy of `model` whose parameters are the views
+    `_layout` makes into the vector `params`."""
+    params, views = _layout(model)
+    layers = []
+    for layer, view in zip(model.layers, views):
+        pair = ()
+        if view:
+            view["w"][...] = layer.w
+            view["b"][...] = layer.b
+            pair = (view["w"], view["b"])
+        layers.append(type(layer)(*layer.fields, *pair))
     copy = ToyModel(layers, model.input_shape, model.rng_seed, model.train_epochs, model.train_lr)
-    return copy, params, grad_buf, grads
+    return copy, params
 
 
 def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int,
@@ -491,20 +487,19 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
     Raises ShapeMismatch up front when the model cannot read the samples or
     a class id has no logit, and Divergence when the epoch loss or any
     weight goes non-finite.
-    The returned model's parameters are views into one buffer of its own.
+    The returned model's parameters are views into one buffer of its own
+    and each step's gradients into a second, both laid out by `_layout`.
     """
     check_train_settings(epochs, lr, batch_size)
     check_seed(seed)
     check_fit(model, ds)
-    first = _first_learning(model, trainable_from)
-    out, params, grad_buf, grads = _flat_copy(model, first)
+    out, params = _flat_copy(model)
     if epochs == 0:
         return out
-    # the layers that learn are a tail of the parametric ones
-    learning = params[params.size - grad_buf.size :]
+    first = _first_learning(model, trainable_from)
+    grad_buf, grads = _layout(out, first)
     y = ds.labels
     n = ds.n_samples
-    rows = np.arange(min(batch_size, n))
     rng = np.random.default_rng(seed)
     for epoch in range(epochs):
         perm = rng.permutation(n)
@@ -517,11 +512,11 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
                 # widened one batch at a time: a float64 copy of the whole
                 # dataset would hold twice its bytes for the whole run
                 x = ds.samples[idx].astype(np.float64)
-                loss, batch_hits = _backprop(out, x, y[idx], first, grads, rows[: len(idx)])
+                loss, batch_hits = _backprop(out, x, y[idx], first, grads)
                 total += loss * len(idx)
                 hits += batch_hits
                 grad_buf *= lr
-                learning -= grad_buf
+                params -= grad_buf
         epoch_loss = total / n
         if not math.isfinite(epoch_loss) or not np.isfinite(params).all():
             raise Divergence(f"non-finite state at epoch {epoch + 1} (lr={lr})")
@@ -765,11 +760,13 @@ def from_arch(spec: str, seed: int) -> ToyModel:
     A parametric layer's fields are the input width, then its builder's.
     Weights draw from uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), with fan_in
     = prod(weight_shape[1:]); biases start at zero. The seed must be an
-    integer in [0, 2**64), which the model header's u64 holds.
+    integer in [0, 2**64), which the model header's u64 holds. Before any
+    weight is drawn, a layer that does not fit the shape flowing in raises
+    ShapeMismatch, and more than `data.MAX_VALUES` parameters in all
+    BadParams.
     """
     check_seed(seed)
     input_shape, builders = parse_arch(spec)
-    rng = np.random.default_rng(seed)
     layers = []
     cur = input_shape
     for kind, *fields in builders:
@@ -778,8 +775,19 @@ def from_arch(spec: str, seed: int) -> ToyModel:
         if cls.parametric:
             fields = (cur[0], *fields)  # a linear layer only sees 1-D shapes
             shape = cls.weight_shape(*fields)
-            bound = 1.0 / math.sqrt(math.prod(shape[1:]))
-            params = (rng.uniform(-bound, bound, size=shape), np.zeros(shape[0]))
+            try:  # stand-ins that hold no memory until every layer is checked
+                params = (np.broadcast_to(0.0, shape), np.broadcast_to(0.0, shape[:1]))
+            except ValueError:  # more elements than numpy can index
+                raise BadParams(f"layer {len(layers)}: weight shape {shape} is too large") from None
         layers.append(cls(*fields, *params))
         cur = layers[-1].out_shape(cur)
+    size = sum(l.w.size + l.b.size for l in layers if l.parametric)
+    if size > data.MAX_VALUES:
+        raise BadParams(f"{spec}: {size} parameters; the limit is {data.MAX_VALUES}")
+    rng = np.random.default_rng(seed)
+    for layer in layers:
+        if layer.parametric:
+            bound = 1.0 / math.sqrt(math.prod(layer.w.shape[1:]))
+            layer.w = rng.uniform(-bound, bound, size=layer.w.shape)
+            layer.b = np.zeros(layer.b.shape)
     return ToyModel(layers, input_shape, rng_seed=seed)

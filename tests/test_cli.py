@@ -231,6 +231,18 @@ def test_train_rejects_classes_beyond_output_width_before_any_output(tmp_path, c
     assert not os.path.exists(model_path)
 
 
+def test_train_refuses_an_oversized_architecture_before_any_output(tmp_path, capsys):
+    # 1e10 parameters, about 80 GB: once a MemoryError traceback
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, classes=4)
+    code, out, err = _run(capsys, "train", "--arch", "mlp:2-100000-100000-4",
+                          "--data", data_path, "--out", model_path)
+    assert code == 1
+    assert re.fullmatch(r'error code=BadParams message="[^"]*the limit is 67108864"\n', err)
+    assert out == ""
+    assert not os.path.exists(model_path)
+
+
 def test_train_refuses_epochs_the_model_header_cannot_store(tmp_path, capsys):
     # train_epochs is a u32: 2**32 epochs once started training, and the
     # model write after the last epoch would have ended in a struct.error

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from acsp import tensio, toynet
 from acsp.errors import (
     BadMagic,
+    BadParams,
     InvalidDataset,
     MalformedPlan,
     NonFiniteValue,
@@ -188,6 +189,24 @@ def test_write_model_refuses_a_weight_beyond_float32_before_writing(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteValue, match="model weights"):
             tensio.write_model(model, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("train_lr", float("nan"), NonFiniteValue),  # was written, then refused on read
+    ("train_lr", float("inf"), NonFiniteValue),
+    ("rng_seed", 2**64, BadParams),  # the u64, u32 and f64 header fields:
+    ("rng_seed", -1, BadParams),  # these four ended in struct.error
+    ("train_epochs", 2**32, BadParams),
+    ("train_epochs", -1, BadParams),
+])
+def test_write_model_refuses_a_record_it_cannot_store_before_writing(tmp_path, field, value,
+                                                                       error):
+    model = toynet.from_arch("mlp:2-3-2", seed=0)
+    setattr(model, field, value)
+    path = tmp_path / "m.acsp"
+    with pytest.raises(error):
+        tensio.write_model(model, str(path))
     assert not path.exists()
 
 

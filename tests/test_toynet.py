@@ -371,12 +371,23 @@ def test_train_widens_one_batch_at_a_time():
 
 
 def test_train_respects_trainable_subset():
-    ds = data.make_blobs(200, 2, (2,), seed=4)
-    model = from_arch("mlp:2-8-8-2", seed=8)
-    frozen_w = model.layers[0].w.copy()
-    out = train(model, ds, epochs=2, lr=0.1, seed=0, trainable_from=2)
-    np.testing.assert_array_equal(out.layers[0].w, frozen_w)
-    assert not np.array_equal(out.layers[2].w, model.layers[2].w)
+    # a frozen layer's gradient entries stay +0.0 and the update subtracts
+    # them too: x - (+0.0) keeps every bit of x, the sign of -0.0 included
+    for spec, dims, trainable_from in [("mlp:2-8-8-2", (2,), 2),
+                                       ("cnn:1x8x8-c8k3-p2-c16k3s2p1-f-32-4", (1, 8, 8), 6)]:
+        ds = data.make_blobs(200, 2, dims, seed=4)
+        model = from_arch(spec, seed=8)
+        model.layers[0].w.flat[0] = -0.0
+        model.layers[0].b[0] = -0.0
+        before = [(l.w.tobytes(), l.b.tobytes()) if l.parametric else None for l in model.layers]
+        out = train(model, ds, epochs=2, lr=0.1, seed=0, trainable_from=trainable_from)
+        for i in model.parametric_ids():
+            layer = out.layers[i]
+            if i < trainable_from:
+                assert (layer.w.tobytes(), layer.b.tobytes()) == before[i], (spec, i)
+            else:
+                assert layer.w.tobytes() != before[i][0], (spec, i)
+        assert np.signbit(out.layers[0].w.flat[0]) and np.signbit(out.layers[0].b[0]), spec
 
 
 def test_train_records_metadata():
@@ -593,7 +604,7 @@ def test_trained_parameters_alias_nothing(spec, dims):
     for derived in (trained.copy(), apply_prune(trained, plan)):
         assert _share_nothing(_params(derived), _params(trained))
     # no gradient aliases a weight, in train's buffers or in new ones
-    copy, params, grad_buf, grads = toynet._flat_copy(trained, 0)
+    (copy, params), (grad_buf, grads) = toynet._flat_copy(trained), toynet._layout(trained)
     assert not np.shares_memory(params, grad_buf)
     assert _share_nothing(_params(copy) + _grad_arrays(grads), _params(trained))
     x = ds.samples[:40].astype(np.float64)
@@ -1015,6 +1026,49 @@ def test_from_arch_seeds_at_the_ends_of_the_range_write_and_read_back(tmp_path):
         path = str(tmp_path / "m.acsp")
         write_model(from_arch("mlp:3-8-2", seed=seed), path)
         assert read_model(path).rng_seed == seed
+
+
+def test_from_arch_draws_each_layer_in_order_from_one_generator():
+    # the fit and size checks come first and draw nothing, so every
+    # buildable model keeps its bytes
+    model = from_arch("cnn:1x6x6-c3k3-p2-f-5-2", seed=34)
+    rng = np.random.default_rng(34)
+    for i in model.parametric_ids():
+        w = model.layers[i].w
+        bound = 1.0 / np.sqrt(np.prod(w.shape[1:]))
+        assert w.tobytes() == rng.uniform(-bound, bound, size=w.shape).tobytes(), i
+        assert model.layers[i].b.tobytes() == np.zeros(w.shape[0]).tobytes(), i
+
+
+# Every spec below asks for weights of a TiB or more: a check that came
+# after the draw would end in numpy's MemoryError, not in the error class.
+
+@pytest.mark.parametrize("spec", [
+    "cnn:1x8x8-c4k600000p0-f-4",  # the kernel is wider than the padded map
+    "cnn:1x8x8-c400000k3-c400000k3-p3-f-4",  # a misfit after a TiB layer
+])
+def test_from_arch_refuses_a_layer_that_does_not_fit_before_drawing(spec):
+    with pytest.raises(ShapeMismatch):
+        from_arch(spec, seed=0)
+
+
+@pytest.mark.parametrize("spec", [
+    "mlp:64-1000000-1000000-4",
+    "cnn:1x8x8-c4k600000-f-4",  # fits: the default pad is half the kernel
+    "mlp:2-10000000000-10000000000-4",  # more elements than numpy can index
+])
+def test_from_arch_refuses_more_parameters_than_the_limit_before_drawing(spec):
+    with pytest.raises(BadParams, match="too large|the limit is"):
+        from_arch(spec, seed=0)
+
+
+def test_from_arch_parameter_limit_is_inclusive(monkeypatch):
+    # mlp:2-3-4 has 2 * 3 + 3 + 3 * 4 + 4 = 25 parameters
+    monkeypatch.setattr(data, "MAX_VALUES", 25)
+    from_arch("mlp:2-3-4", seed=0)
+    monkeypatch.setattr(data, "MAX_VALUES", 24)
+    with pytest.raises(BadParams, match="25 parameters; the limit is 24"):
+        from_arch("mlp:2-3-4", seed=0)
 
 
 def test_init_bounds_follow_fan_in():
