@@ -46,6 +46,7 @@ def cmd_train(args) -> None:
     ds = tensio.read_dataset(args.data)
     model = toynet.from_arch(args.arch, derive_seed(args.seed, "init"))
     toynet.check_fit(model, ds)
+    toynet.check_batch(model, min(ds.n_samples, args.batch_size))
     print("epoch,loss,accuracy")
 
     def log(epoch, loss, acc):

@@ -50,6 +50,13 @@ class KneeResult:
         return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
 
+def _column_norms_finite(ks: np.ndarray, degree: int) -> bool:
+    """Whether every squared column norm of the degree-`degree` Vandermonde
+    matrix of `ks` is finite."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.square(npoly.polyvander(ks, degree)).sum(axis=0)).all())
+
+
 def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
     """Knee of an MSS curve via the normalized-difference rule.
 
@@ -57,15 +64,18 @@ def find_knee(curve: MssCurve, degree: int = 2) -> KneeResult:
     decreasing overall it is flipped before normalization. Flat curves
     (raw score range at most FLAT_EPS, or a fit with no range) never
     produce a knee: min-max scaling would only amplify noise. Nor does a
-    curve under degree + 2 points, which is not fitted: its result has no
-    coefficients.
+    curve that is not fitted, whose result has no coefficients: one under
+    degree + 2 points, or one whose Vandermonde column norms, by which the
+    least-squares fit scales its columns, overflow float64 (from degree 64
+    on ks = 2..256).
     """
     check_degree(degree)
     ks = curve.ks().astype(np.float64)
     ys = curve.scores()
-    if len(ks) < degree + 2:
+    if len(ks) < degree + 2 or not _column_norms_finite(ks, degree):
         return KneeResult(None, degree, np.zeros(0), np.zeros(len(ks)))
-    coeffs = npoly.polyfit(ks, ys, degree)
+    # full=True: the same coefficients, and no RankWarning on a high degree
+    coeffs = npoly.polyfit(ks, ys, degree, full=True)[0]
     fit = npoly.polyval(ks, coeffs)
     if fit[-1] < fit[0]:
         fit = -fit

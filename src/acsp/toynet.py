@@ -11,11 +11,12 @@ seed, no momentum, no regularization, float64 throughout.
 `_layout` gives a model's parameters one flat layout: every layer's `w`
 and `b`, in layer order, as views into one float64 vector. A copied or
 trained model holds its parameters so, and the gradients are laid out
-the same way in a second, zeroed vector, with views only for the layers
-that learn. Each backward writes the parameter gradients it is given
-views for, and the SGD update is two ufunc calls: scale the gradient
-vector by the rate, subtract it from the parameters. A frozen entry stays
-+0.0, and x - (+0.0) is x, -0.0 included. Beyond that a step writes in place
+the same way in a second, zeroed vector, with views for every layer that
+has parameters. A step writes the views of the layers that learn, each
+by its `param_grads`, and never those of a frozen layer. The SGD update
+is two ufunc calls: scale the gradient vector by the rate, subtract it
+from the parameters. A frozen entry stays +0.0, and x - (+0.0) is x,
+-0.0 included. Beyond that a step writes in place
 only into arrays it made itself: a linear layer adds its bias into its
 new product and ReLU masks the gradient it is handed; `_Layer` states
 what this asks of every backward. Each in-place form runs the same float operation as the
@@ -60,17 +61,15 @@ class _Layer:
     its input with it; `forward_cache(x)`, which returns the output and
     what `backward` needs, trusts the caller to have checked the shapes.
 
-    `backward(gy, cache)` returns (input gradient, parameter gradients or
-    None). A parametric kind also takes `input_grad` (False: the input
-    gradient is not computed and comes back as None) and `out`, a dict of
-    "w" and "b" arrays shaped like its own, into which it writes the
-    parameter gradients and which it returns; without `out` it makes new
-    ones. Each other array it returns must be new, or a view into an array
-    of this backward pass that nothing else holds (Flatten reshapes its
-    `gy`), and no two may share memory: ReLU.backward overwrites the `gy`
-    it is handed and `train` scales the gradient buffer in place, so a view
-    of a cache, of the weights or of another returned array is written
-    through.
+    `backward(gy, cache)` returns the input gradient. It must be a new
+    array, or a view into an array of this backward pass that nothing else
+    holds (Flatten reshapes its `gy`): ReLU.backward overwrites the `gy` it
+    is handed, so a view of a cache or of the weights would be written
+    through. A parametric kind also has `param_grads(gy, cache, out)`,
+    which writes the parameter gradients into `out`, a dict of "w" and "b"
+    arrays shaped like its own.
+    `sample_values(in_shape, out_shape)` is the size of the largest array
+    the layer makes per sample: its output, by default.
     """
 
     parametric = False
@@ -86,6 +85,9 @@ class _Layer:
     def flops(self, out_shape: tuple) -> int:
         """Multiply-adds for one sample: two per weight per output value."""
         return 2 * self.w[0].size * math.prod(out_shape) if self.parametric else 0
+
+    def sample_values(self, in_shape: tuple, out_shape: tuple) -> int:
+        return math.prod(out_shape)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self.out_shape(x.shape[1:])
@@ -134,14 +136,12 @@ class Linear(_Layer):
         y += self.b
         return y, x
 
-    def backward(self, gy, x, input_grad=True, out=None):
-        """(input gradient or None when not `input_grad`, parameter gradients
-        written into `out` when given)."""
-        out = out or {"w": None, "b": None}
-        return gy @ self.w if input_grad else None, {
-            "w": np.matmul(gy.T, x, out=out["w"]),
-            "b": np.add.reduce(gy, axis=0, out=out["b"]),
-        }
+    def backward(self, gy, x):
+        return gy @ self.w
+
+    def param_grads(self, gy, x, out):
+        np.matmul(gy.T, x, out=out["w"])
+        np.add.reduce(gy, axis=0, out=out["b"])
 
 
 class Conv(_Layer):
@@ -187,6 +187,13 @@ class Conv(_Layer):
         out = span // self.stride + 1
         return (self.c_out, out, out)
 
+    def sample_values(self, in_shape, out_shape):
+        """The largest of its output, its padded input and its unfolded
+        windows, which the einsum copies."""
+        c, h, _ = in_shape
+        windows = c * self.kernel**2 * out_shape[1] * out_shape[2]
+        return max(math.prod(out_shape), c * (h + 2 * self.pad) ** 2, windows)
+
     def forward_cache(self, x):
         p, k, s = self.pad, self.kernel, self.stride
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
@@ -195,15 +202,8 @@ class Conv(_Layer):
         y += self.b[None, :, None, None]
         return y, (win, xp.shape, x.shape)
 
-    def backward(self, gy, cache, input_grad=True, out=None):
-        """(input gradient or None when not `input_grad`, parameter gradients
-        written into `out` when given)."""
-        win, xp_shape, x_shape = cache
-        out = out or {"w": None, "b": None}
-        pg = {"w": np.einsum("ncxyij,noxy->ocij", win, gy, optimize=True, out=out["w"]),
-              "b": np.add.reduce(gy, axis=(0, 2, 3), out=out["b"])}
-        if not input_grad:
-            return None, pg
+    def backward(self, gy, cache):
+        _, xp_shape, x_shape = cache
         gxp = np.zeros(xp_shape)
         ho, wo = gy.shape[2], gy.shape[3]
         s, k = self.stride, self.kernel
@@ -213,7 +213,11 @@ class Conv(_Layer):
                 gxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += patch
         p = self.pad
         h, w = x_shape[2], x_shape[3]
-        return gxp[:, :, p : p + h, p : p + w], pg
+        return gxp[:, :, p : p + h, p : p + w]
+
+    def param_grads(self, gy, cache, out):
+        np.einsum("ncxyij,noxy->ocij", cache[0], gy, optimize=True, out=out["w"])
+        np.add.reduce(gy, axis=(0, 2, 3), out=out["b"])
 
 
 class ReLU(_Layer):
@@ -224,7 +228,7 @@ class ReLU(_Layer):
 
     def backward(self, gy, x):
         """Mask `gy` where the input was not positive; overwrites `gy` (see _Layer)."""
-        return np.multiply(gy, x > 0.0, out=gy), None
+        return np.multiply(gy, x > 0.0, out=gy)
 
 
 class AvgPool(_Layer):
@@ -255,7 +259,7 @@ class AvgPool(_Layer):
         s = self.size
         gx = np.repeat(np.repeat(gy, s, axis=2), s, axis=3)
         gx /= s * s
-        return gx, None
+        return gx
 
 
 class Flatten(_Layer):
@@ -270,7 +274,7 @@ class Flatten(_Layer):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, gy, x_shape):
-        return gy.reshape(x_shape), None
+        return gy.reshape(x_shape)
 
 
 LAYER_TYPES = {cls.kind: cls for cls in (Linear, Conv, ReLU, AvgPool, Flatten)}
@@ -341,8 +345,10 @@ def _run_chunked(model: ToyModel, ds: LabeledDataset, dtype: np.typing.DTypeLike
     each cast into its rows of one array of `dtype` allocated once.
 
     A float64 value beyond a narrower dtype's range is stored as Inf without
-    a warning; the caller's finiteness check refuses it.
+    a warning; the caller's finiteness check refuses it. `check_batch`
+    runs before any chunk.
     """
+    check_batch(model, min(ds.n_samples, _CAPTURE_CHUNK))
     out = None
     for start in range(0, ds.n_samples, _CAPTURE_CHUNK):
         chunk = forward(model, ds.samples[start : start + _CAPTURE_CHUNK], stop)
@@ -361,6 +367,16 @@ def check_fit(model: ToyModel, ds: LabeledDataset) -> None:
                             f"dataset has {ds.samples.shape[1:]}")
     if ds.labels.max(initial=0) >= model.output_shape()[0]:
         raise ShapeMismatch("dataset class id exceeds model output width")
+
+
+def check_batch(model: ToyModel, b: int) -> None:
+    """Raise BadParams when a batch of `b` samples would make an array of
+    more than `data.MAX_VALUES` values in some layer (see `sample_values`)."""
+    for i, (layer, (in_shape, out_shape)) in enumerate(zip(model.layers, layer_shapes(model))):
+        size = b * layer.sample_values(in_shape, out_shape)
+        if size > data.MAX_VALUES:
+            raise BadParams(f"layer {i}: a batch of {b} samples makes an array of {size} "
+                            f"values; the limit is {data.MAX_VALUES}")
 
 
 # -------------------------------------------------------------- training
@@ -389,8 +405,8 @@ def _first_learning(model: ToyModel, trainable_from: int) -> int:
 def _backprop(model: ToyModel, x: np.ndarray, labels: np.ndarray, first: int,
               grads: list) -> tuple[float, int]:
     """Loss and hit count of one float64 batch that fits `model`; writes
-    the parameter gradients of each layer from `first` on into its `grads`
-    entry."""
+    the parameter gradients of each parametric layer from `first` on into
+    its `grads` entry, and leaves those below `first` unwritten."""
     layers = model.layers
     h = x
     caches = []
@@ -401,22 +417,21 @@ def _backprop(model: ToyModel, x: np.ndarray, labels: np.ndarray, first: int,
     loss, g = softmax_xent(h, labels)
     # nothing reads the input gradient of the first layer that learns, so
     # the backward pass stops there without computing it
-    for i in range(len(layers) - 1, first, -1):
-        pg = grads[i]
-        g = (layers[i].backward(g, caches[i]) if pg is None
-             else layers[i].backward(g, caches[i], out=pg))[0]
-    if first < len(layers):
-        layers[first].backward(g, caches[first], input_grad=False, out=grads[first])
+    for i in range(len(layers) - 1, first - 1, -1):
+        if grads[i] is not None:
+            layers[i].param_grads(g, caches[i], grads[i])
+        if i > first:
+            g = layers[i].backward(g, caches[i])
     return loss, hits
 
 
 def loss_and_grads(model: ToyModel, x: np.ndarray, labels: np.ndarray, trainable_from: int = 0):
     """Cross-entropy loss, per-layer parameter gradients laid out as
-    `train`'s (None below `trainable_from`) and the number of samples whose
-    largest logit is their label's. The samples must fit the model (see
-    `check_fit`)."""
+    `train`'s (+0.0, never written, below `trainable_from`) and the number
+    of samples whose largest logit is their label's. The samples must fit
+    the model (see `check_fit`)."""
     first = _first_learning(model, trainable_from)
-    grads = _layout(model, first)[1]
+    grads = _layout(model)[1]
     x = np.asarray(x, dtype=np.float64)
     loss, hits = _backprop(model, x, np.asarray(labels), first, grads)
     return loss, grads, hits
@@ -439,21 +454,22 @@ def check_train_settings(epochs: int, lr: float, batch_size: int) -> None:
         raise BadParams("need epochs >= 0 and < 2**32, finite lr > 0, batch_size >= 1")
 
 
-def _layout(model: ToyModel, first: int = 0):
+def _layout(model: ToyModel):
     """(buf, views): a zeroed float64 vector `buf` the size of the model's
     parameters and, per layer, a dict of "w" and "b" views into it shaped
-    as the layer's, in layer order; None for a layer without parameters
-    and for every layer below `first`, whose entries stay zero."""
+    as the layer's, in layer order; None for a layer without parameters.
+    As gradients, the views of a frozen layer are never written and stay
+    +0.0."""
     buf = np.zeros(sum(l.w.size + l.b.size for l in model.layers if l.parametric))
     views, off = [], 0
-    for i, layer in enumerate(model.layers):
+    for layer in model.layers:
         view = {}
         for name in ("w", "b") if layer.parametric else ():
             shape = getattr(layer, name).shape
             end = off + math.prod(shape)
             view[name] = buf[off:end].reshape(shape)
             off = end
-        views.append(view if view and i >= first else None)
+        views.append(view or None)
     return buf, views
 
 
@@ -485,19 +501,21 @@ def train(model: ToyModel, ds: LabeledDataset, epochs: int, lr: float, seed: int
     extra pass over the data is made for them; `accuracy` gives the
     trained model's.
     Raises ShapeMismatch up front when the model cannot read the samples or
-    a class id has no logit, and Divergence when the epoch loss or any
-    weight goes non-finite.
+    a class id has no logit, BadParams when a batch of min(n, batch_size)
+    samples is too large for `check_batch`, and Divergence when the epoch
+    loss or any weight goes non-finite.
     The returned model's parameters are views into one buffer of its own
     and each step's gradients into a second, both laid out by `_layout`.
     """
     check_train_settings(epochs, lr, batch_size)
     check_seed(seed)
     check_fit(model, ds)
+    check_batch(model, min(ds.n_samples, batch_size))
     out, params = _flat_copy(model)
     if epochs == 0:
         return out
     first = _first_learning(model, trainable_from)
-    grad_buf, grads = _layout(out, first)
+    grad_buf, grads = _layout(out)
     y = ds.labels
     n = ds.n_samples
     rng = np.random.default_rng(seed)

@@ -278,6 +278,28 @@ def test_a_model_that_cannot_read_the_samples_gives_one_error_line(tmp_path, cap
     assert not os.path.exists(out_path)
 
 
+@pytest.mark.parametrize("spec", ["cnn:1x8x8-c4k3p3000-p6006-f-4", "cnn:1x8x8-c1k1p700-f-4"])
+@pytest.mark.parametrize("command", ["train", "eval", "prune"])
+def test_a_batch_too_large_gives_one_error_line_before_any_output(tmp_path, capsys, command,
+                                                                  spec):
+    # a few parameters, but arrays of 17.2 GiB and 968 MiB at 64 samples a
+    # batch: train once ended in a MemoryError traceback
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, n=300, classes=4, dims="1x8x8")
+    out_path = str(tmp_path / "out")
+    if command == "train":
+        argv = ["--arch", spec, "--out", out_path]
+    else:
+        tensio.write_model(toynet.from_arch(spec, seed=0), model_path)
+        argv = ["--model", model_path] + (["--out", out_path] if command == "prune" else [])
+    code, out, err = _run(capsys, command, "--data", data_path, *argv)
+    assert code == 1
+    assert re.fullmatch(r'error code=BadParams message="layer 0: [^"\n]*the limit is 67108864"\n',
+                        err)
+    assert out == ""
+    assert not os.path.exists(out_path)
+
+
 # ----------------------------------------------------------------- prune
 
 @pytest.fixture
@@ -524,6 +546,23 @@ def test_prune_of_activations_beyond_float32_gives_one_error_line(tmp_path, caps
     assert proc.returncode == 1
     assert re.fullmatch(r'error code=NonFiniteValue message="[^"\n]*"\n', proc.stderr)
     assert not (tmp_path / "out").exists()
+
+
+def test_prune_at_a_high_degree_writes_nothing_to_stderr(tmp_path, capsys):
+    # a degree-30 fit of a 64-wide layer's 63-point curve once printed a
+    # RankWarning; a child process shows the stderr a user sees
+    data_path, model_path = str(tmp_path / "d.acsp"), str(tmp_path / "m.acsp")
+    _gen(capsys, data_path, n=400, classes=4, seed=7)
+    _train(capsys, data_path, model_path, arch="mlp:2-64-4", epochs=3, seed=7)
+    src = str(Path(acsp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "acsp", "prune", "--model", model_path,
+                           "--data", data_path, "--degree", "30", "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_prune_regular_selection_flag(tmp_path, capsys, trained):

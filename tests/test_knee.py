@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -136,6 +137,39 @@ def test_decreasing_curve_is_flipped_not_crashed():
 def test_too_few_points():
     res = find_knee(_curve([2, 3, 4], [0.1, 0.5, 0.7]), degree=2)
     assert res.to_dict() == _unfitted(2, 3)
+
+
+def _knee_and_warnings(ks, ys, degree):
+    # numpy installs its own "always" filter for RankWarning, so
+    # PYTHONWARNINGS=error does not make it an error: record every warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = find_knee(_curve(ks, ys), degree)
+    return res, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("degree", [64, 128, 200])
+def test_a_fit_whose_column_norms_overflow_float64_has_no_knee(degree):
+    # the fit scales each Vandermonde column by its norm, which overflows
+    # on ks = 2..256 from degree 64 on: that once warned, printed LAPACK
+    # errors and from degree 128 raised LinAlgError
+    ks = np.arange(2, 257)
+    res, caught = _knee_and_warnings(ks, _saturating(ks, rate=0.05), degree)
+    assert res.to_dict() == _unfitted(degree, len(ks))
+    assert caught == []
+
+
+def test_a_high_degree_fit_keeps_its_coefficients_without_a_rank_warning():
+    # degree 30 on 63 points once warned RankWarning; the fit is unchanged
+    ks = np.arange(2, 65)
+    ys = _saturating(ks, rate=0.05)
+    res, caught = _knee_and_warnings(ks, ys, 30)
+    assert caught == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        coeffs = npoly.polyfit(ks.astype(np.float64), ys, 30)
+        assert res.k_prime == _oracle_knee(ks, ys, 30) is not None
+    assert res.fitted_coeffs.tobytes() == coeffs.tobytes()
 
 
 def test_knee_on_sharp_elbow_lands_early():

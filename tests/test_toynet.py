@@ -1,5 +1,6 @@
 """Network engine: forward/backward, training, capture, surgery, FLOPs, grammar."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -233,17 +234,19 @@ def test_gradients_cnn_with_pool_and_stride():
     _grad_check(from_arch("cnn:2x6x6-c3k3-p2-c4k3s2-f-5-2", seed=2))
 
 
-def _recording(backward, calls):
-    def wrapper(self, gy, cache, input_grad=True, out=None):
-        calls[id(self)] = input_grad
-        return backward(self, gy, cache, input_grad, out)
+def _recording(method, calls):
+    def wrapper(self, gy, cache, *out):
+        calls.append((method.__name__, id(self)))
+        return method(self, gy, cache, *out)
     return wrapper
 
 
 @pytest.mark.parametrize("spec", ["mlp:3-6-4-2", "cnn:2x6x6-c3k3-p2-c4k3s2-f-5-2"])
 def test_backward_skips_only_the_unread_input_gradient(monkeypatch, spec):
-    # the first layer with parameters is asked for no input gradient, and
-    # every parameter gradient equals the full backward pass's bit for bit
+    # each layer that learns writes its parameter gradients, each but the
+    # first also passes its input gradient down, every parameter gradient
+    # equals the full backward pass's bit for bit and a frozen layer's stay
+    # zero
     model = from_arch(spec, seed=2)
     x = np.random.default_rng(0).normal(size=(6, *model.input_shape))
     labels = np.arange(6) % 2
@@ -254,13 +257,18 @@ def test_backward_skips_only_the_unread_input_gradient(monkeypatch, spec):
     _, g = softmax_xent(h, labels)
     full = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
-        g, full[i] = model.layers[i].backward(g, caches[i])
-    calls = {}
+        layer = model.layers[i]
+        if layer.parametric:
+            full[i] = {"w": np.zeros(layer.w.shape), "b": np.zeros(layer.b.shape)}
+            layer.param_grads(g, caches[i], full[i])
+        g = layer.backward(g, caches[i])
+    calls = []
     for cls in (toynet.Linear, toynet.Conv):
-        monkeypatch.setattr(cls, "backward", _recording(cls.backward, calls))
+        for name in ("backward", "param_grads"):
+            monkeypatch.setattr(cls, name, _recording(getattr(cls, name), calls))
     ids = model.parametric_ids()
     # with `trainable_from`, the pass stops at the first layer at or after
-    # it, and the layers below it get no gradient
+    # it, and the layers below it get zero gradients
     for cut in (None, 1, ids[1] + 1):
         calls.clear()
         if cut is None:
@@ -269,12 +277,19 @@ def test_backward_skips_only_the_unread_input_gradient(monkeypatch, spec):
         else:
             _, grads, _ = loss_and_grads(model, x, labels, trainable_from=cut)
             learning = [i for i in ids if i >= cut]
-        assert calls == {id(model.layers[i]): i != learning[0] for i in learning}
+        expected = []
+        for i in reversed(learning):
+            expected.append(("param_grads", id(model.layers[i])))
+            if i != learning[0]:
+                expected.append(("backward", id(model.layers[i])))
+        assert calls == expected
         for i, layer in enumerate(model.layers):
-            assert (grads[i] is None) == (i not in learning)
+            assert (grads[i] is None) == (i not in ids)
             if i in learning:
                 assert (grads[i]["w"] == full[i]["w"]).all()
                 assert (grads[i]["b"] == full[i]["b"]).all()
+            elif i in ids:  # +0.0 to the bit
+                assert all(a.tobytes() == bytes(a.nbytes) for a in grads[i].values())
 
 
 # -------------------------------------------------------------- training
@@ -801,6 +816,60 @@ def test_capture_refuses_a_layer_whose_space_is_too_large(monkeypatch):
     with pytest.raises(BadParams, match=r"layer 0: prod\(output shape\) x class pairs = 90 "
                                         r"separability cells; the limit is 89"):
         capture_activations(model, ds, 0)
+
+
+# ----------------------------------------------------------- batch bound
+
+# a conv padded by 3000 makes a (b, 1, 6008, 6008) padded input, 17.2 GiB at
+# b = 64, and one padded by 700 a 1.98M-value map per sample, 968 MiB per
+# array at b = 64; each has only a few parameters
+_BIG_BATCH_SPECS = ["cnn:1x8x8-c4k3p3000-p6006-f-4", "cnn:1x8x8-c1k1p700-f-4"]
+
+
+@pytest.mark.parametrize("spec", _BIG_BATCH_SPECS)
+def test_train_and_accuracy_refuse_a_batch_too_large_before_allocating(spec):
+    ds = data.make_blobs(64, 4, (1, 8, 8), seed=0)
+    model = from_arch(spec, seed=0)
+    with pytest.raises(BadParams, match=r"^layer 0: a batch of 64 samples .* limit is 67108864$"):
+        train(model, ds, epochs=1, lr=0.1, seed=0)
+    with pytest.raises(BadParams, match=r"^layer 0: a batch of 64 samples .* limit is 67108864$"):
+        accuracy(model, ds)
+
+
+@pytest.mark.parametrize("spec", ["cnn:1x8x8-c4k3p3000-p6006-c2k1-f-4",
+                                  "cnn:1x8x8-c1k1p700-p1408-c2k1-f-4"])
+def test_capture_refuses_a_batch_too_large_before_allocating(spec):
+    # the wide conv of each spec above, pooled down to 1x1 and followed by a
+    # narrow conv: `check_capture` lets that layer through
+    model = from_arch(spec, seed=0)
+    ds = data.make_blobs(64, 4, (1, 8, 8), seed=0)
+    toynet.check_capture(model, ds, 3)
+    with pytest.raises(BadParams, match=r"^layer 0: a batch of 64 samples .* limit is 67108864$"):
+        capture_activations(model, ds, 3)
+
+
+def test_batch_bound_is_inclusive_and_counts_samples(monkeypatch):
+    # mlp:2-8-4 makes at most 8 values per sample, in its hidden layer
+    model = from_arch("mlp:2-8-4", seed=0)
+    monkeypatch.setattr(data, "MAX_VALUES", 32)
+    toynet.check_batch(model, 4)
+    with pytest.raises(BadParams, match="layer 0: a batch of 5 samples makes an array of 40 "
+                                        "values; the limit is 32"):
+        toynet.check_batch(model, 5)
+    ds = data.make_blobs(5, 2, (2,), seed=0)
+    train(model, ds, epochs=1, lr=0.1, seed=0, batch_size=4)
+    with pytest.raises(BadParams):
+        train(model, ds, epochs=1, lr=0.1, seed=0, batch_size=5)
+
+
+# on 2x6x6 the windows, the padded input and the output are largest in turn
+@pytest.mark.parametrize("token", ["c4k3s1p1", "c4k1s3p6", "c32k1s1p0"])
+def test_conv_sample_values_is_its_largest_forward_array(token):
+    conv = from_arch(f"cnn:2x6x6-{token}-f-2", seed=0).layers[0]
+    x = np.zeros((3, 2, 6, 6))
+    y, (win, xp_shape, _) = conv.forward_cache(x)
+    largest = max(y[0].size, math.prod(xp_shape[1:]), win[0].size)
+    assert conv.sample_values((2, 6, 6), y.shape[1:]) == largest
 
 
 # --------------------------------------------------------------- surgery
